@@ -111,65 +111,3 @@ def bench_e7_replan_hotpath(benchmark):
     # generous ceiling (measured ~0.5ms/job): trips on a reintroduced
     # quadratic pass long before it trips on machine noise
     assert per_job_ms < 5.0
-
-
-def _completion_replan_cost(jobs: int):
-    """Cost of one completion-triggered replan at a given queue depth:
-    (full-sweep seconds, dirty-window seconds, actual depth)."""
-    sim, oar = _deep_queue_world(jobs)
-    depth = len(oar._scheduled)
-
-    t0 = time.perf_counter()
-    oar._replan_future_jobs()
-    full = time.perf_counter() - t0
-
-    # The windows filter, fed the exact dirty windows a completion leaves
-    # behind (release -> _mark_freed); the batched _do_replan would pass
-    # the same dict.
-    oar.replan_filter = "windows"
-    oar.release(oar.running_jobs()[0])
-    windows = dict(oar._dirty_windows)
-    oar._dirty_windows.clear()
-    t0 = time.perf_counter()
-    oar._replan_future_jobs(windows)
-    incremental = time.perf_counter() - t0
-    return full, incremental, depth
-
-
-def bench_e7_replan_incremental(benchmark):
-    """The PR-9 claim behind ``replan_filter="windows"``: the expensive
-    part of a completion-triggered replan (tearing down and re-placing
-    reservations) must no longer scale with queue depth.  The full sweep
-    re-places every scheduled job, so its cost grows linearly as the
-    queue deepens; the dirty-window pass only pays a cheap per-job window
-    check plus re-placement of the jobs the freed hole can actually help,
-    and stays a small fraction of the sweep at every depth."""
-
-    def measure():
-        return _completion_replan_cost(400), _completion_replan_cost(1600)
-
-    (full_a, inc_a, depth_a), (full_b, inc_b, depth_b) = benchmark.pedantic(
-        measure, rounds=1, iterations=1)
-
-    rows = [
-        paper_row(f"full replan @ depth {depth_a}", "-",
-                  f"{full_a * 1000:.1f}ms"),
-        paper_row(f"full replan @ depth {depth_b}", "grows ~linearly",
-                  f"{full_b * 1000:.1f}ms"),
-        paper_row(f"windowed replan @ depth {depth_a}", "-",
-                  f"{inc_a * 1000:.2f}ms"),
-        paper_row(f"windowed replan @ depth {depth_b}", "stays near-flat",
-                  f"{inc_b * 1000:.2f}ms"),
-        paper_row("windowed / full @ deep queue", "< 1/8",
-                  f"1/{full_b / inc_b:.0f}"),
-    ]
-    print_table("E7c: incremental replan vs queue depth", rows)
-
-    # The sweep is the linear one: 4x the queue costs clearly more.
-    assert full_b > 2.0 * full_a
-    # The windowed pass stays a small fraction of the sweep at both
-    # depths (measured ~1/20 on a laptop; 1/8 leaves noise headroom).
-    assert inc_a < full_a / 8.0
-    assert inc_b < full_b / 8.0
-    # Absolute per-job ceiling on the window check (measured ~1us/job).
-    assert 1000.0 * inc_b / depth_b < 0.1  # ms/job

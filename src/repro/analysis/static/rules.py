@@ -474,11 +474,10 @@ class MutableDataclassDefault(Rule):
 
 #: Functions that run on every scheduler/elastic tick (or inside every
 #: placement).  The PR-9 profile refactor moved their availability
-#: questions onto Gantt's ResourceProfile; the ``_linear_*`` oracles are
-#: deliberately NOT listed — they exist to keep the old scans testable.
+#: questions onto Gantt's ResourceProfile.
 _TICK_PATH_FUNCS = {
     "_schedule_pass", "_replan_future_jobs", "_find_assignment",
-    "_assert_plans_tight", "on_tick", "elastic_tick", "_expand",
+    "on_tick", "elastic_tick", "_expand",
     "_reclaim", "_negotiate", "grow_candidates", "_free_alive",
     "resources_available", "availability", "earliest_start",
 }

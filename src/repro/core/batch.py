@@ -51,25 +51,25 @@ __all__ = ["CampaignRun", "MetricSummary", "run_campaigns",
 # (cells travel as JSON specs and come back as reports), so reuse cannot
 # leak simulation state across batches.
 
-_warm_pool: Optional[multiprocessing.pool.Pool] = None
-_warm_pool_size = 0
-#: Serializes warm-pool batches across threads: the campaign service runs
+_pool: Optional[multiprocessing.pool.Pool] = None
+_pool_size = 0
+#: Serializes pool batches across threads: the campaign service runs
 #: one session per connection thread, and two threads resizing/draining a
 #: shared Pool concurrently is undefined behaviour.  Held for the whole
-#: warm branch of :func:`run_campaigns` (one batch at a time is also the
+#: pool branch of :func:`run_campaigns` (one batch at a time is also the
 #: global dedupe cache's friend: the second identical sweep resumes from
 #: the store instead of racing the first).
-_warm_pool_lock = threading.RLock()
+_pool_lock = threading.RLock()
 
 
-def _get_warm_pool(processes: int) -> multiprocessing.pool.Pool:
-    global _warm_pool, _warm_pool_size
-    if _warm_pool is not None and _warm_pool_size != processes:
+def _get_pool(processes: int) -> multiprocessing.pool.Pool:
+    global _pool, _pool_size
+    if _pool is not None and _pool_size != processes:
         shutdown_worker_pool()
-    if _warm_pool is None:
-        _warm_pool = multiprocessing.Pool(processes=processes)
-        _warm_pool_size = processes
-    return _warm_pool
+    if _pool is None:
+        _pool = multiprocessing.Pool(processes=processes)
+        _pool_size = processes
+    return _pool
 
 
 def shutdown_worker_pool() -> None:
@@ -78,13 +78,13 @@ def shutdown_worker_pool() -> None:
     Registered via ``atexit``; call it explicitly to reclaim the worker
     processes early (e.g. after the last batch of a long-lived driver).
     """
-    global _warm_pool, _warm_pool_size
-    with _warm_pool_lock:
-        if _warm_pool is not None:
-            _warm_pool.terminate()
-            _warm_pool.join()
-            _warm_pool = None
-            _warm_pool_size = 0
+    global _pool, _pool_size
+    with _pool_lock:
+        if _pool is not None:
+            _pool.terminate()
+            _pool.join()
+            _pool = None
+            _pool_size = 0
 
 
 atexit.register(shutdown_worker_pool)
@@ -319,8 +319,6 @@ def run_campaigns(
     store: Optional[Union[CampaignStore, str, "os.PathLike[str]"]] = None,
     resume: bool = False,
     on_cell: Optional[ProgressCallback] = None,
-    warm_pool: bool = True,
-    chunksize: Optional[int] = None,
     cell_timeout_s: Optional[float] = None,
     max_cell_attempts: int = 1,
     retry_backoff_s: float = 0.25,
@@ -344,12 +342,11 @@ def run_campaigns(
     carries the traceback in ``error`` and ``report=None``, and is
     recorded as a failure when a store is attached.
 
-    ``warm_pool=True`` (the default) keeps the worker pool alive between
-    calls, so a driver looping over batches pays process startup once;
-    ``warm_pool=False`` restores the old one-shot pool.  ``chunksize``
-    controls how many cells ride one IPC message (default: adaptive,
-    1 for small matrices scaling up to 8) — larger chunks cut dispatch
-    overhead on big sweeps at the cost of coarser work stealing.
+    The worker pool stays alive between calls, so a caller looping over
+    batches pays process startup once.  The number of cells riding one
+    IPC message adapts to the batch (1 for small matrices, scaling up to
+    8): larger chunks cut dispatch overhead on big sweeps at the cost of
+    coarser work stealing.
 
     ``cell_timeout_s`` / ``max_cell_attempts`` switch on *supervised*
     execution (process-per-cell instead of the pool): a cell past its
@@ -426,34 +423,24 @@ def run_campaigns(
         for payload in pending:
             finish(*_run_cell(payload))
     else:
-        if chunksize is None:
-            chunksize = max(1, min(8, len(pending) // (workers * 4)))
-        if warm_pool:
-            # Sized by `workers`, not by this batch's pending count: a
-            # mostly-cached resume batch must reuse the warm pool, not
-            # tear it down to fit its two missing cells (idle workers are
-            # far cheaper than a pool rebuild).
-            with _warm_pool_lock:
-                pool = _get_warm_pool(workers)
-                try:
-                    # Streaming: archive/report each cell the moment it
-                    # lands, in completion order; `runs` reassembles
-                    # matrix order.
-                    for result in pool.imap_unordered(_run_cell, pending,
-                                                      chunksize):
-                        finish(*result)
-                except BaseException:
-                    # A broken or abandoned pool (worker killed mid-batch,
-                    # KeyboardInterrupt while draining) must not poison
-                    # the next call; dispose of it before propagating.
-                    shutdown_worker_pool()
-                    raise
-        else:
-            with multiprocessing.Pool(
-                    processes=min(workers, len(pending))) as pool:
-                for result in pool.imap_unordered(_run_cell, pending,
-                                                  chunksize):
+        chunk = max(1, min(8, len(pending) // (workers * 4)))
+        # Sized by `workers`, not by this batch's pending count: a
+        # mostly-cached resume batch must reuse the warm pool, not tear it
+        # down to fit its two missing cells (idle workers are far cheaper
+        # than a pool rebuild).
+        with _pool_lock:
+            pool = _get_pool(workers)
+            try:
+                # Streaming: archive/report each cell the moment it lands,
+                # in completion order; `runs` reassembles matrix order.
+                for result in pool.imap_unordered(_run_cell, pending, chunk):
                     finish(*result)
+            except BaseException:
+                # A broken or abandoned pool (worker killed mid-batch,
+                # KeyboardInterrupt while draining) must not poison the
+                # next call; dispose of it before propagating.
+                shutdown_worker_pool()
+                raise
     assert all(r is not None for r in runs)
     return runs  # type: ignore[return-value]
 

@@ -21,15 +21,12 @@ Two representations coexist:
   bisect the profile instead of scanning every candidate timeline, which
   turns the per-job placement cost from O(nodes x reservations) into
   O(log steps + steps-in-window) — the difference between thousand-job
-  and million-job campaigns.  ``Gantt.use_profile = False`` pins every
-  query back to the direct timeline scans (kept verbatim as the
-  differential-test oracle and the A/B baseline for ``bench_k2_scale``).
+  and million-job campaigns.
 """
 
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -175,47 +172,9 @@ class NodeTimeline:
             idx += 1
         return t
 
-    def hole_around(self, t: float) -> Tuple[float, float]:
-        """Free window containing ``t`` — ``(t, t)`` when ``t`` is inside a
-        reservation.  Bounds the freed region for the incremental
-        replanner."""
-        starts = self._starts
-        reservations = self._reservations
-        idx = bisect.bisect_right(starts, t)
-        lo = _NEG_INF
-        if idx > 0:
-            prev = reservations[idx - 1]
-            if prev.end > t:
-                return (t, t)
-            lo = prev.end
-        hi = reservations[idx].start if idx < len(reservations) else math.inf
-        return (lo, hi)
-
     def release_points(self, after: float) -> list[float]:
         """Reservation end times > ``after`` (candidate start times)."""
         return sorted({r.end for r in self._reservations if r.end > after})
-
-    def free_intervals(self, after: float) -> list[tuple[float, float]]:
-        """Maximal free windows from ``after`` on (last one is unbounded).
-
-        Bisects past reservations that ended before ``after`` instead of
-        walking the whole history — on long campaigns the hot searches sit
-        at the tail of deep timelines.
-        """
-        reservations = self._reservations
-        idx = bisect.bisect_right(self._starts, after)
-        prev = after
-        if idx > 0 and reservations[idx - 1].end > after:
-            prev = reservations[idx - 1].end
-        out: list[tuple[float, float]] = []
-        for i in range(idx, len(reservations)):
-            r = reservations[i]
-            if r.start > prev:
-                out.append((prev, r.start))
-            if r.end > prev:
-                prev = r.end
-        out.append((prev, math.inf))
-        return out
 
     def purge_before(self, t: float) -> None:
         """Forget reservations that ended before ``t`` (memory hygiene on
@@ -445,10 +404,6 @@ class Gantt:
         self._timelines: dict[str, NodeTimeline] = {
             uid: NodeTimeline() for uid in uid_list
         }
-        #: ``False`` pins every query to the direct timeline scans (the
-        #: pre-profile algorithms below, kept verbatim) — the differential
-        #: oracle and the A/B baseline for ``bench_k2_scale``.
-        self.use_profile: bool = True
         self._profile = ResourceProfile(uid_list)
         self._profile_dirty = False
 
@@ -509,10 +464,6 @@ class Gantt:
         """Hand out a mutable timeline; the profile index goes stale."""
         self._profile_dirty = True
         return self._timelines[uid]
-
-    def hole_around(self, uid: str, t: float) -> tuple[float, float]:
-        """Free window of ``uid`` containing ``t`` (read-only probe)."""
-        return self._timelines[uid].hole_around(t)
 
     def is_free(self, uid: str, start: float, end: float) -> bool:
         return self._timelines[uid].is_free(start, end)
@@ -580,24 +531,15 @@ class Gantt:
         return sorted(times)
 
     def earliest_start(self, uids: Iterable[str], after: float,
-                       duration: float, k: int,
-                       intervals_cache: Optional[
-                           dict[str, list[tuple[float, float]]]] = None,
-                       ) -> Optional[float]:
+                       duration: float, k: int) -> Optional[float]:
         """Earliest ``t >= after`` when ``k`` of the nodes are simultaneously
         free over ``[t, t + duration)``.
 
         Routed through the :class:`ResourceProfile` (one bisect walk over
-        the park-wide step function) unless ``use_profile`` is off, in
-        which case the original per-node interval sweep
-        (:meth:`_linear_earliest_start`) runs; both return identical
-        answers — a property-tested invariant.  ``intervals_cache`` (uid ->
-        free interval list) is the linear path's per-pass memoisation and
-        is ignored by the profile path, which needs no per-call caching.
-
-        Whole-set requests (``k == len(uids)``) keep the fixpoint walk
-        over the candidate timelines on both paths: every node must be
-        probed anyway, and its float arithmetic is golden-pinned.
+        the park-wide step function).  Whole-set requests (``k ==
+        len(uids)``) keep the fixpoint walk over the candidate timelines:
+        every node must be probed anyway, and its float arithmetic is
+        golden-pinned.
         """
         if duration <= 0:
             raise SchedulingError(f"non-positive duration: {duration}")
@@ -605,9 +547,6 @@ class Gantt:
         n = len(uids)
         if k < 1 or k > n:
             return None
-        if not self.use_profile:
-            return self._linear_earliest_start(uids, after, duration, k,
-                                               intervals_cache)
         if k == n:
             return self._whole_set_start(uids, after, duration)
         prof = self.profile
@@ -630,74 +569,3 @@ class Gantt:
             if worst == t:
                 return t
             t = worst
-
-    def _linear_earliest_start(self, uids: list[str], after: float,
-                               duration: float, k: int,
-                               intervals_cache: Optional[
-                                   dict[str, list[tuple[float, float]]]] = None,
-                               ) -> Optional[float]:
-        """The pre-profile algorithm (PR 5), kept verbatim as the
-        differential-test oracle and the A/B benchmark baseline.
-
-        Interval sweep: each free window ``[s, e)`` long enough for
-        ``duration`` lets its node host a start anywhere in ``[s, e -
-        duration]``; the answer is the first sweep point where at least
-        ``k`` host intervals overlap.  This is O(R log R) in the number of
-        reservations — linear in the candidate set size per query, which
-        the profile path replaces with one park-wide bisect walk.
-
-        ``intervals_cache`` (uid -> free interval list) lets one
-        scheduling pass share the per-timeline interval computation across
-        every queued job it places: free intervals depend only on the
-        timeline and ``after`` (not on the job's walltime), so the caller
-        may reuse the dict for many searches at one instant, dropping the
-        entries of any node it reserves in between.
-        """
-        timelines = [self._timelines[u] for u in uids]
-        n = len(timelines)
-        # Empty timelines (idle nodes with no future reservations — the
-        # common case on a lightly loaded cluster) can all host a start at
-        # `after`; prune them from the sweep entirely.
-        idle = sum(1 for tl in timelines if not tl._reservations)
-        if idle >= k:
-            return after
-        if k == n:
-            return self._whole_set_start(uids, after, duration)
-        interval_lists: list[list[tuple[float, float]]] = []
-        fits_now = idle
-        for uid, tl in zip(uids, timelines):
-            if not tl._reservations:
-                continue  # accounted for in the idle baseline
-            if intervals_cache is None:
-                intervals = tl.free_intervals(after)
-            else:
-                intervals = intervals_cache.get(uid)
-                if intervals is None:
-                    intervals = tl.free_intervals(after)
-                    intervals_cache[uid] = intervals
-            interval_lists.append(intervals)
-            s0, e0 = intervals[0]
-            if s0 == after and e0 - after >= duration:
-                fits_now += 1
-        if fits_now >= k:
-            # Enough nodes are free at `after` itself — the sweep would
-            # return `after` after building and sorting the full event
-            # list; skip it (the common shape on replanning passes).
-            return after
-        events: list[tuple[float, int]] = []
-        for intervals in interval_lists:
-            for s, e in intervals:
-                if e - s >= duration:
-                    events.append((s, 0))  # +1: can host starts from s on
-                    if math.isfinite(e):
-                        events.append((e - duration, 1))  # -1 after this point
-        events.sort()
-        count = idle
-        for coord, kind in events:
-            if kind == 0:
-                count += 1
-                if count >= k:
-                    return coord
-            else:
-                count -= 1
-        return None

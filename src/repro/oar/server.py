@@ -25,10 +25,7 @@ Node states follow OAR vocabulary: **Alive** (usable), **Absent**
 from __future__ import annotations
 
 import bisect
-import math
 from typing import Optional, Sequence, Union
-
-_NEG_INF = float("-inf")
 
 from ..nodes.machine import MachinePark, PowerState
 from ..util.errors import SchedulingError
@@ -97,26 +94,10 @@ class OarServer:
         #: long campaigns tractable.
         self._replan_pending = False
         self.replan_batch_s = 300.0
-        #: Regions freed since the last replanning pass, uid -> (hole_start,
-        #: hole_end) of the surrounding free window: only queued jobs the
-        #: freed regions could actually pull forward are re-placed between
-        #: periodic full passes.
-        self._dirty_windows: dict[str, tuple[float, float]] = {}
-        #: "windows" also requires a freed hole that fits the job *earlier*
-        #: than its current reservation; "nodes" is the PR-7 filter (any
-        #: freed node in the job's matching set triggers a replan).
-        #: "nodes" stays the default because it is golden-pinned: tearing
-        #: down strictly more jobs makes the re-placement pass regroup
-        #: node choices, so "windows" produces equally valid but not
-        #: byte-identical plans (verified: all four determinism goldens
-        #: drift under "windows", none under "nodes").  Scale runs opt in
-        #: to "windows"; `replan_check` asserts it never misses a
-        #: pull-forward.
-        self.replan_filter = "nodes"
-        #: Cross-check mode for the incremental filter: after every
-        #: replanning pass assert no still-scheduled job could start
-        #: earlier than its reservation (see :meth:`_assert_plans_tight`).
-        self.replan_check = False
+        #: Nodes freed since the last replanning pass: between periodic
+        #: full passes only scheduled jobs whose matching set contains one
+        #: of them are re-placed.
+        self._dirty_nodes: set[str] = set()
         self.full_replan_period_s = 3600.0
         self._next_full_replan = 0.0
         #: Observation hooks (read-only subscribers, e.g. the service layer's
@@ -198,7 +179,7 @@ class OarServer:
             scheduled_start = job.scheduled_start
             self.gantt.release(job.assigned_nodes, job.job_id,
                                scheduled_start)
-            self._mark_freed(job.assigned_nodes, scheduled_start)
+            self._dirty_nodes.update(job.assigned_nodes)
             self._request_replan()
             job.assignment = ()
         else:
@@ -261,8 +242,6 @@ class OarServer:
         reserves nodes (freeness lives in the profile, which the
         reservations update), so nothing needs per-job invalidation.
         """
-        if not self.gantt.use_profile:
-            return self._linear_find_assignment(job, after)
         if ctx is None:
             ctx = _PassContext(self)
         walltime = job.walltime_s
@@ -307,48 +286,6 @@ class OarServer:
             if needed > len(candidates):
                 return None
             part_candidates.append(candidates)
-        return self._multi_part_assignment(job, after, part_candidates)
-
-    def _linear_find_assignment(
-        self, job: Job, after: float,
-        intervals_cache: Optional[dict] = None,
-        alive: Optional[frozenset] = None,
-    ) -> Optional[tuple[float, tuple[tuple[str, ...], ...]]]:
-        """The pre-profile placement (PR 5), kept verbatim: the A/B
-        baseline for ``bench_k2_scale`` and the `use_profile = False`
-        escape hatch.
-
-        ``intervals_cache``/``alive`` let a scheduling pass share the
-        free-interval computation and the park's alive-node set across
-        every job it places at one instant (see :meth:`_schedule_pass`);
-        one-off callers omit them and pay the per-call computation.
-        """
-        walltime = job.walltime_s
-        part_candidates: list[list[str]] = []
-        for part in job.request.parts:
-            if alive is not None:
-                candidates = [u for u in self._matching(part.expr)
-                              if u in alive]
-            else:
-                candidates = [u for u in self._matching(part.expr)
-                              if self.node_state(u) == "Alive"]
-            if not candidates:
-                return None
-            needed = len(candidates) if part.count == ALL_NODES else part.count
-            if needed > len(candidates):
-                return None
-            part_candidates.append(candidates)
-        if len(job.request.parts) == 1:
-            # Fast path (the overwhelmingly common shape): interval sweep.
-            part, candidates = job.request.parts[0], part_candidates[0]
-            needed = len(candidates) if part.count == ALL_NODES else part.count
-            start = self.gantt.earliest_start(candidates, after, walltime,
-                                              needed, intervals_cache)
-            if start is None:
-                return None
-            free = self.gantt.free_nodes(candidates, start, start + walltime)
-            chosen = free if part.count == ALL_NODES else free[:needed]
-            return start, (tuple(chosen),)
         return self._multi_part_assignment(job, after, part_candidates)
 
     def _multi_part_assignment(
@@ -400,68 +337,34 @@ class OarServer:
         per-expression candidate masks are computed once (the
         :class:`_PassContext`) and shared across the queue, while node
         freeness comes from the availability profile the reservations
-        themselves keep current.  The ``use_profile = False`` branch is
-        the PR-5 pass (shared alive frozenset + free-interval cache),
-        kept as the A/B baseline.
+        themselves keep current.
         """
         still_waiting: list[Job] = []
         now = self.sim.now
-        if self.gantt.use_profile:
-            ctx = _PassContext(self)
-            for job in self._waiting:
-                placement = self._find_assignment(job, now, ctx)
-                if placement is None:
-                    still_waiting.append(job)  # no alive matching nodes now
-                    continue
-                self._reserve(job, *placement)
-        else:
-            alive = frozenset(self.alive_nodes())
-            intervals_cache: dict[str, list] = {}
-            for job in self._waiting:
-                placement = self._linear_find_assignment(
-                    job, now, intervals_cache, alive)
-                if placement is None:
-                    still_waiting.append(job)  # no alive matching nodes now
-                    continue
-                self._reserve(job, *placement)
-                for part in placement[1]:
-                    for uid in part:
-                        intervals_cache.pop(uid, None)
+        ctx = _PassContext(self)
+        for job in self._waiting:
+            placement = self._find_assignment(job, now, ctx)
+            if placement is None:
+                still_waiting.append(job)  # no alive matching nodes now
+                continue
+            self._reserve(job, *placement)
         self._waiting = still_waiting
 
-    def _replan_future_jobs(
-        self,
-        touching: Optional[Union[set, dict]] = None,
-    ) -> None:
+    def _replan_future_jobs(self, touching: Optional[set] = None) -> None:
         """Tear down not-yet-started reservations and reschedule (pull
         forward after an early release or node repair).
 
-        ``touching`` narrows the teardown to the incremental pass between
-        full sweeps: a dict maps freed uids to their surrounding free
-        ``(hole_start, hole_end)`` window (see :meth:`_mark_freed`); a
-        bare uid set means unbounded windows, which degenerates to the
-        node-intersection filter.  Under ``replan_filter == "windows"`` a
-        job is only replanned when some freed hole on a matching node
-        could host it *earlier* than its current reservation; under
-        "nodes" any freed matching node triggers it.
+        ``touching`` (a set of freed uids) narrows the teardown to the
+        incremental pass between full sweeps: only scheduled jobs whose
+        matching set contains a freed node are re-placed.
         """
         if touching is not None:
-            if self.replan_filter == "windows":
-                if not isinstance(touching, dict):
-                    touching = {u: (_NEG_INF, math.inf)
-                                for u in sorted(touching)}
-                replanned = [j for j in self._scheduled
-                             if self._replan_hit(j, touching)]
-            else:
-                touched = frozenset(touching)
-                replanned = [
-                    j for j in self._scheduled
-                    if any(touched & self._matching_set(p.expr)
-                           for p in j.request.parts)
-                ]
+            replanned = [
+                j for j in self._scheduled
+                if any(touching & self._matching_set(p.expr)
+                       for p in j.request.parts)
+            ]
             if not replanned:
-                if self.replan_check:
-                    self._assert_plans_tight()
                 return
             replanned_set = set(replanned)
             self._scheduled = [j for j in self._scheduled
@@ -479,48 +382,6 @@ class OarServer:
         # Keep global FCFS order across both pools.
         self._waiting = sorted(self._waiting + replanned, key=lambda j: j.job_id)
         self._schedule_pass()
-        if self.replan_check:
-            self._assert_plans_tight()
-
-    def _replan_hit(self, job: Job, windows: dict) -> bool:
-        """Could a freed region pull this scheduled job forward?
-
-        A hole ``[lo, hi)`` on a matching node helps iff some start ``s in
-        [max(now, lo), scheduled_start)`` fits ``s + walltime <= hi`` —
-        i.e. the hole's usable edge both precedes the current reservation
-        and is long enough.  The recorded windows are conservative (they
-        only ever over-approximate the freed region), so a miss here is a
-        proof the job cannot start earlier, not a heuristic.
-        """
-        now = self.sim.now
-        start = job.scheduled_start
-        walltime = job.walltime_s
-        for part in job.request.parts:
-            matching = self._matching_set(part.expr)
-            for uid, (lo, hi) in windows.items():
-                if uid not in matching:
-                    continue
-                usable = lo if lo > now else now
-                if usable < start and usable + walltime <= hi:
-                    return True
-        return False
-
-    def _assert_plans_tight(self) -> None:
-        """Cross-check for the incremental filter: after a replanning pass
-        no still-scheduled job may be startable earlier than its
-        reservation.  (Its own reservation still occupies its slot, so the
-        recomputed earliest start can only be >= the planned one; < means
-        the filter missed a freed hole.)  Enabled via ``replan_check`` by
-        the differential tests and the scale benchmark."""
-        now = self.sim.now
-        ctx = _PassContext(self)
-        for job in self._scheduled:
-            placement = self._find_assignment(job, now, ctx)
-            if placement is not None and placement[0] < job.scheduled_start:
-                raise AssertionError(
-                    f"incremental replan missed an improvement: job "
-                    f"{job.job_id} reserved at t={job.scheduled_start} "
-                    f"could start at t={placement[0]}")
 
     # -- execution -----------------------------------------------------------------
 
@@ -594,7 +455,7 @@ class OarServer:
         for uid in job.assigned_nodes:
             self.machines[uid].cpu_load = _IDLE_LOAD
         self.gantt.truncate(job.assigned_nodes, job.job_id, self.sim.now)
-        self._mark_freed(job.assigned_nodes)
+        self._dirty_nodes.update(job.assigned_nodes)
         job.done_event.succeed(job)
         for hook in self.on_job_complete:
             hook(job)
@@ -740,7 +601,7 @@ class OarServer:
         job.shrink_count += 1
         self.shrink_events += 1
         self._reschedule_finish(job)
-        self._mark_freed(chosen)
+        self._dirty_nodes.update(chosen)
         if replan:
             self.replan_now(chosen_set)
         return chosen
@@ -775,7 +636,7 @@ class OarServer:
             job.shrink_count += 1
             self.shrink_events += 1
             self._reschedule_finish(job)
-            self._mark_freed(dead)
+            self._dirty_nodes.update(dead)
             self._request_replan()
             return True
         # Below min_nodes: tear the run down and restart from the queue.
@@ -793,7 +654,7 @@ class OarServer:
         job.state = JobState.WAITING
         #: Fresh start event: the original already fired for the first run.
         job.started_event = self.sim.event()
-        self._mark_freed(alive)
+        self._dirty_nodes.update(alive)
         # Re-queue at the job-id rank (see _try_start's dead-node path).
         ids = [j.job_id for j in self._waiting]
         self._waiting.insert(bisect.bisect(ids, job.job_id), job)
@@ -821,23 +682,15 @@ class OarServer:
             return []
         current = set(job.assigned_nodes)
         expr = job.request.parts[0].expr
-        if self.gantt.use_profile:
-            # One profile query answers "free through the deadline" for
-            # the whole matching set; per-node work is a bit test.
-            fmask = self.gantt.profile_free_mask(
-                self.matching_mask(expr), now, deadline)
-            bit = self.gantt.bit
-            return [uid for uid in self._matching(expr)
-                    if uid not in current
-                    and fmask >> bit(uid) & 1
-                    and self.node_state(uid) == "Alive"]
-        out = []
-        for uid in self._matching(expr):
-            if uid in current or self.node_state(uid) != "Alive":
-                continue
-            if self.gantt.is_free(uid, now, deadline):
-                out.append(uid)
-        return out
+        # One profile query answers "free through the deadline" for the
+        # whole matching set; per-node work is a bit test.
+        fmask = self.gantt.profile_free_mask(
+            self.matching_mask(expr), now, deadline)
+        bit = self.gantt.bit
+        return [uid for uid in self._matching(expr)
+                if uid not in current
+                and fmask >> bit(uid) & 1
+                and self.node_state(uid) == "Alive"]
 
     def _account_alloc(self, delta: int) -> None:
         now = self.sim.now
@@ -851,26 +704,6 @@ class OarServer:
         return (self._alloc_integral
                 + self._alloc_count * (until - self._alloc_since))
 
-    def _mark_freed(self, uids: Sequence[str],
-                    at: Optional[float] = None) -> None:
-        """Record freed regions for the incremental replanner: each uid's
-        surrounding free window at the release point (one timeline bisect
-        per node).  Windows only widen until the next replanning pass
-        consumes them, so later reservations landing inside a recorded
-        hole can make it conservative (too wide) but never too narrow."""
-        t = self.sim.now if at is None else at
-        windows = self._dirty_windows
-        gantt = self.gantt
-        for uid in uids:
-            lo, hi = gantt.hole_around(uid, t)
-            old = windows.get(uid)
-            if old is not None:
-                if old[0] < lo:
-                    lo = old[0]
-                if old[1] > hi:
-                    hi = old[1]
-            windows[uid] = (lo, hi)
-
     def _request_replan(self) -> None:
         if not self._replan_pending:
             self._replan_pending = True
@@ -882,8 +715,8 @@ class OarServer:
             self._next_full_replan = self.sim.now + self.full_replan_period_s
             self._replan_future_jobs()
         else:
-            self._replan_future_jobs(touching=self._dirty_windows)
-        self._dirty_windows = {}
+            self._replan_future_jobs(touching=self._dirty_nodes)
+        self._dirty_nodes = set()
 
     # -- introspection ----------------------------------------------------------------
 

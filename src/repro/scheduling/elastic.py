@@ -170,17 +170,12 @@ class StealAgreementStrategy(CommonPoolStrategy):
             if not candidates:
                 continue
             window = max(job.walltime_s, 1.0)
-            if oar.gantt.use_profile:
-                # One profile query answers "free through the window" for
-                # the whole matching set; each candidate costs a bit test
-                # instead of a timeline bisect.
-                fmask = oar.gantt.profile_free_mask(
-                    oar.matching_mask(part.expr), now, now + window)
-                bit = oar.gantt.bit
-                have = sum(1 for u in candidates if fmask >> bit(u) & 1)
-            else:
-                have = sum(1 for u in candidates
-                           if oar.gantt.is_free(u, now, now + window))
+            # One profile query answers "free through the window" for the
+            # whole matching set; each candidate costs a bit test.
+            fmask = oar.gantt.profile_free_mask(
+                oar.matching_mask(part.expr), now, now + window)
+            bit = oar.gantt.bit
+            have = sum(1 for u in candidates if fmask >> bit(u) & 1)
             deficit = needed - have
             if deficit <= 0:
                 continue  # the ordinary replan can already place it

@@ -173,29 +173,20 @@ class ExternalScheduler:
                     self._cluster_masks[cell.cluster])
         return self._site_nodes[cell.site], self._site_masks[cell.site]
 
-    def _free_alive(self, uids: list[str], mask: Optional[int] = None) -> int:
+    def _free_alive(self, uids: list[str], mask: int) -> int:
         """Nodes alive and not reserved right now (short horizon probe).
 
-        With a precomputed ``mask``, one availability-profile query covers
-        the whole set and each node costs a bit test; the per-node
-        timeline-bisect loop remains the ``use_profile = False`` baseline
-        (identical counts — covered by the launcher equivalence tests).
+        ``mask`` is the precomputed bitmask of ``uids``: one
+        availability-profile query covers the whole set and each node
+        costs a bit test.
         """
         now = self.sim.now
         oar = self.oar
-        if mask is not None and oar.gantt.use_profile:
-            fmask = oar.gantt.profile_free_mask(mask, now, now + 60.0)
-            bit = oar.gantt.bit
-            return sum(1 for uid in uids
-                       if fmask >> bit(uid) & 1
-                       and oar.node_state(uid) == "Alive")
-        count = 0
-        for uid in uids:
-            if oar.node_state(uid) != "Alive":
-                continue
-            if oar.gantt.is_free(uid, now, now + 60.0):
-                count += 1
-        return count
+        fmask = oar.gantt.profile_free_mask(mask, now, now + 60.0)
+        bit = oar.gantt.bit
+        return sum(1 for uid in uids
+                   if fmask >> bit(uid) & 1
+                   and oar.node_state(uid) == "Alive")
 
     def resources_available(self, cell: TestCell) -> bool:
         need = cell.family.nodes_needed

@@ -203,31 +203,29 @@ def test_warm_pool_is_reused_across_batches():
     batch_mod.shutdown_worker_pool()
     smoke = scenarios.get("tiny-smoke").derive(months=0.03)
     first = run_campaigns([smoke], seeds=[0, 1], workers=2)
-    pool_after_first = batch_mod._warm_pool
+    pool_after_first = batch_mod._pool
     second = run_campaigns([smoke], seeds=[2, 3], workers=2)
-    pool_after_second = batch_mod._warm_pool
+    pool_after_second = batch_mod._pool
     try:
         assert pool_after_first is not None
         assert pool_after_first is pool_after_second
         assert all(r.ok for r in first + second)
     finally:
         batch_mod.shutdown_worker_pool()
-    assert batch_mod._warm_pool is None
+    assert batch_mod._pool is None
 
 
 def test_warm_pool_and_chunking_do_not_change_results():
     from repro.core import batch as batch_mod
 
     smoke = scenarios.get("tiny-smoke").derive(months=0.03)
-    seeds = [0, 1, 2, 3]
+    # 16 pending cells on 2 workers: the adaptive rule only chunks at
+    # >= 8 cells per worker, so these ride the warm pool 2 per message.
+    seeds = list(range(16))
     serial = run_campaigns([smoke], seeds=seeds, workers=1)
     try:
-        chunked = run_campaigns([smoke], seeds=seeds, workers=2, chunksize=2)
-        one_shot = run_campaigns([smoke], seeds=seeds, workers=2,
-                                 warm_pool=False, chunksize=3)
+        chunked = run_campaigns([smoke], seeds=seeds, workers=2)
     finally:
         batch_mod.shutdown_worker_pool()
     for a, b in zip(serial, chunked):
-        assert a.report.to_dict() == b.report.to_dict()
-    for a, b in zip(serial, one_shot):
         assert a.report.to_dict() == b.report.to_dict()

@@ -116,20 +116,6 @@ def test_earliest_start_equal_coordinate_handover_tie():
 
 
 @given(_reservations, st.floats(0, 200, allow_nan=False),
-       st.floats(1, 100, allow_nan=False), st.integers(1, 4))
-@settings(max_examples=150)
-def test_earliest_start_cache_is_transparent(raw, after, duration, k):
-    """A shared intervals cache never changes the answer — across many
-    searches at one instant and with whatever walltimes."""
-    g = _build(raw)
-    cache = {}
-    for dur in (duration, duration * 2.0, 1.0):
-        want = g.earliest_start(_NODES, after, dur, k)
-        got = g.earliest_start(_NODES, after, dur, k, intervals_cache=cache)
-        assert got == want
-
-
-@given(_reservations, st.floats(0, 200, allow_nan=False),
        st.floats(1, 100, allow_nan=False))
 @settings(max_examples=150)
 def test_whole_cluster_fixpoint_matches_sweep(raw, after, duration):

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from repro.oar import Gantt, NodeTimeline, Reservation
 from repro.util import SchedulingError
 
+from oar_reference import free_intervals
+
 
 def test_empty_timeline_is_free():
     tl = NodeTimeline()
@@ -215,7 +217,7 @@ def test_next_fit_agrees_with_free_intervals():
         tl.add(Reservation(start, end, jid))
     for after in (0.0, 3.0, 6.5, 8.0, 15.0, 30.0):
         for duration in (0.5, 2.0, 10.0):
-            want = min(s for s, e in tl.free_intervals(after)
+            want = min(s for s, e in free_intervals(tl, after)
                        if e - s >= duration)
             assert tl.next_fit(after, duration) == want, (after, duration)
 
@@ -224,10 +226,10 @@ def test_free_intervals_ignores_ancient_history():
     tl = NodeTimeline()
     for i in range(10):
         tl.add(Reservation(i * 10.0, i * 10.0 + 5.0, i + 1))
-    assert tl.free_intervals(73.0) == [(75.0, 80.0), (85.0, 90.0),
-                                       (95.0, float("inf"))]
+    assert free_intervals(tl, 73.0) == [(75.0, 80.0), (85.0, 90.0),
+                                        (95.0, float("inf"))]
     # `after` inside a reservation: the window opens at its end
-    assert tl.free_intervals(91.0) == [(95.0, float("inf"))]
+    assert free_intervals(tl, 91.0) == [(95.0, float("inf"))]
 
 
 # -- hinted removal ------------------------------------------------------------

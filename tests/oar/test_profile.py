@@ -2,9 +2,9 @@
 
 The profile is a derived index; every answer it gives must be
 *byte-identical* (same floats, same node choices) to the pre-profile
-linear algorithms, which survive as ``Gantt._linear_earliest_start`` /
-``NodeTimeline.free_intervals`` / ``Gantt.free_nodes`` exactly so these
-tests have an oracle.  Random reserve/release/truncate/grow/shrink-shaped
+linear algorithms: the interval sweep kept as the reference model in
+``oar_reference.py`` (``linear_earliest_start`` / ``free_intervals``)
+and the per-node ``Gantt.free_nodes`` scan.  Random reserve/release/truncate/grow/shrink-shaped
 sequences drive both representations through the public mutators, then
 every query is cross-checked, including after a forced full rebuild.
 """
@@ -16,6 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.oar.gantt import Gantt, ResourceProfile
 from repro.util.errors import SchedulingError
+
+from oar_reference import free_intervals, linear_earliest_start
 
 NODES = ["n0", "n1", "n2", "n3", "n4"]
 
@@ -103,7 +105,7 @@ def test_profile_matches_linear_oracles(ops, after, duration, k, subset):
 
     # earliest_start: profile walk vs the retired interval sweep.
     got = g.earliest_start(uids, after, duration, k)
-    want = g._linear_earliest_start(list(uids), after, duration, k) \
+    want = linear_earliest_start(g, list(uids), after, duration, k) \
         if 1 <= k <= len(uids) else None
     assert got == want
 
@@ -111,10 +113,10 @@ def test_profile_matches_linear_oracles(ops, after, duration, k, subset):
     fmask = g.profile_free_mask(g.mask_for(uids), after, after + duration)
     assert g.uids_from_mask(fmask) == g.free_nodes(uids, after, after + duration)
 
-    # per-node free windows: step function vs NodeTimeline.free_intervals.
+    # per-node free windows: step function vs the reference free_intervals.
     for uid in uids:
         assert _profile_free_intervals(g.profile, uid, after) == \
-            g._timelines[uid].free_intervals(after)
+            free_intervals(g._timelines[uid], after)
 
 
 @settings(max_examples=200, deadline=None)
@@ -138,7 +140,7 @@ def test_profile_survives_direct_timeline_mutation(ops, after, duration, k):
     assert g._profile_dirty
     tl.purge_before(math.inf)  # wipe n2 behind the profile's back
     got = g.earliest_start(NODES, after, duration, k)
-    assert got == g._linear_earliest_start(list(NODES), after, duration, k)
+    assert got == linear_earliest_start(g, list(NODES), after, duration, k)
 
 
 def test_failed_reserve_keeps_profile_consistent():
