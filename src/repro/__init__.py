@@ -37,9 +37,9 @@ backends via the registry)::
     fw.run_until(7 * 86400)                   # one simulated week
     print(fw.tracker.filed_count, "bugs filed")
 
-``build_framework()`` / ``run_campaign()`` remain as thin back-compat
-shims over the builder.  The ``repro-campaign`` console script runs any
-named preset from the shell.
+``run_campaign()`` remains as a thin back-compat shim over the builder.
+The ``repro-campaign`` console script runs any named preset from the
+shell.
 """
 
 from . import scenarios
@@ -53,7 +53,6 @@ from .core import (
     SubsystemRegistry,
     TestingFramework,
     aggregate_runs,
-    build_framework,
     register_subsystem,
     run_campaign,
     run_campaigns,
@@ -71,7 +70,6 @@ __all__ = [
     "SubsystemRegistry",
     "register_subsystem",
     "TestingFramework",
-    "build_framework",
     "CampaignConfig",
     "CampaignReport",
     "CampaignRun",

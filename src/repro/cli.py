@@ -16,7 +16,6 @@ Examples::
     repro-campaign trace inspect trace.jsonl
     repro-campaign trace convert archive.swf trace.jsonl
     repro-campaign run tiny-smoke --trace trace.jsonl --seeds 0,1
-    repro-campaign tiny-smoke --json > report.json   # legacy implicit "run"
 
 ``run --store`` appends every finished cell to a JSONL
 :class:`~repro.core.store.CampaignStore`; ``--resume`` then skips cells the
@@ -52,9 +51,6 @@ from .oar.traces import TraceReplayConfig
 from .scheduling.policies import get_strategy, strategy_names
 
 __all__ = ["main"]
-
-_SUBCOMMANDS = ("run", "report", "compare", "scoreboard", "trace", "serve",
-                "client", "fsck")
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -112,12 +108,14 @@ def _build_parser() -> argparse.ArgumentParser:
                             f"(known: {', '.join(strategy_names())})")
     run_p.add_argument("--cell-timeout", type=float, default=None,
                        metavar="SECONDS",
-                       help="supervised mode: kill and quarantine any cell "
-                            "running longer than this (wall clock)")
+                       help="quarantine any cell still running this long "
+                            "after it started (wall clock) and replace its "
+                            "worker")
     run_p.add_argument("--cell-attempts", type=int, default=1,
                        metavar="N",
-                       help="supervised mode: retry a crashing cell up to N "
-                            "times with backoff, then quarantine it")
+                       help="run a failing cell up to N times with "
+                            "backoff; with N > 1 a cell that fails every "
+                            "attempt is quarantined (default: 1)")
 
     sb_p = sub.add_parser(
         "scoreboard",
@@ -223,19 +221,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _normalize_argv(argv: Sequence[str]) -> list[str]:
-    """Back-compat: ``repro-campaign tiny-smoke --seeds 0,1`` == ``run ...``
-    (including flags-only and bare invocations, which run the default
-    preset exactly as the pre-subcommand CLI did)."""
-    argv = list(argv)
-    if any(a in ("-h", "--help") for a in argv):
-        return argv
-    head = next((a for a in argv if not a.startswith("-")), None)
-    if head in _SUBCOMMANDS:
-        return argv
-    return ["run"] + argv
-
-
 def _runs_json(runs: Sequence[CampaignRun]) -> str:
     docs = [{"scenario": r.scenario, "seed": r.seed,
              "spec_hash": r.spec_hash, "error": r.error,
@@ -303,7 +288,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                              on_cell=progress,
                              cell_timeout_s=args.cell_timeout,
                              max_cell_attempts=args.cell_attempts)
-    except KeyError as exc:
+    except (KeyError, ValueError) as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
     if args.json:
@@ -421,9 +406,13 @@ def _cmd_scoreboard(args: argparse.Namespace) -> int:
               f"{status} ({time.perf_counter() - t0:.1f}s)",  # detlint: disable=DET002
               file=sys.stderr)
 
-    runs = run_campaigns(specs, seeds=args.seeds, workers=args.workers,
-                         months=args.months, store=store,
-                         resume=args.resume, on_cell=progress)
+    try:
+        runs = run_campaigns(specs, seeds=args.seeds, workers=args.workers,
+                             months=args.months, store=store,
+                             resume=args.resume, on_cell=progress)
+    except ValueError as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 2
     failed = [r for r in runs if not r.ok]
     for run in failed:
         print(f"campaign {run.scenario} @ seed {run.seed} FAILED: "
@@ -597,12 +586,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 def _main(argv: Optional[Sequence[str]]) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if "--list" in argv:
-        # handled before parsing, like the pre-subcommand CLI did — so
-        # `repro-campaign tiny-smoke --list` still just lists and exits
+        # handled before parsing, so `--list` wins wherever it appears
         for spec in scenarios.all_presets():
             print(f"{spec.name:<18} {spec.description}")
         return 0
-    args = _build_parser().parse_args(_normalize_argv(argv))
+    args = _build_parser().parse_args(argv)
     if args.command == "report":
         return _cmd_report(args)
     if args.command == "compare":

@@ -17,7 +17,7 @@ from .builder import (
     register_subsystem,
 )
 from .campaign import CampaignConfig, CampaignReport, run_campaign, run_scenario
-from .framework import TestingFramework, build_framework
+from .framework import TestingFramework
 from .store import CampaignStore, StoredCell, cell_hash, cell_key
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "BugTracker",
     "OperatorTeam",
     "TestingFramework",
-    "build_framework",
     "FrameworkBuild",
     "FrameworkBuilder",
     "SubsystemRegistry",

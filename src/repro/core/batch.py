@@ -3,18 +3,20 @@
 The paper's testbed earns trust by running *many* scenarios *often*; the
 single-seed serial :func:`~repro.core.campaign.run_campaign` loop cannot
 keep up with a seed × scenario sweep.  :func:`run_campaigns` fans the
-matrix across ``multiprocessing`` workers (each world is an independent
-simulation — embarrassingly parallel) and :func:`aggregate_runs` collapses
-the per-seed reports into mean ± 95 % CI per metric.
+matrix across a warm fleet of worker processes (each world is an
+independent simulation — embarrassingly parallel) and
+:func:`aggregate_runs` collapses the per-seed reports into mean ± 95 % CI
+per metric.
 
-The engine *streams*: results come back via ``imap_unordered`` as cells
-finish (reassembled into matrix order at the end), each completion fires an
-``on_cell`` progress callback, and a crashing cell is captured as a failed
-:class:`CampaignRun` instead of killing the pool.  With a
-:class:`~repro.core.store.CampaignStore` attached every finished cell is
-durably archived, and ``resume=True`` skips cells the store already holds —
-an interrupted sweep re-pays only its missing (or previously crashed)
-cells.
+The engine *streams*: each worker runs one cell at a time, results are
+collected as cells finish (reassembled into matrix order at the end), each
+completion fires an ``on_cell`` progress callback, and a crashing cell is
+captured as a failed :class:`CampaignRun` instead of killing the sweep.
+The same executor enforces the optional per-cell deadline, retries and
+quarantine.  With a :class:`~repro.core.store.CampaignStore` attached
+every finished cell is durably archived, and ``resume=True`` skips cells
+the store already holds — an interrupted sweep re-pays only its missing
+(or previously crashed) cells.
 
 Specs travel to workers as their JSON documents (``ScenarioSpec`` is fully
 serializable), so the fan-out works with any start method and the exact
@@ -27,10 +29,10 @@ import atexit
 import math
 import multiprocessing
 import os
-import queue as queue_mod
 import threading
 import traceback
 from dataclasses import dataclass
+from multiprocessing.connection import Connection, wait
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from ..scenarios import get as get_preset
@@ -40,54 +42,6 @@ from .store import CampaignStore, cell_hash, format_cell_key
 
 __all__ = ["CampaignRun", "MetricSummary", "run_campaigns",
            "aggregate_runs", "summarize_runs", "shutdown_worker_pool"]
-
-# -- warm worker pool ---------------------------------------------------------
-#
-# Worker processes are expensive to fork/spawn (each re-imports the whole
-# package); a sweep driver calling run_campaigns() in a loop — parameter
-# scans, resumed stores, the CLI compare flow — used to pay that startup
-# for every batch.  The pool below survives between calls and is only
-# rebuilt when the requested worker count changes.  Workers are stateless
-# (cells travel as JSON specs and come back as reports), so reuse cannot
-# leak simulation state across batches.
-
-_pool: Optional[multiprocessing.pool.Pool] = None
-_pool_size = 0
-#: Serializes pool batches across threads: the campaign service runs
-#: one session per connection thread, and two threads resizing/draining a
-#: shared Pool concurrently is undefined behaviour.  Held for the whole
-#: pool branch of :func:`run_campaigns` (one batch at a time is also the
-#: global dedupe cache's friend: the second identical sweep resumes from
-#: the store instead of racing the first).
-_pool_lock = threading.RLock()
-
-
-def _get_pool(processes: int) -> multiprocessing.pool.Pool:
-    global _pool, _pool_size
-    if _pool is not None and _pool_size != processes:
-        shutdown_worker_pool()
-    if _pool is None:
-        _pool = multiprocessing.Pool(processes=processes)
-        _pool_size = processes
-    return _pool
-
-
-def shutdown_worker_pool() -> None:
-    """Tear down the warm worker pool (no-op when none is alive).
-
-    Registered via ``atexit``; call it explicitly to reclaim the worker
-    processes early (e.g. after the last batch of a long-lived driver).
-    """
-    global _pool, _pool_size
-    with _pool_lock:
-        if _pool is not None:
-            _pool.terminate()
-            _pool.join()
-            _pool = None
-            _pool_size = 0
-
-
-atexit.register(shutdown_worker_pool)
 
 #: Scalar CampaignReport fields worth aggregating across seeds.
 SCALAR_METRICS: tuple[str, ...] = (
@@ -122,7 +76,7 @@ class CampaignRun:
     hash of the effective scenario (see :func:`repro.core.store.cell_hash`)
     — it is what lets :func:`aggregate_runs` detect two *different* specs
     masquerading under one name.  ``quarantined`` marks a poison cell
-    (hung past its watchdog, or failed every supervised attempt): its
+    (ran past its deadline, or failed every one of several attempts): its
     failure is final and ``resume`` will not retry it.
     """
 
@@ -178,11 +132,10 @@ def _t95(dof: int) -> float:
 
 def _run_cell(payload: tuple[int, dict, int, Optional[float]]
               ) -> tuple[int, Optional[CampaignReport], Optional[str]]:
-    """Worker entry point (top-level so it pickles under 'spawn' too).
+    """Run one cell; returns ``(matrix_index, report, error)``.
 
-    Returns ``(matrix_index, report, error)``.  A crashing cell comes back
-    as a traceback string instead of poisoning the pool — one sick
-    scenario must not cost the rest of the matrix.
+    A crashing cell comes back as a traceback string instead of killing
+    its worker — one sick scenario must not cost the rest of the matrix.
     """
     index, spec_doc, seed, months = payload
     try:
@@ -193,117 +146,178 @@ def _run_cell(payload: tuple[int, dict, int, Optional[float]]
         return index, None, traceback.format_exc()
 
 
-def _run_cell_child(payload: tuple[int, dict, int, Optional[float]],
-                    queue: "multiprocessing.Queue") -> None:
-    """Supervised-mode child entry point: one process, one cell.
+def _worker_main(conn: Connection) -> None:
+    """Worker entry point (top-level so it pickles under 'spawn' too):
+    run one cell per message until the parent closes the pipe."""
+    while True:
+        try:
+            payload = conn.recv()
+        except EOFError:
+            return
+        conn.send(_run_cell(payload))
 
-    The result travels back over a queue; a child that never delivers
-    (hang, segfault, ``os._exit``) is detected by the supervisor via the
-    wall-clock watchdog / its exit code — the parent never blocks on it.
-    """
-    queue.put(_run_cell(payload))
+
+# -- warm worker fleet --------------------------------------------------------
+#
+# Worker processes are expensive to start (each re-imports the whole
+# package); a sweep driver calling run_campaigns() in a loop — parameter
+# scans, resumed stores, the CLI compare flow — would pay that startup for
+# every batch.  The fleet below survives between calls and is resized to
+# the requested worker count.  Each worker owns a pipe and holds at most
+# one cell, so a worker that hangs or dies costs exactly itself: it is
+# terminated and replaced while the rest of the fleet stays warm.  Workers
+# are stateless (cells travel as JSON specs and come back as reports), so
+# reuse cannot leak simulation state across batches.
 
 
-class _SupervisedCell:
-    """Bookkeeping for one in-flight supervised cell."""
+class _Worker:
+    """One long-lived worker process and the parent's end of its pipe."""
 
-    __slots__ = ("payload", "attempt", "proc", "queue", "deadline")
+    __slots__ = ("proc", "conn", "cell", "deadline")
 
-    def __init__(self, payload, attempt: int, ctx, timeout_s, now):
-        self.payload = payload
-        self.attempt = attempt
-        self.queue = ctx.Queue(maxsize=1)
-        self.proc = ctx.Process(target=_run_cell_child,
-                                args=(payload, self.queue), daemon=True)
+    def __init__(self) -> None:
+        ctx = multiprocessing.get_context()
+        self.conn, child = ctx.Pipe()
+        self.proc = ctx.Process(target=_worker_main, args=(child,),
+                                daemon=True)
         self.proc.start()
-        self.deadline = (now + timeout_s) if timeout_s is not None else None
+        # Only the worker may hold the child end: once it exits, the
+        # parent's end reads EOF instead of blocking.
+        child.close()
+        #: ``(payload, attempt)`` in flight, or None when idle.
+        self.cell: Optional[tuple[tuple, int]] = None
+        self.deadline = math.inf
+
+    def stop(self) -> None:
+        self.proc.terminate()
+        self.proc.join(timeout=5.0)
+        self.conn.close()
 
 
-def _run_supervised(pending, finish, workers: int,
-                    cell_timeout_s: Optional[float],
-                    max_cell_attempts: int,
-                    retry_backoff_s: float) -> None:
-    """Process-per-cell execution with watchdog, retries and quarantine.
+_fleet: list[_Worker] = []
+#: Serializes batches across threads: the campaign service runs one
+#: session per connection thread, and two threads dispatching to one
+#: fleet would steal each other's results.  Held for the whole fleet
+#: phase of :func:`run_campaigns` (one batch at a time is also the global
+#: dedupe cache's friend: the second identical sweep resumes from the
+#: store instead of racing the first).
+_fleet_lock = threading.RLock()
 
-    Unlike the pool paths, every attempt gets a *fresh* worker process,
-    so a hung or crashed cell costs exactly one process — terminated and
-    replaced — and never wedges a shared pool.  Real wall-clock time
-    (not sim time) governs the watchdog, deliberately: a hung *process*
-    is a host-level fault, outside the simulation's determinism contract.
+
+def shutdown_worker_pool() -> None:
+    """Stop every worker of the warm fleet (no-op when none is alive).
+
+    Registered via ``atexit``; call it explicitly to reclaim the worker
+    processes early (e.g. after the last batch of a long-lived driver).
+    """
+    with _fleet_lock:
+        while _fleet:
+            _fleet.pop().stop()
+
+
+atexit.register(shutdown_worker_pool)
+
+
+def _run_fleet(pending, finish, workers: int,
+               cell_timeout_s: Optional[float], max_cell_attempts: int,
+               retry_backoff_s: float) -> None:
+    """Run ``pending`` cells on a ``workers``-strong warm fleet.
+
+    The dispatcher blocks on the busy workers' pipes and process
+    sentinels until the nearest cell deadline or retry backoff.  Real
+    wall-clock time (not sim time) governs deadlines, deliberately: a
+    hung *process* is a host-level fault, outside the simulation's
+    determinism contract.
     """
     import time  # local: keeps the module import graph sim-clock-clean
 
-    ctx = multiprocessing.get_context()
     #: (payload, attempt, not_before): retries wait out their backoff.
     waiting: list[tuple[tuple, int, float]] = [
         (payload, 1, 0.0) for payload in pending]
-    active: dict[int, _SupervisedCell] = {}
 
-    def retire(cell: _SupervisedCell, error: Optional[str],
-               report, timed_out: bool) -> None:
-        """One attempt is over: retry, quarantine, or finish."""
-        index = cell.payload[0]
+    def replace(slot: int) -> _Worker:
+        _fleet[slot].stop()
+        _fleet[slot] = _Worker()
+        return _fleet[slot]
+
+    def settle(cell: tuple[tuple, int], report: Optional[CampaignReport],
+               error: Optional[str], timed_out: bool = False) -> None:
+        """One attempt is over: finish, retry, or quarantine the cell."""
+        payload, attempt = cell
         if error is None:
-            finish(index, report, None)
-            return
-        if timed_out:
-            # Deterministic cells hang deterministically: retrying a
-            # watchdog kill would hang again.  Straight to quarantine.
-            finish(index, None, error, quarantined=True)
-            return
-        if cell.attempt < max_cell_attempts:
+            finish(payload[0], report, None)
+        elif timed_out:
+            # Deterministic cells hang deterministically: retrying past
+            # the deadline would hang again.  Straight to quarantine.
+            finish(payload[0], None, error, quarantined=True)
+        elif attempt < max_cell_attempts:
+            backoff = retry_backoff_s * 2 ** (attempt - 1)
+            waiting.append((payload, attempt + 1,
+                            time.monotonic() + backoff))  # detlint: disable=DET002
+        else:
+            # Out of attempts.  With retries configured this cell is
+            # poison (it failed repeatedly); without, it is an ordinary
+            # recorded failure that a resume heals.
+            finish(payload[0], None, error,
+                   quarantined=max_cell_attempts > 1)
+
+    timeout_s = cell_timeout_s if cell_timeout_s is not None else math.inf
+    while len(_fleet) > workers:
+        _fleet.pop().stop()
+    while len(_fleet) < workers:
+        _fleet.append(_Worker())
+    try:
+        while waiting or any(w.cell is not None for w in _fleet):
             now = time.monotonic()  # detlint: disable=DET002
-            backoff = retry_backoff_s * 2 ** (cell.attempt - 1)
-            waiting.append((cell.payload, cell.attempt + 1, now + backoff))
-            return
-        # Out of attempts.  With retries configured this cell is poison
-        # (it failed repeatedly); without, it is an ordinary recorded
-        # failure, exactly as the unsupervised paths would report it.
-        finish(index, None, error, quarantined=max_cell_attempts > 1)
-
-    def reap(cell: _SupervisedCell, now: float) -> bool:
-        """Check one in-flight attempt; True when it retired."""
-        try:
-            result = cell.queue.get_nowait()
-        except queue_mod.Empty:
-            if cell.proc.is_alive():
-                if cell.deadline is not None and now >= cell.deadline:
-                    cell.proc.terminate()
-                    cell.proc.join(timeout=5.0)
-                    retire(cell, f"cell timed out after {cell_timeout_s}s "
-                           "wall clock; worker terminated and replaced",
-                           None, timed_out=True)
-                    return True
-                return False
-            # Dead without a result: give the queue feeder one final,
-            # bounded chance, then call it a crash.
-            try:
-                result = cell.queue.get(timeout=0.2)
-            except queue_mod.Empty:
-                retire(cell, "worker died without a result "
-                       f"(exit code {cell.proc.exitcode})", None,
-                       timed_out=False)
-                return True
-        cell.proc.join(timeout=5.0)
-        _, report, error = result
-        retire(cell, error, report, timed_out=False)
-        return True
-
-    while len(waiting) + len(active) > 0:
-        now = time.monotonic()  # detlint: disable=DET002
-        # Launch every retry whose backoff has elapsed, capacity allowing.
-        still_waiting = []
-        for payload, attempt, not_before in waiting:
-            if len(active) < workers and now >= not_before:
-                active[payload[0]] = _SupervisedCell(
-                    payload, attempt, ctx, cell_timeout_s, now)
-            else:
-                still_waiting.append((payload, attempt, not_before))
-        waiting[:] = still_waiting
-        for index in list(active):
-            if reap(active[index], time.monotonic()):  # detlint: disable=DET002
-                del active[index]
-        time.sleep(0.02)
+            for slot, worker in enumerate(_fleet):
+                if worker.cell is not None:
+                    continue
+                ready = next((c for c in waiting if c[2] <= now), None)
+                if ready is None:
+                    break
+                if not worker.proc.is_alive():  # died while idle
+                    worker = replace(slot)
+                waiting.remove(ready)
+                worker.cell = ready[:2]
+                worker.deadline = now + timeout_s
+                worker.conn.send(ready[0])
+            busy = [w for w in _fleet if w.cell is not None]
+            wakes = [w.deadline for w in busy]
+            if len(busy) < len(_fleet):
+                wakes += [not_before for _, _, not_before in waiting]
+            timeout = min(wakes, default=math.inf) - now
+            handles = ([w.conn for w in busy]
+                       + [w.proc.sentinel for w in busy])
+            ready_handles = wait(handles, None if timeout == math.inf
+                                 else max(0.0, timeout))
+            now = time.monotonic()  # detlint: disable=DET002
+            for slot, worker in enumerate(_fleet):
+                cell = worker.cell
+                if cell is None:
+                    continue
+                if (worker.conn in ready_handles
+                        or worker.proc.sentinel in ready_handles):
+                    try:
+                        _, report, error = worker.conn.recv()
+                    except (EOFError, OSError):  # dead: its pipe reads EOF
+                        replace(slot)
+                        settle(cell, None, "worker died without a result "
+                               f"(exit code {worker.proc.exitcode}); "
+                               "worker replaced")
+                    else:
+                        worker.cell = None
+                        settle(cell, report, error)
+                elif now >= worker.deadline:
+                    replace(slot)
+                    settle(cell, None, f"cell timed out after "
+                           f"{cell_timeout_s}s wall clock; worker "
+                           "terminated and replaced", timed_out=True)
+    except BaseException:
+        # Workers still busy with an abandoned batch (KeyboardInterrupt,
+        # a failing callback) would hand their stale results to the next
+        # call; stop the whole fleet before propagating.
+        shutdown_worker_pool()
+        raise
 
 
 #: Progress callback: ``on_cell(run, cached)`` fires once per finished
@@ -326,10 +340,9 @@ def run_campaigns(
     """Run every scenario × seed combination; returns one run per cell.
 
     ``specs`` may mix :class:`ScenarioSpec` values and preset names
-    (resolved via :func:`repro.scenarios.get`).  ``workers`` defaults to
-    ``min(len(matrix), cpu_count)``; ``workers=1`` runs serially in
-    process (useful for debugging and for determinism tests).  ``months``
-    optionally overrides every spec's horizon.
+    (resolved via :func:`repro.scenarios.get`).  ``workers`` sizes the
+    worker fleet and defaults to ``min(len(matrix), cpu_count)``.
+    ``months`` optionally overrides every spec's horizon.
 
     ``store`` (a :class:`~repro.core.store.CampaignStore` or a path to
     one) durably archives each cell as it finishes; with ``resume=True``
@@ -338,30 +351,37 @@ def run_campaigns(
     resume after a transient crash heals the matrix).  ``on_cell`` fires
     once per finished cell in completion order.
 
-    A cell that raises does not abort the sweep: its :class:`CampaignRun`
-    carries the traceback in ``error`` and ``report=None``, and is
-    recorded as a failure when a store is attached.
+    A cell that raises, or whose worker dies, does not abort the sweep:
+    its :class:`CampaignRun` carries the error in ``error`` and
+    ``report=None``, and is recorded as a failure when a store is
+    attached.  A failed cell is retried up to ``max_cell_attempts`` times
+    with exponential backoff (``retry_backoff_s · 2^(attempt-1)``) and
+    quarantined once more than one attempt is spent.  A cell still
+    running ``cell_timeout_s`` seconds (wall clock) after it started is
+    quarantined at once and its worker replaced.  Quarantined cells are
+    final: ``resume=True`` returns them from the store instead of looping
+    on a poison cell.
 
-    The worker pool stays alive between calls, so a caller looping over
-    batches pays process startup once.  The number of cells riding one
-    IPC message adapts to the batch (1 for small matrices, scaling up to
-    8): larger chunks cut dispatch overhead on big sweeps at the cost of
-    coarser work stealing.
+    The worker fleet stays alive between calls, so a caller looping over
+    batches pays process startup once.  Results are deterministic per
+    cell and come back in matrix order (scenario-major, seed-minor)
+    regardless of worker count.
 
-    ``cell_timeout_s`` / ``max_cell_attempts`` switch on *supervised*
-    execution (process-per-cell instead of the pool): a cell past its
-    wall-clock timeout is killed, recorded as a quarantined timeout
-    failure, and its worker replaced; a crashing cell is retried up to
-    ``max_cell_attempts`` times with exponential backoff
-    (``retry_backoff_s · 2^(attempt-1)``) and quarantined once the
-    attempts are spent.  Quarantined cells are final: ``resume=True``
-    returns them from the store instead of looping on a poison cell.
-    Leave both at their defaults for the original pool behaviour.
-
-    Results are deterministic per cell and come back in matrix order
-    (scenario-major, seed-minor) regardless of worker count, pool warmth
-    or chunking.
+    Raises ``ValueError`` for a non-positive ``workers`` or
+    ``cell_timeout_s``, ``max_cell_attempts < 1`` or a negative
+    ``retry_backoff_s``.
     """
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers!r}")
+    if cell_timeout_s is not None and not 0 < cell_timeout_s < math.inf:
+        raise ValueError("cell_timeout_s must be a positive number of "
+                         f"seconds, got {cell_timeout_s!r}")
+    if max_cell_attempts < 1:
+        raise ValueError(
+            f"max_cell_attempts must be >= 1, got {max_cell_attempts!r}")
+    if not 0 <= retry_backoff_s < math.inf:
+        raise ValueError(
+            f"retry_backoff_s must be >= 0, got {retry_backoff_s!r}")
     resolved = [get_preset(s) if isinstance(s, str) else s for s in specs]
     seed_list = list(seeds)
     matrix = [(spec, seed) for spec in resolved for seed in seed_list]
@@ -413,34 +433,10 @@ def run_campaigns(
 
     if workers is None:
         workers = min(len(matrix), os.cpu_count() or 1)
-    supervised = cell_timeout_s is not None or max_cell_attempts > 1
-    if supervised:
-        _run_supervised(pending, finish, workers=max(1, workers),
-                        cell_timeout_s=cell_timeout_s,
-                        max_cell_attempts=max_cell_attempts,
-                        retry_backoff_s=retry_backoff_s)
-    elif workers <= 1 or len(pending) <= 1:
-        for payload in pending:
-            finish(*_run_cell(payload))
-    else:
-        chunk = max(1, min(8, len(pending) // (workers * 4)))
-        # Sized by `workers`, not by this batch's pending count: a
-        # mostly-cached resume batch must reuse the warm pool, not tear it
-        # down to fit its two missing cells (idle workers are far cheaper
-        # than a pool rebuild).
-        with _pool_lock:
-            pool = _get_pool(workers)
-            try:
-                # Streaming: archive/report each cell the moment it lands,
-                # in completion order; `runs` reassembles matrix order.
-                for result in pool.imap_unordered(_run_cell, pending, chunk):
-                    finish(*result)
-            except BaseException:
-                # A broken or abandoned pool (worker killed mid-batch,
-                # KeyboardInterrupt while draining) must not poison the
-                # next call; dispose of it before propagating.
-                shutdown_worker_pool()
-                raise
+    if pending:
+        with _fleet_lock:
+            _run_fleet(pending, finish, workers, cell_timeout_s,
+                       max_cell_attempts, retry_backoff_s)
     assert all(r is not None for r in runs)
     return runs  # type: ignore[return-value]
 

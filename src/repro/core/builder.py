@@ -1,8 +1,6 @@
 """Composable construction of the simulated world.
 
-The old ``build_framework()`` was a 200-line monolith: every subsystem
-hard-wired, nine ad-hoc kwargs, and a ``scheduler=None`` placeholder
-mutated after the fact.  This module replaces it with:
+World assembly is split into:
 
 * a **subsystem registry** — each stage of the world (testbed, oar,
   kadeploy, kavlan, monitoring, faults, ci, scheduling) is a named factory
@@ -51,6 +49,7 @@ from ..testbed.topology import build_topology
 from ..util.events import Simulator
 from ..util.rng import RngStreams
 from .bugtracker import BugTracker, OperatorTeam
+from .framework import TestingFramework
 
 __all__ = [
     "FrameworkBuild",
@@ -315,10 +314,8 @@ class FrameworkBuilder:
 
     # -- assembly --------------------------------------------------------------
 
-    def build(self):
+    def build(self) -> TestingFramework:
         """Run every subsystem factory and return the wired framework."""
-        from .framework import TestingFramework  # cycle: framework's shim uses us
-
         spec = self._spec
         sim = Simulator()
         rngs = RngStreams(seed=spec.seed)

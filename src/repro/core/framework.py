@@ -7,15 +7,13 @@ things, and Jenkins + the external scheduler + the bug tracker/operator
 team that close the loop ("test-driven operations", slide 23).
 
 Assembly lives in :mod:`repro.core.builder` (declarative
-:class:`~repro.scenarios.ScenarioSpec` + pluggable subsystem registry);
-:func:`build_framework` remains as a thin keyword-argument shim over it.
+:class:`~repro.scenarios.ScenarioSpec` + pluggable subsystem registry).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
 
 from ..checksuite.base import CheckContext, CheckFamily, TestOutcome
 from ..ci.api import JenkinsApi
@@ -30,20 +28,16 @@ from ..monitoring.probes import Ganglia, Kwapi
 from ..nodes.machine import MachinePark, PowerState
 from ..oar.database import OarDatabase
 from ..oar.server import OarServer
-from ..oar.workload import WorkloadConfig, WorkloadSource
-from ..scenarios.spec import ScenarioSpec
+from ..oar.workload import WorkloadSource
 from ..scheduling.launcher import ExternalScheduler
-from ..scheduling.policies import SchedulerPolicy
 from ..testbed.description import TestbedDescription
-from ..testbed.generator import ClusterSpec
 from ..testbed.refapi import ReferenceApi
 from ..util.events import Simulator
 from ..util.rng import RngStreams
 from ..analysis.history import BuildHistory
 from .bugtracker import BugTracker, OperatorTeam
-from .builder import FrameworkBuilder
 
-__all__ = ["TestingFramework", "build_framework"]
+__all__ = ["TestingFramework"]
 
 #: Janitor sweep period (reboot crashed, unallocated nodes).
 _JANITOR_PERIOD_S = 1200.0
@@ -169,39 +163,3 @@ class TestingFramework:
                 description=family.__class__.__doc__ or family.name,
             )
 
-
-def build_framework(
-    seed: int = 0,
-    specs: Optional[Sequence[ClusterSpec]] = None,
-    families: Optional[Sequence[CheckFamily]] = None,
-    policy: Optional[SchedulerPolicy] = None,
-    workload_config: Optional[WorkloadConfig] = None,
-    executors: int = 16,
-    fault_mean_interarrival_s: float = 86_400.0,
-    operator_speedup: float = 1.0,
-    pernode: bool = False,
-) -> TestingFramework:
-    """Assemble (but do not start) the whole simulated world.
-
-    Back-compat shim: folds the keyword arguments into a
-    :class:`~repro.scenarios.ScenarioSpec` and delegates to
-    :class:`~repro.core.builder.FrameworkBuilder`.  New code should build
-    a spec (or fetch a preset from :mod:`repro.scenarios`) directly.
-    """
-    spec = ScenarioSpec(
-        name="adhoc",
-        seed=seed,
-        policy=policy if policy is not None else SchedulerPolicy(),
-        workload=workload_config if workload_config is not None
-        else WorkloadConfig(),
-        executors=executors,
-        fault_mean_interarrival_s=fault_mean_interarrival_s,
-        operator_speedup=operator_speedup,
-        pernode=pernode,
-    )
-    builder = FrameworkBuilder(spec)
-    if specs is not None:
-        builder.with_cluster_specs(specs)
-    if families is not None:
-        builder.with_families(families)
-    return builder.build()

@@ -103,8 +103,8 @@ def cell_key(spec: ScenarioSpec, seed: int, months: Optional[float] = None) -> s
 class StoredCell:
     """One archived matrix cell (a success or a recorded failure).
 
-    ``quarantined`` marks a poison cell: it failed every supervised
-    attempt (or hung past its watchdog), so ``resume`` must *not* retry
+    ``quarantined`` marks a poison cell: it failed every one of several
+    attempts (or ran past its deadline), so ``resume`` must *not* retry
     it — unlike an ordinary recorded failure, which resume heals.
     """
 

@@ -11,7 +11,7 @@ store acts as a *global dedupe cache*: overlapping sweeps from any number
 of clients pay for each unique ``(spec-hash, seed, months)`` cell exactly
 once — later submissions stream ``cached`` cells straight from the
 archive.  A lock serializes matrix execution (one batch at a time keeps
-the shared warm worker pool and the append-only store simple); progress
+the shared warm worker fleet and the append-only store simple); progress
 still streams per cell, in completion order.
 """
 
@@ -108,23 +108,14 @@ class CampaignService:
             if not months > 0:
                 raise ValueError("'months' must be positive")
         workers = int(doc.get("workers", 1))
-        if workers < 1:
-            raise ValueError("'workers' must be >= 1")
         if len(specs) * len(seeds) > MAX_CELLS:
             raise ValueError(
                 f"matrix of {len(specs) * len(seeds)} cells exceeds the "
                 f"{MAX_CELLS}-cell service limit")
-        # Optional supervision knobs (see run_campaigns): a remote
-        # submitter may bound hung cells and retry/quarantine crashers.
+        # Optional supervision knobs; run_campaigns checks their range.
         supervision: dict = {}
         if doc.get("cell_timeout_s") is not None:
-            timeout = float(doc["cell_timeout_s"])
-            if not timeout > 0:
-                raise ValueError("'cell_timeout_s' must be positive")
-            supervision["cell_timeout_s"] = timeout
+            supervision["cell_timeout_s"] = float(doc["cell_timeout_s"])
         if doc.get("max_cell_attempts") is not None:
-            attempts = int(doc["max_cell_attempts"])
-            if attempts < 1:
-                raise ValueError("'max_cell_attempts' must be >= 1")
-            supervision["max_cell_attempts"] = attempts
+            supervision["max_cell_attempts"] = int(doc["max_cell_attempts"])
         return specs, seeds, months, workers, supervision

@@ -1,14 +1,13 @@
-"""FrameworkBuilder: registry plumbing, wiring, shim equivalence."""
+"""FrameworkBuilder: registry plumbing and wiring."""
 
 import pytest
 
-from repro.core import FrameworkBuilder, SubsystemRegistry, build_framework
+from repro.core import FrameworkBuilder, SubsystemRegistry
 from repro.core.builder import SUBSYSTEM_ORDER, default_registry
 from repro.checksuite import family_by_name
 from repro.oar import WorkloadConfig
 from repro.scenarios import ScenarioSpec
 from repro.testbed import CLUSTER_SPECS
-from repro.util import DAY
 
 SMALL = ("grisou", "grimoire", "graoully")
 
@@ -92,22 +91,3 @@ def test_with_cluster_specs_override_beats_spec():
     specs = [s for s in CLUSTER_SPECS if s.name == "nova"]
     fw = FrameworkBuilder(small_spec()).with_cluster_specs(specs).build()
     assert fw.testbed.cluster_count == 1
-
-
-def test_shim_equals_builder():
-    """build_framework() must be a pure delegation to the builder."""
-    spec_objs = [s for s in CLUSTER_SPECS if s.name in SMALL]
-    shim = build_framework(
-        seed=31, specs=spec_objs,
-        families=[family_by_name("refapi"), family_by_name("oarstate")],
-        workload_config=WorkloadConfig(target_utilization=0.25),
-    )
-    direct = FrameworkBuilder(
-        small_spec(workload=WorkloadConfig(target_utilization=0.25))).build()
-    shim.start(faults=False)
-    direct.start(faults=False)
-    shim.run_until(3 * DAY)
-    direct.run_until(3 * DAY)
-    assert len(shim.history.records) == len(direct.history.records)
-    assert [r.status for r in shim.history.records] == \
-        [r.status for r in direct.history.records]

@@ -1,10 +1,9 @@
 """Integration tests: the fully-wired framework closes the loop."""
 
-from repro.checksuite import family_by_name
-from repro.core import build_framework
+from repro.core import FrameworkBuilder
 from repro.faults import FaultKind
 from repro.oar import WorkloadConfig
-from repro.testbed import CLUSTER_SPECS
+from repro.scenarios import ScenarioSpec
 from repro.util import DAY, HOUR
 
 SMALL = ("grisou", "grimoire", "graoully")
@@ -12,14 +11,15 @@ SMALL = ("grisou", "grimoire", "graoully")
 
 def make_world(seed=31, families=("refapi", "oarstate", "console", "dellbios"),
                **kwargs):
-    specs = [s for s in CLUSTER_SPECS if s.name in SMALL]
-    return build_framework(
+    return FrameworkBuilder(ScenarioSpec(
+        name="framework-test",
         seed=seed,
-        specs=specs,
-        families=[family_by_name(n) for n in families],
-        workload_config=WorkloadConfig(target_utilization=0.25),
+        clusters=SMALL,
+        families=tuple(families),
+        workload=WorkloadConfig(target_utilization=0.25),
+        fault_mean_interarrival_s=DAY,
         **kwargs,
-    )
+    )).build()
 
 
 def test_jobs_registered_per_family():

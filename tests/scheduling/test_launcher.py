@@ -3,26 +3,26 @@
 import pytest
 
 from repro.checksuite import family_by_name
-from repro.core import build_framework
+from repro.core import FrameworkBuilder
 from repro.oar import WorkloadConfig
+from repro.scenarios import ScenarioSpec
 from repro.scheduling import PerNodeVariant, SchedulerPolicy
-from repro.testbed import CLUSTER_SPECS
 from repro.util import DAY, HOUR
 
 SMALL = ("grisou", "grimoire", "graoully")
 
 
 def make_world(seed=13, families=("oarstate", "refapi"), policy=None, **kwargs):
-    specs = [s for s in CLUSTER_SPECS if s.name in SMALL]
-    fw = build_framework(
+    return FrameworkBuilder(ScenarioSpec(
+        name="launcher-test",
         seed=seed,
-        specs=specs,
-        families=[family_by_name(n) for n in families],
+        clusters=SMALL,
+        families=tuple(families),
         policy=policy or SchedulerPolicy(),
-        workload_config=WorkloadConfig(target_utilization=0.2),
+        workload=WorkloadConfig(target_utilization=0.2),
+        fault_mean_interarrival_s=DAY,
         **kwargs,
-    )
-    return fw
+    )).build()
 
 
 def test_cells_cover_all_configurations():

@@ -1,4 +1,4 @@
-"""The repro-campaign CLI: run/report/compare subcommands + legacy form."""
+"""The repro-campaign CLI: run/report/compare and the other subcommands."""
 
 import json
 
@@ -24,25 +24,11 @@ def test_list_presets(capsys):
         assert spec.name in out
 
 
-def test_legacy_implicit_run(capsys):
-    code, out, _ = run_cli(capsys, "tiny-smoke", *SMOKE, "--quiet")
-    assert code == 0
-    assert "campaign over 0.1 months" in out
-
-
 def test_legacy_list_with_positional(capsys):
-    # pre-subcommand CLI honoured --list regardless of other arguments
+    # --list is handled before parsing, so it wins over any other argument
     code, out, _ = run_cli(capsys, "tiny-smoke", "--list")
     assert code == 0
     assert "tiny-smoke" in out and "paper-baseline" in out
-
-
-def test_legacy_flags_only_invocation(capsys):
-    # pre-subcommand CLI ran the default preset for flags-only argv too
-    code, out, _ = run_cli(capsys, *SMOKE, "--json")
-    assert code == 0
-    docs = json.loads(out)
-    assert docs[0]["scenario"] == "tiny-smoke"
 
 
 def test_run_unknown_preset(capsys):
@@ -80,6 +66,19 @@ def test_resume_requires_store(capsys):
     code, _, err = run_cli(capsys, "run", "tiny-smoke", "--resume")
     assert code == 2
     assert "--store" in err
+
+
+@pytest.mark.parametrize("flag", [["--cell-timeout", "0"],
+                                  ["--cell-attempts", "0"],
+                                  ["--workers", "0"]])
+def test_run_rejects_out_of_range_supervision_knobs(tmp_path, capsys, flag):
+    # a zero deadline would quarantine a healthy cell for good
+    store = tmp_path / "s.jsonl"
+    code, _, err = run_cli(capsys, "run", "tiny-smoke", "--months", "0.03",
+                           "--store", str(store), *flag)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert not store.exists()
 
 
 def test_report_subcommand(tmp_path, capsys):
