@@ -37,14 +37,12 @@ backends via the registry)::
     fw.run_until(7 * 86400)                   # one simulated week
     print(fw.tracker.filed_count, "bugs filed")
 
-``run_campaign()`` remains as a thin back-compat shim over the builder.
 The ``repro-campaign`` console script runs any named preset from the
 shell.
 """
 
 from . import scenarios
 from .core import (
-    CampaignConfig,
     CampaignReport,
     CampaignRun,
     CampaignStore,
@@ -54,7 +52,6 @@ from .core import (
     TestingFramework,
     aggregate_runs,
     register_subsystem,
-    run_campaign,
     run_campaigns,
     run_scenario,
     summarize_runs,
@@ -70,12 +67,10 @@ __all__ = [
     "SubsystemRegistry",
     "register_subsystem",
     "TestingFramework",
-    "CampaignConfig",
     "CampaignReport",
     "CampaignRun",
     "CampaignStore",
     "MetricSummary",
-    "run_campaign",
     "run_scenario",
     "run_campaigns",
     "aggregate_runs",

@@ -16,7 +16,7 @@ from .builder import (
     default_registry,
     register_subsystem,
 )
-from .campaign import CampaignConfig, CampaignReport, run_campaign, run_scenario
+from .campaign import CampaignReport, run_scenario
 from .framework import TestingFramework
 from .store import CampaignStore, StoredCell, cell_hash, cell_key
 
@@ -32,7 +32,6 @@ __all__ = [
     "SUBSYSTEM_ORDER",
     "default_registry",
     "register_subsystem",
-    "CampaignConfig",
     "CampaignReport",
     "CampaignRun",
     "CampaignStore",
@@ -40,7 +39,6 @@ __all__ = [
     "cell_hash",
     "cell_key",
     "MetricSummary",
-    "run_campaign",
     "run_scenario",
     "run_campaigns",
     "aggregate_runs",

@@ -1,8 +1,8 @@
 """Multi-seed, multi-scenario campaign batches.
 
-The paper's testbed earns trust by running *many* scenarios *often*; the
-single-seed serial :func:`~repro.core.campaign.run_campaign` loop cannot
-keep up with a seed × scenario sweep.  :func:`run_campaigns` fans the
+The paper's testbed earns trust by running *many* scenarios *often*; one
+:func:`~repro.core.campaign.run_scenario` call at a time cannot keep up
+with a seed × scenario sweep.  :func:`run_campaigns` fans the
 matrix across a warm fleet of worker processes (each world is an
 independent simulation — embarrassingly parallel) and
 :func:`aggregate_runs` collapses the per-seed reports into mean ± 95 % CI

@@ -11,11 +11,10 @@ with an unhealthy testbed), tests detect them, bugs get filed, operators
 fix them, success rates climb.  The A2 ablation disables the framework and
 watches faults accumulate instead.
 
-:func:`run_scenario` is the canonical entry point: it takes a declarative
-:class:`~repro.scenarios.ScenarioSpec` (e.g. a named preset).
-:func:`run_campaign` + :class:`CampaignConfig` survive as a back-compat
-shim over it; :func:`repro.core.batch.run_campaigns` fans a seed×scenario
-matrix over worker processes.
+:func:`run_scenario` is the entry point: it takes a declarative
+:class:`~repro.scenarios.ScenarioSpec` (e.g. a named preset);
+:func:`repro.core.batch.run_campaigns` fans a seed×scenario matrix over
+worker processes.
 """
 
 from __future__ import annotations
@@ -26,57 +25,14 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ..checksuite.base import CheckFamily
-from ..oar.workload import WorkloadConfig
 from ..scenarios.spec import ScenarioSpec
-from ..scheduling.policies import SchedulerPolicy
 from ..testbed.generator import ClusterSpec
 from ..util.serialization import decode_dataclass, encode_dataclass
 from ..util.simclock import DAY, MONTH, WEEK
 from .builder import FrameworkBuilder
 from .framework import TestingFramework
 
-__all__ = ["CampaignConfig", "CampaignReport", "run_campaign", "run_scenario"]
-
-
-@dataclass(frozen=True)
-class CampaignConfig:
-    """Legacy kwargs bundle; prefer :class:`~repro.scenarios.ScenarioSpec`."""
-
-    seed: int = 0
-    months: float = 5.0
-    specs: Optional[Sequence[ClusterSpec]] = None
-    #: Latent faults present before testing starts (February's backlog —
-    #: the testbed was visibly unhealthy when systematic testing began).
-    backlog_faults: int = 50
-    #: ~0.45 faults/day + the backlog lands the five-month bug count in the
-    #: slide-22 band (118 filed) while letting fixes outpace arrivals — the
-    #: regime behind the paper's improving reliability.
-    fault_mean_interarrival_s: float = 2.2 * DAY
-    policy: SchedulerPolicy = field(default_factory=SchedulerPolicy)
-    workload: WorkloadConfig = field(
-        default_factory=lambda: WorkloadConfig(target_utilization=0.6))
-    operator_speedup: float = 1.0
-    #: A2 ablation: with the framework off, nothing detects or fixes faults.
-    framework_enabled: bool = True
-    pernode: bool = False
-    executors: int = 16
-
-    def to_scenario(self, name: str = "") -> ScenarioSpec:
-        """The declarative equivalent (minus any explicit ``specs`` list,
-        which is not name-addressable and must ride as a builder override)."""
-        return ScenarioSpec(
-            name=name,
-            seed=self.seed,
-            months=self.months,
-            backlog_faults=self.backlog_faults,
-            fault_mean_interarrival_s=self.fault_mean_interarrival_s,
-            policy=self.policy,
-            workload=self.workload,
-            operator_speedup=self.operator_speedup,
-            framework_enabled=self.framework_enabled,
-            pernode=self.pernode,
-            executors=self.executors,
-        )
+__all__ = ["CampaignReport", "run_scenario"]
 
 
 @dataclass
@@ -101,8 +57,7 @@ class CampaignReport:
     unstable_builds: int
     weekly_active_faults: list[tuple[float, int]] = field(default_factory=list)
     bugs_by_family: dict[str, int] = field(default_factory=dict)
-    # provenance: the spec name and seed the report came from (the name is
-    # empty for legacy run_campaign callers, keeping summary() unchanged)
+    # provenance: the spec name and seed the report came from
     scenario: str = ""
     seed: int = 0
     # elastic scheduling scoreboard: which strategy drove the run and how
@@ -200,14 +155,6 @@ def run_scenario(
                            scenario=spec.name, seed=spec.seed,
                            strategy=spec.strategy)
     return fw, report
-
-
-def run_campaign(config: Optional[CampaignConfig] = None
-                 ) -> tuple[TestingFramework, CampaignReport]:
-    """Back-compat shim: run one campaign from a :class:`CampaignConfig`."""
-    if config is None:
-        config = CampaignConfig()
-    return run_scenario(config.to_scenario(), cluster_specs=config.specs)
 
 
 def _median_days(values: list[float]) -> float:

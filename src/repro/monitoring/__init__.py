@@ -1,8 +1,7 @@
-"""Monitoring: metric ring buffers, Ganglia system probes, kwapi power."""
+"""Monitoring: metric ring columns, Ganglia system probes, kwapi power."""
 
-from .metrics import ColumnRing, MetricStore, RingBuffer, RingColumnBlock, \
-    SeriesStats
+from .metrics import MetricStore, RingColumnBlock, SeriesStats
 from .probes import Ganglia, Kwapi
 
-__all__ = ["MetricStore", "RingBuffer", "RingColumnBlock", "ColumnRing",
-           "SeriesStats", "Ganglia", "Kwapi"]
+__all__ = ["MetricStore", "RingColumnBlock", "SeriesStats", "Ganglia",
+           "Kwapi"]

@@ -2,30 +2,28 @@
 
 Slide 9: infrastructure probes (network, power) are "captured at high
 frequency (≈1 Hz)" with live visualization, a REST API and long-term
-storage.  :class:`MetricStore` keeps one fixed-capacity numpy ring buffer
-per series — O(1) appends, vectorized window queries, bounded memory even
-on month-long campaigns.
+storage.  :class:`MetricStore` keeps every series as one column of a
+:class:`RingColumnBlock`: a fixed-capacity (timestamp, value) ring packed
+with its siblings into two shared 2-D numpy arrays — O(1) appends,
+numpy window queries, bounded memory even on month-long campaigns.
 
-Park-wide sweeps additionally get :class:`RingColumnBlock`: many
-same-capacity rings packed as columns of two shared 2-D arrays, so one
-sweep appends a sample to every column with a single fancy-index scatter
-per array instead of one Python-level ``append`` per node.  Each column is
-still addressable as an ordinary series through :class:`ColumnRing`, a
-read/append facade with the exact :class:`RingBuffer` interface, adopted
-into a store via :meth:`MetricStore.bind_series`.
+A probe reserves one block for all its per-node series at construction
+(:meth:`MetricStore.add_block`), so a park-wide sweep lands one sample in
+every column with a single fancy-index scatter per metric; a series
+recorded by name alone (:meth:`MetricStore.record`) gets a one-column
+block of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence
 
 import numpy as np
 
 from ..util.errors import MonitoringError
 
-__all__ = ["SeriesStats", "RingBuffer", "RingColumnBlock", "ColumnRing",
-           "MetricStore"]
+__all__ = ["SeriesStats", "RingColumnBlock", "MetricStore"]
 
 
 @dataclass(frozen=True)
@@ -36,79 +34,36 @@ class SeriesStats:
     maximum: float
 
 
-class RingBuffer:
-    """Fixed-capacity (timestamp, value) ring."""
-
-    __slots__ = ("_t", "_v", "_capacity", "_size", "_head")
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise MonitoringError("ring capacity must be >= 1")
-        self._capacity = capacity
-        self._t = np.empty(capacity, dtype=np.float64)
-        self._v = np.empty(capacity, dtype=np.float64)
-        self._size = 0
-        self._head = 0  # next write slot
-
-    def __len__(self) -> int:
-        return self._size
-
-    def append(self, t: float, value: float) -> None:
-        self._t[self._head] = t
-        self._v[self._head] = value
-        self._head = (self._head + 1) % self._capacity
-        self._size = min(self._size + 1, self._capacity)
-
-    def _ordered(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._size < self._capacity:
-            return self._t[: self._size], self._v[: self._size]
-        idx = np.concatenate([np.arange(self._head, self._capacity),
-                              np.arange(0, self._head)])
-        return self._t[idx], self._v[idx]
-
-    def last(self) -> tuple[float, float]:
-        if self._size == 0:
-            raise MonitoringError("empty series")
-        idx = (self._head - 1) % self._capacity
-        return float(self._t[idx]), float(self._v[idx])
-
-    def window(self, t_from: float, t_to: float) -> tuple[np.ndarray, np.ndarray]:
-        """All samples with ``t_from <= t < t_to`` (chronological)."""
-        t, v = self._ordered()
-        mask = (t >= t_from) & (t < t_to)
-        return t[mask], v[mask]
-
-
 class RingColumnBlock:
     """Many same-capacity rings sharing two 2-D arrays.
 
-    Column *i* is one (timestamp, value) ring with its own head and size;
-    the storage layout is ``(columns, capacity)`` so a park-wide sweep
-    writes one sample into many columns with a single fancy-index scatter
-    per array (:meth:`append_rows`) — the vectorized counterpart of
-    calling :meth:`RingBuffer.append` once per node.
+    Column *i* is one (timestamp, value) ring with its own head and size.
+    The arrays are allocated with ``np.empty`` and never grow, so pages of
+    columns that are never written are never touched.
     """
 
     __slots__ = ("_t", "_v", "_capacity", "_heads", "_sizes")
 
-    def __init__(self, columns: int, capacity: int):
+    def __init__(self, columns: int, capacity: int) -> None:
         if capacity < 1:
             raise MonitoringError("ring capacity must be >= 1")
-        if columns < 1:
-            raise MonitoringError("column block needs >= 1 column")
         self._capacity = capacity
         self._t = np.empty((columns, capacity), dtype=np.float64)
         self._v = np.empty((columns, capacity), dtype=np.float64)
         self._heads = np.zeros(columns, dtype=np.intp)
         self._sizes = np.zeros(columns, dtype=np.intp)
 
-    @property
-    def columns(self) -> int:
-        return self._t.shape[0]
+    def count(self, col: int) -> int:
+        """Samples currently held by column ``col``."""
+        return int(self._sizes[col])
 
-    def ring(self, column: int) -> "ColumnRing":
-        """A RingBuffer-compatible view of one column."""
-        return ColumnRing(self, column)
+    def append(self, col: int, t: float, value: float) -> None:
+        head = int(self._heads[col])
+        self._t[col, head] = t
+        self._v[col, head] = value
+        self._heads[col] = (head + 1) % self._capacity
+        if self._sizes[col] < self._capacity:
+            self._sizes[col] += 1
 
     def append_rows(self, cols: np.ndarray, t: float,
                     values: np.ndarray) -> None:
@@ -125,120 +80,79 @@ class RingColumnBlock:
         np.minimum(sizes, self._capacity, out=sizes)
         self._sizes[cols] = sizes
 
-    def _append_one(self, col: int, t: float, value: float) -> None:
-        head = self._heads[col]
-        self._t[col, head] = t
-        self._v[col, head] = value
-        self._heads[col] = (head + 1) % self._capacity
-        if self._sizes[col] < self._capacity:
-            self._sizes[col] += 1
-
-
-class ColumnRing:
-    """One :class:`RingColumnBlock` column behind the RingBuffer interface.
-
-    Probes hand these to the store (:meth:`MetricStore.bind_series`) so
-    window/last/stats queries and scalar appends keep working unchanged
-    while the park sweep feeds the same storage through one scatter.
-    """
-
-    __slots__ = ("_block", "_col")
-
-    def __init__(self, block: RingColumnBlock, col: int):
-        self._block = block
-        self._col = col
-
-    def __len__(self) -> int:
-        return int(self._block._sizes[self._col])
-
-    def append(self, t: float, value: float) -> None:
-        self._block._append_one(self._col, t, value)
-
-    def _ordered(self) -> tuple[np.ndarray, np.ndarray]:
-        block, col = self._block, self._col
-        size = int(block._sizes[col])
-        head = int(block._heads[col])
-        t, v = block._t[col], block._v[col]
-        if size < block._capacity:
-            return t[:size], v[:size]
-        idx = np.concatenate([np.arange(head, block._capacity),
-                              np.arange(0, head)])
-        return t[idx], v[idx]
-
-    def last(self) -> tuple[float, float]:
-        if len(self) == 0:
+    def last(self, col: int) -> tuple[float, float]:
+        if not self._sizes[col]:
             raise MonitoringError("empty series")
-        block, col = self._block, self._col
-        idx = (int(block._heads[col]) - 1) % block._capacity
-        return float(block._t[col, idx]), float(block._v[col, idx])
+        idx = (int(self._heads[col]) - 1) % self._capacity
+        return float(self._t[col, idx]), float(self._v[col, idx])
 
-    def window(self, t_from: float, t_to: float) -> tuple[np.ndarray, np.ndarray]:
-        """All samples with ``t_from <= t < t_to`` (chronological)."""
-        t, v = self._ordered()
+    def window(self, col: int, t_from: float,
+               t_to: float) -> tuple[np.ndarray, np.ndarray]:
+        """Column ``col``'s samples with ``t_from <= t < t_to``
+        (chronological)."""
+        size = int(self._sizes[col])
+        t, v = self._t[col, :size], self._v[col, :size]
+        if size == self._capacity:  # wrapped: the oldest sample is at head
+            head = int(self._heads[col])
+            t, v = np.roll(t, -head), np.roll(v, -head)
         mask = (t >= t_from) & (t < t_to)
         return t[mask], v[mask]
 
 
-#: Anything the store can serve as a series.
-Series = Union[RingBuffer, ColumnRing]
-
-
 class MetricStore:
-    """Named series, each a ring buffer."""
+    """Named series, each one column of a :class:`RingColumnBlock`.
 
-    def __init__(self, capacity_per_series: int = 4096):
+    A series is listed by :meth:`has_series`/:meth:`series_names` once it
+    holds a sample, so columns a probe reserved but never wrote (nodes of
+    a site whose kwapi is down) stay invisible.
+    """
+
+    def __init__(self, capacity_per_series: int = 4096) -> None:
         self._capacity = capacity_per_series
-        self._series: dict[str, Series] = {}
+        self._series: dict[str, tuple[RingColumnBlock, int]] = {}
 
-    @property
-    def capacity(self) -> int:
-        """Ring capacity shared by every series in the store."""
-        return self._capacity
+    def add_block(self, names: Sequence[str]) -> RingColumnBlock:
+        """Reserve one column per name, in order, in a new block.
 
-    def series(self, name: str) -> Series:
-        """The named ring, created empty on first use.
-
-        Hot-path accessor: probes hold the returned reference and append
-        directly, skipping the per-sample name lookup ``record`` pays.
+        Raises :class:`MonitoringError` when a name is already stored (or
+        repeated), so two writers can never share a series.
         """
-        ring = self._series.get(name)
-        if ring is None:
-            ring = RingBuffer(self._capacity)
-            self._series[name] = ring
-        return ring
-
-    def bind_series(self, name: str, ring: Series) -> bool:
-        """Adopt an externally backed ring (a block column) as a series.
-
-        Returns False — and binds nothing — when the name is already
-        taken, in which case the caller must keep using the existing ring
-        (the probes fall back to their scalar path).
-        """
-        if name in self._series:
-            return False
-        self._series[name] = ring
-        return True
+        if len(set(names)) != len(names):
+            raise MonitoringError("add_block names a series twice")
+        taken = [n for n in names if n in self._series]
+        if taken:
+            raise MonitoringError(f"series already stored: {', '.join(taken)}")
+        block = RingColumnBlock(len(names), self._capacity)
+        for col, name in enumerate(names):
+            self._series[name] = (block, col)
+        return block
 
     def record(self, series: str, t: float, value: float) -> None:
-        self.series(series).append(t, value)
+        entry = self._series.get(series)
+        if entry is None:
+            entry = (self.add_block([series]), 0)
+        entry[0].append(entry[1], t, value)
 
     def series_names(self) -> list[str]:
-        return sorted(self._series)
+        return sorted(n for n in self._series if self.has_series(n))
 
     def has_series(self, series: str) -> bool:
-        return series in self._series
+        entry = self._series.get(series)
+        return entry is not None and entry[0].count(entry[1]) > 0
 
-    def _ring(self, series: str) -> Series:
-        try:
-            return self._series[series]
-        except KeyError:
-            raise MonitoringError(f"unknown series: {series}") from None
+    def _column(self, series: str) -> tuple[RingColumnBlock, int]:
+        if not self.has_series(series):
+            raise MonitoringError(f"unknown series: {series}")
+        return self._series[series]
 
     def last(self, series: str) -> tuple[float, float]:
-        return self._ring(series).last()
+        block, col = self._column(series)
+        return block.last(col)
 
-    def window(self, series: str, t_from: float, t_to: float):
-        return self._ring(series).window(t_from, t_to)
+    def window(self, series: str, t_from: float,
+               t_to: float) -> tuple[np.ndarray, np.ndarray]:
+        block, col = self._column(series)
+        return block.window(col, t_from, t_to)
 
     def stats(self, series: str, t_from: float, t_to: float) -> SeriesStats:
         _, values = self.window(series, t_from, t_to)

@@ -9,33 +9,27 @@
   wrong measurements by testbed monitoring service").  A site under
   ``KWAPI_DOWN`` returns no measurements at all.
 
-Hot-path note: on a month-long campaign the probes sample the whole park
-every period, so both services precompute per-node series handles (direct
-ring references plus the ``"<uid>.<metric>"`` key strings) instead of
-rebuilding f-string keys and dicts per node per sample, and the park-wide
-sweeps (:meth:`Ganglia.sample_park`, :meth:`Kwapi.sample_park`) run in one
-pass.  By default each probe packs its per-node series into a
-:class:`~repro.monitoring.metrics.RingColumnBlock`, so a sweep gathers the
-park's values into arrays and lands them with one numpy scatter per metric
-instead of one ring append per node; the per-node scalar path remains
-(``vectorized=False``, or whenever a series name is already owned by a
-plain ring) and records byte-identical samples — the equivalence tests in
-``tests/monitoring/test_probes.py`` pin the two paths together.  Only the
-*documented* wiring is precomputed — the actual cabling is re-read on
-every measurement, because cabling faults mutate it in place.
+Each probe reserves one :class:`~repro.monitoring.metrics.RingColumnBlock`
+for all its per-node series when it is built and keeps a ``uid -> column``
+map, so a park-wide sweep gathers the park's values into arrays and lands
+them with one numpy scatter per metric.  Only the *documented* wiring is
+precomputed — the actual cabling is re-read on every measurement, because
+cabling faults mutate it in place.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from collections import Counter
+from typing import Any, Generator, Iterable, Optional
 
 import numpy as np
 
 from ..faults.services import ServiceHealth
-from ..nodes.machine import MachinePark
+from ..nodes.machine import MachinePark, SimulatedNode
 from ..testbed.description import TestbedDescription
-from ..util.events import Simulator
-from .metrics import MetricStore, RingColumnBlock, Series
+from ..util.errors import MonitoringError
+from ..util.events import Simulator, Timeout
+from .metrics import MetricStore
 
 __all__ = ["Ganglia", "Kwapi"]
 
@@ -43,132 +37,89 @@ __all__ = ["Ganglia", "Kwapi"]
 _GANGLIA_METRICS = ("cpu_load", "mem_total_gb", "up")
 
 
+def _distinct(uids: Iterable[str]) -> list[str]:
+    """``uids`` as a list; a sweep's scatter would drop a repeated node's
+    second sample, so a repeat is an error."""
+    nodes = list(uids)
+    if len(set(nodes)) != len(nodes):
+        repeated = sorted(u for u, k in Counter(nodes).items() if k > 1)
+        raise MonitoringError(f"sweep repeats nodes: {', '.join(repeated)}")
+    return nodes
+
+
 class Ganglia:
     """System-level metric collection."""
 
     def __init__(self, sim: Simulator, machines: MachinePark,
-                 store: Optional[MetricStore] = None, period_s: float = 60.0,
-                 vectorized: bool = True):
+                 store: Optional[MetricStore] = None,
+                 period_s: float = 60.0) -> None:
         self.sim = sim
         self.machines = machines
         self.store = store if store is not None else MetricStore()
         self.period_s = period_s
-        self._running = False
-        #: Per-node sampling handles, built lazily: (machine, ring per
-        #: metric).  A direct ring reference skips the store's key lookup
-        #: and the f-string key rebuild on every sample.
-        self._handles: dict[str, tuple] = {}
-        #: Column-block backing for the park sweep: node *i* (database
-        #: order) owns columns ``m * n + i`` for metric *m*.  Columns are
-        #: bound to the store lazily (on first sample, like the scalar
-        #: rings) so never-sampled nodes don't grow phantom series.
-        self._block: Optional[RingColumnBlock] = None
-        self._base_of: dict[str, int] = {}
-        self._col_of: dict[str, int] = {}
-        if vectorized and machines.machines:
-            uids = sorted(machines.machines)
-            self._block = RingColumnBlock(
-                len(_GANGLIA_METRICS) * len(uids), self.store.capacity)
-            self._base_of = {uid: i for i, uid in enumerate(uids)}
-
-    def _handle(self, uid: str) -> tuple:
-        handle = self._handles.get(uid)
-        if handle is None:
-            machine = self.machines[uid]
-            names = [f"{uid}.{name}" for name in _GANGLIA_METRICS]
-            rings: tuple[Series, ...]
-            block, base = self._block, self._base_of.get(uid)
-            if block is not None and base is not None \
-                    and not any(self.store.has_series(n) for n in names):
-                n = len(self._base_of)
-                rings = tuple(block.ring(m * n + base)
-                              for m in range(len(_GANGLIA_METRICS)))
-                for name, ring in zip(names, rings):
-                    self.store.bind_series(name, ring)
-                self._col_of[uid] = base
-            else:
-                # A name is already owned by a plain ring (shared store):
-                # this node stays on the scalar path for good.
-                rings = tuple(self.store.series(n) for n in names)
-            handle = (machine,) + rings
-            self._handles[uid] = handle
-        return handle
+        #: The node list of the live sampling loop (None when stopped); a
+        #: loop exits once this is no longer its own list, so a restart
+        #: within one period never leaves two loops sampling.
+        self._sweep: Optional[list[str]] = None
+        #: Node *i* (database order) owns column ``m * n + i`` for metric
+        #: *m* of the block.
+        uids = sorted(machines.machines)
+        self._n = len(uids)
+        self._col = {uid: i for i, uid in enumerate(uids)}
+        self._block = self.store.add_block(
+            [f"{uid}.{metric}" for metric in _GANGLIA_METRICS for uid in uids])
 
     def sample_node(self, uid: str) -> dict[str, float]:
         """One on-demand sample of a node's system metrics."""
-        machine, cpu_ring, mem_ring, up_ring = self._handle(uid)
-        now = self.sim.now
+        machine = self.machines[uid]
+        col, n, now = self._col[uid], self._n, self.sim.now
         cpu = machine.cpu_load
         mem = float(machine.actual.ram_gb)
         up = 1.0 if machine.available else 0.0
-        cpu_ring.append(now, cpu)
-        mem_ring.append(now, mem)
-        up_ring.append(now, up)
+        self._block.append(col, now, cpu)
+        self._block.append(col + n, now, mem)
+        self._block.append(col + 2 * n, now, up)
         return {"cpu_load": cpu, "mem_total_gb": mem, "up": up}
 
     def sample_park(self, uids: Iterable[str]) -> int:
         """Sample every node in one sweep; returns the number sampled.
 
-        On the vectorized path the sweep gathers the park's values into
-        arrays and lands all nodes with one scatter per metric
-        (``uids`` must not repeat a node); nodes bound to plain rings
-        drop the whole sweep back to the scalar loop, which records the
-        same samples one append at a time.
+        Raises :class:`MonitoringError` when ``uids`` repeats a node.
         """
-        uids = list(uids)
-        handles = self._handles
-        handle = self._handle
-        for uid in uids:
-            if uid not in handles:
-                handle(uid)
-        block = self._block
-        if block is not None:
-            col_of = self._col_of
-            n = len(self._base_of)
-            cols = np.empty(len(uids), dtype=np.intp)
-            cpu = np.empty(len(uids), dtype=np.float64)
-            mem = np.empty(len(uids), dtype=np.float64)
-            up = np.empty(len(uids), dtype=np.float64)
-            vectorizable = True
-            for i, uid in enumerate(uids):
-                col = col_of.get(uid)
-                if col is None:
-                    vectorizable = False
-                    break
-                machine = handles[uid][0]
-                cols[i] = col
-                cpu[i] = machine.cpu_load
-                mem[i] = float(machine.actual.ram_gb)
-                up[i] = 1.0 if machine.available else 0.0
-            if vectorizable:
-                now = self.sim.now
-                block.append_rows(cols, now, cpu)
-                block.append_rows(cols + n, now, mem)
-                block.append_rows(cols + 2 * n, now, up)
-                return len(uids)
-        now = self.sim.now
-        count = 0
-        for uid in uids:
-            machine, cpu_ring, mem_ring, up_ring = handles[uid]
-            cpu_ring.append(now, machine.cpu_load)
-            mem_ring.append(now, float(machine.actual.ram_gb))
-            up_ring.append(now, 1.0 if machine.available else 0.0)
-            count += 1
+        nodes = _distinct(uids)
+        count = len(nodes)
+        machines = [self.machines[uid] for uid in nodes]
+        cols = np.fromiter((self._col[uid] for uid in nodes), dtype=np.intp,
+                           count=count)
+        cpu = np.fromiter((m.cpu_load for m in machines), dtype=np.float64,
+                          count=count)
+        mem = np.fromiter((m.actual.ram_gb for m in machines),
+                          dtype=np.float64, count=count)
+        up = np.fromiter((m.available for m in machines), dtype=np.float64,
+                         count=count)
+        now, n = self.sim.now, self._n
+        self._block.append_rows(cols, now, cpu)
+        self._block.append_rows(cols + n, now, mem)
+        self._block.append_rows(cols + 2 * n, now, up)
         return count
 
     def start(self, node_uids: Optional[list[str]] = None) -> None:
-        """Start periodic sampling (all nodes by default)."""
-        if self._running:
+        """Start periodic sampling (all nodes by default).
+
+        Raises :class:`MonitoringError` when ``node_uids`` repeats a node.
+        """
+        if self._sweep is not None:
             return
-        self._running = True
-        uids = node_uids if node_uids is not None else sorted(self.machines.machines)
+        uids = _distinct(node_uids if node_uids is not None
+                         else sorted(self.machines.machines))
+        self._sweep = uids
         self.sim.process(self._run(uids), name="ganglia")
 
     def stop(self) -> None:
-        self._running = False
+        self._sweep = None
 
-    def _run(self, uids: list[str]):
-        while self._running:
+    def _run(self, uids: list[str]) -> Generator[Timeout, Any, None]:
+        while self._sweep is uids:
             self.sample_park(uids)
             yield self.sim.timeout(self.period_s)
 
@@ -178,59 +129,25 @@ class Kwapi:
 
     def __init__(self, sim: Simulator, machines: MachinePark,
                  testbed: TestbedDescription, services: ServiceHealth,
-                 store: Optional[MetricStore] = None,
-                 vectorized: bool = True):
+                 store: Optional[MetricStore] = None) -> None:
         self.sim = sim
         self.machines = machines
         self.services = services
         self.store = store if store is not None else MetricStore()
-        #: documented wiring: (pdu uid, port) -> node uid
-        self._documented: dict[tuple[str, int], str] = {}
-        #: inverse documented wiring, so per-node reads stop scanning the
-        #: whole outlet table; the documentation never changes at runtime
-        #: (only the *actual* cabling drifts), so this is safe to freeze.
+        #: documented wiring, node uid -> (pdu uid, port); the documentation
+        #: never changes at runtime (only the *actual* cabling drifts), so
+        #: this is safe to freeze.
         self._outlet_of: dict[str, tuple[str, int]] = {}
         self._site_of: dict[str, str] = {}
-        #: precomputed "<uid>.power_w" series keys (satellite fix: these
-        #: were f-string-rebuilt on every sample of every node).
-        self._power_key: dict[str, str] = {}
-        self._power_ring: dict[str, Series] = {}
         for node in testbed.iter_nodes():
-            outlet = (node.pdu.pdu_uid, node.pdu.port)
-            self._documented[outlet] = node.uid
-            self._outlet_of[node.uid] = outlet
+            self._outlet_of[node.uid] = (node.pdu.pdu_uid, node.pdu.port)
             self._site_of[node.uid] = node.site
-            self._power_key[node.uid] = f"{node.uid}.power_w"
-        #: Column-block backing for the park sweep (one power_w column per
-        #: documented node); columns are bound to the store lazily on a
-        #: node's first measurement, so down-site nodes a sweep skips
-        #: never appear in ``series_names()``.
-        self._block: Optional[RingColumnBlock] = None
-        self._base_of: dict[str, int] = {}
-        self._col_of: dict[str, int] = {}
-        if vectorized and self._power_key:
-            uids = list(self._power_key)
-            self._block = RingColumnBlock(len(uids), self.store.capacity)
-            self._base_of = {uid: i for i, uid in enumerate(uids)}
+        #: One power_w column per documented node.
+        self._col = {uid: i for i, uid in enumerate(self._outlet_of)}
+        self._block = self.store.add_block(
+            [f"{uid}.power_w" for uid in self._outlet_of])
 
-    def _ring(self, node_uid: str) -> Series:
-        ring = self._power_ring.get(node_uid)
-        if ring is None:
-            key = self._power_key[node_uid]
-            block, base = self._block, self._base_of.get(node_uid)
-            if block is not None and base is not None \
-                    and not self.store.has_series(key):
-                ring = block.ring(base)
-                self.store.bind_series(key, ring)
-                self._col_of[node_uid] = base
-            else:
-                # Name already owned by a plain ring (shared store): this
-                # node stays on the scalar path for good.
-                ring = self.store.series(key)
-            self._power_ring[node_uid] = ring
-        return ring
-
-    def _actual_wiring(self) -> dict[tuple[str, int], object]:
+    def _actual_wiring(self) -> dict[tuple[str, int], SimulatedNode]:
         """One pass over the park: (pdu uid, port) actually cabled -> machine.
 
         Built fresh per sweep — cabling faults mutate ``machine.actual``
@@ -259,7 +176,7 @@ class Kwapi:
             return None
         value = self.outlet_watts(*desc_outlet)
         if value is not None:
-            self._ring(node_uid).append(self.sim.now, value)
+            self._block.append(self._col[node_uid], self.sim.now, value)
         return value
 
     def sample_park(self, node_uids: Iterable[str]) -> int:
@@ -267,44 +184,17 @@ class Kwapi:
 
         The actual-cabling map is built once for the whole park instead of
         once per outlet, so a full sweep is O(nodes) rather than
-        O(nodes^2), and on the vectorized path the measurements land with
-        one numpy scatter instead of one ring append per node
-        (``node_uids`` must not repeat a node).  The reported values
-        (including wrong-node readings from swapped cables) are identical
-        to per-node calls.  Returns the number of measurements recorded.
+        O(nodes^2), and the measurements land with one numpy scatter.  The
+        reported values (including wrong-node readings from swapped
+        cables) are identical to per-node calls.  Returns the number of
+        measurements recorded; raises :class:`MonitoringError` when
+        ``node_uids`` repeats a node.
         """
         wiring = self._actual_wiring()
         kwapi_down = self.services.kwapi_down
-        now = self.sim.now
-        if self._block is not None:
-            cols: list[int] = []
-            watts: list[float] = []
-            col_of = self._col_of
-            power_ring = self._power_ring
-            vectorizable = True
-            for uid in node_uids:
-                if self._site_of.get(uid) in kwapi_down:
-                    continue
-                desc_outlet = self._outlet_of.get(uid)
-                if desc_outlet is None:
-                    continue
-                machine = wiring.get(desc_outlet)
-                if machine is None:
-                    continue
-                if uid not in power_ring:
-                    self._ring(uid)  # first measurement: bind the column
-                col = col_of.get(uid)
-                if col is None:
-                    vectorizable = False  # plain-ring node: go scalar
-                    break
-                cols.append(col)
-                watts.append(machine.power_draw_watts())
-            if vectorizable:
-                self._block.append_rows(np.asarray(cols, dtype=np.intp), now,
-                                        np.asarray(watts, dtype=np.float64))
-                return len(cols)
-        count = 0
-        for uid in node_uids:
+        cols: list[int] = []
+        watts: list[float] = []
+        for uid in _distinct(node_uids):
             if self._site_of.get(uid) in kwapi_down:
                 continue
             desc_outlet = self._outlet_of.get(uid)
@@ -313,9 +203,11 @@ class Kwapi:
             machine = wiring.get(desc_outlet)
             if machine is None:
                 continue
-            self._ring(uid).append(now, machine.power_draw_watts())
-            count += 1
-        return count
+            cols.append(self._col[uid])
+            watts.append(machine.power_draw_watts())
+        self._block.append_rows(np.asarray(cols, dtype=np.intp), self.sim.now,
+                                np.asarray(watts, dtype=np.float64))
+        return len(cols)
 
     def true_power_watts(self, node_uid: str) -> float:
         """Ground truth (not available to the real service; used by tests

@@ -59,6 +59,9 @@ class ScenarioSpec:
     families: Optional[tuple[str, ...]] = None
     #: Latent faults present before testing starts (February's backlog).
     backlog_faults: int = 50
+    #: ~0.45 faults/day plus the backlog lands the five-month bug count in
+    #: the slide-22 band (118 filed) while letting fixes outpace arrivals —
+    #: the regime behind the paper's improving reliability.
     fault_mean_interarrival_s: float = 2.2 * DAY
     policy: SchedulerPolicy = field(default_factory=SchedulerPolicy)
     #: Workload variant: a :class:`WorkloadConfig` selects the synthetic

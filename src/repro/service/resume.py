@@ -32,6 +32,12 @@ __all__ = ["RunRecord", "RunRegistry", "MAX_RECORDS"]
 #: are never evicted), so this only trims finished/abandoned histories.
 MAX_RECORDS = 256
 
+#: How long ``RESM`` waits for the old session of a run to notice its
+#: dropped socket and detach.  A reconnecting client can beat the old
+#: session's reaper, most of all on a loaded host; refusing at once would
+#: burn a retry on a third connection.
+ATTACH_WAIT_S = 2.0
+
 
 @dataclass
 class RunRecord:
@@ -60,6 +66,9 @@ class RunRegistry:
 
     def __init__(self, max_records: int = MAX_RECORDS):
         self._lock = threading.Lock()
+        #: Notified by :meth:`detach`, so :meth:`attach` can wait out the
+        #: old session of a run it is asked to resume.
+        self._detached = threading.Condition(self._lock)
         self._records: dict[str, RunRecord] = {}
         self._next = 1
         self.max_records = max_records
@@ -86,11 +95,15 @@ class RunRegistry:
     def attach(self, token: str) -> RunRecord:
         """Claim a disconnected run for resumption.
 
-        Raises ``KeyError`` for an unknown token and ``ValueError`` when
-        the run is not resumable (still attached, finished, or failed).
+        A run still attached to a session is waited for, up to
+        :data:`ATTACH_WAIT_S`.  Raises ``KeyError`` for an unknown token
+        and ``ValueError`` when the run is not resumable (still attached
+        after the wait, finished, or failed).
         """
         with self._lock:
             record = self._records[token]  # KeyError -> ERR run
+            self._detached.wait_for(lambda: not record.attached,
+                                    timeout=ATTACH_WAIT_S)
             if record.attached:
                 raise ValueError(f"run {token} is still attached to a "
                                  "session (old connection not yet reaped)")
@@ -106,6 +119,7 @@ class RunRegistry:
         with self._lock:
             record.attached = False
             record.status = status
+            self._detached.notify_all()
 
     def _evict_locked(self) -> None:
         if len(self._records) <= self.max_records:

@@ -2,29 +2,32 @@
 
 import pytest
 
-from repro.core import CampaignConfig, CampaignReport, run_campaign
+from repro import scenarios
+from repro.core import CampaignReport, run_scenario
 from repro.oar import WorkloadConfig
-from repro.testbed import CLUSTER_SPECS
 
 SMALL = ("grisou", "grimoire", "graoully", "nova", "taurus")
 
 
-def small_config(**overrides):
+def small_spec(**overrides):
+    """paper-baseline cut down to five clusters, a lighter load and a
+    smaller backlog."""
     defaults = dict(
+        name="campaign-test",
         seed=17,
         months=0.5,
-        specs=[s for s in CLUSTER_SPECS if s.name in SMALL],
+        clusters=SMALL,
         backlog_faults=8,
         fault_mean_interarrival_s=86_400.0,
         workload=WorkloadConfig(target_utilization=0.3),
     )
     defaults.update(overrides)
-    return CampaignConfig(**defaults)
+    return scenarios.get("paper-baseline").derive(**defaults)
 
 
 @pytest.fixture(scope="module")
 def campaign():
-    return run_campaign(small_config())
+    return run_scenario(small_spec())
 
 
 def test_report_counts_consistent(campaign):
@@ -60,15 +63,15 @@ def test_summary_renders(campaign):
 
 
 def test_campaign_reproducible():
-    _, a = run_campaign(small_config(months=0.25))
-    _, b = run_campaign(small_config(months=0.25))
+    _, a = run_scenario(small_spec(months=0.25))
+    _, b = run_scenario(small_spec(months=0.25))
     assert a.bugs_filed == b.bugs_filed
     assert a.faults_injected == b.faults_injected
     assert a.weekly_success_rates == b.weekly_success_rates
 
 
 def test_framework_off_detects_nothing():
-    _, report = run_campaign(small_config(months=0.25, framework_enabled=False))
+    _, report = run_scenario(small_spec(months=0.25, framework_enabled=False))
     assert report.faults_detected == 0
     assert report.bugs_filed == 0
     assert report.total_builds == 0
@@ -76,33 +79,6 @@ def test_framework_off_detects_nothing():
 
 
 def test_pernode_campaign_runs():
-    _, report = run_campaign(small_config(months=0.25, pernode=True))
+    _, report = run_scenario(small_spec(months=0.25, pernode=True))
     assert isinstance(report, CampaignReport)
     assert report.total_builds > 0
-
-
-# -- declarative path <-> legacy shim -----------------------------------------
-
-
-def test_shim_matches_scenario_path():
-    """run_campaign(CampaignConfig(...)) must reproduce run_scenario(spec)
-    byte-for-byte at the same seed."""
-    import dataclasses
-
-    from repro import run_scenario, scenarios
-    from repro.util import canonical_json
-
-    spec = scenarios.get("paper-baseline").derive(
-        name="shim-check", seed=17, months=0.25,
-        clusters=SMALL, backlog_faults=8,
-        fault_mean_interarrival_s=86_400.0,
-        workload=WorkloadConfig(target_utilization=0.3))
-    _, via_spec = run_scenario(spec)
-    _, via_shim = run_campaign(small_config(months=0.25))
-
-    def doc(report):
-        d = dataclasses.asdict(report)
-        d.pop("scenario"), d.pop("seed")  # provenance labels differ
-        return canonical_json(d)
-
-    assert doc(via_spec) == doc(via_shim)

@@ -1,46 +1,60 @@
-"""Tests for the metric ring-buffer store."""
+"""Tests for the metric store: every series is one ring column."""
 
 import numpy as np
 import pytest
 
-from repro.monitoring import MetricStore, RingBuffer
+from repro.monitoring import MetricStore, RingColumnBlock
 from repro.util import MonitoringError
 
 
+def _oracle(samples, capacity, t_from, t_to):
+    """Plain-list model of one ring: the newest ``capacity`` samples with
+    ``t_from <= t < t_to``, oldest first."""
+    return [(t, v) for t, v in samples[-capacity:] if t_from <= t < t_to]
+
+
+def _window(store, series, t_from, t_to):
+    t, v = store.window(series, t_from, t_to)
+    return list(zip(t.tolist(), v.tolist()))
+
+
 def test_ring_append_and_last():
-    ring = RingBuffer(4)
-    ring.append(1.0, 10.0)
-    ring.append(2.0, 20.0)
-    assert len(ring) == 2
-    assert ring.last() == (2.0, 20.0)
+    store = MetricStore(capacity_per_series=4)
+    store.record("s", 1.0, 10.0)
+    store.record("s", 2.0, 20.0)
+    assert len(store.window("s", 0.0, 1e9)[0]) == 2
+    assert store.last("s") == (2.0, 20.0)
 
 
 def test_ring_empty_last_raises():
+    store = MetricStore(capacity_per_series=4)
+    store.add_block(["s"])  # reserved, never written
     with pytest.raises(MonitoringError):
-        RingBuffer(4).last()
+        store.last("s")
 
 
 def test_ring_wraps_and_keeps_latest():
-    ring = RingBuffer(3)
+    store = MetricStore(capacity_per_series=3)
     for i in range(10):
-        ring.append(float(i), float(i * 100))
-    assert len(ring) == 3
-    t, v = ring.window(0.0, 100.0)
+        store.record("s", float(i), float(i * 100))
+    t, v = store.window("s", 0.0, 100.0)
     assert list(t) == [7.0, 8.0, 9.0]
     assert list(v) == [700.0, 800.0, 900.0]
 
 
 def test_ring_window_bounds():
-    ring = RingBuffer(10)
+    store = MetricStore(capacity_per_series=10)
     for i in range(5):
-        ring.append(float(i), float(i))
-    t, _ = ring.window(1.0, 3.0)  # [from, to)
+        store.record("s", float(i), float(i))
+    t, _ = store.window("s", 1.0, 3.0)  # [from, to)
     assert list(t) == [1.0, 2.0]
 
 
 def test_ring_capacity_validation():
     with pytest.raises(MonitoringError):
-        RingBuffer(0)
+        RingColumnBlock(columns=1, capacity=0)
+    with pytest.raises(MonitoringError):
+        MetricStore(capacity_per_series=0).record("s", 0.0, 1.0)
 
 
 def test_store_record_and_stats():
@@ -91,42 +105,39 @@ def test_store_bounded_memory():
 
 
 def _filled(capacity, n):
-    ring = RingBuffer(capacity)
-    for i in range(n):
-        ring.append(float(i), float(i * 10))
-    return ring
+    store = MetricStore(capacity_per_series=capacity)
+    samples = [(float(i), float(i * 10)) for i in range(n)]
+    for t, v in samples:
+        store.record("s", t, v)
+    return store, samples
 
 
 def test_ring_exactly_at_capacity_keeps_everything():
-    ring = _filled(8, 8)
-    assert len(ring) == 8
-    t, v = ring.window(0.0, 100.0)
-    assert list(t) == [float(i) for i in range(8)]
-    assert list(v) == [float(i * 10) for i in range(8)]
-    assert ring.last() == (7.0, 70.0)
+    store, samples = _filled(8, 8)
+    assert _window(store, "s", 0.0, 100.0) == _oracle(samples, 8, 0.0, 100.0)
+    assert len(_window(store, "s", 0.0, 100.0)) == 8
+    assert store.last("s") == (7.0, 70.0)
 
 
 def test_ring_capacity_plus_one_drops_only_oldest():
-    ring = _filled(8, 9)
-    assert len(ring) == 8
-    t, _ = ring.window(0.0, 100.0)
-    assert list(t) == [float(i) for i in range(1, 9)]
-    assert ring.last() == (8.0, 80.0)
+    store, samples = _filled(8, 9)
+    got = _window(store, "s", 0.0, 100.0)
+    assert got == _oracle(samples, 8, 0.0, 100.0)
+    assert [t for t, _ in got] == [float(i) for i in range(1, 9)]
+    assert store.last("s") == (8.0, 80.0)
     # the evicted sample is gone even from a window that would contain it
-    t0, _ = ring.window(0.0, 1.0)
-    assert list(t0) == []
+    assert _window(store, "s", 0.0, 1.0) == []
 
 
 def test_ring_multiple_full_wraps_window_and_order():
     # 5 capacity, 23 appends: head lands mid-buffer after 4+ wraps
-    ring = _filled(5, 23)
-    assert len(ring) == 5
-    t, v = ring.window(0.0, 1000.0)
-    assert list(t) == [18.0, 19.0, 20.0, 21.0, 22.0]  # chronological
-    assert list(v) == [180.0, 190.0, 200.0, 210.0, 220.0]
+    store, samples = _filled(5, 23)
+    got = _window(store, "s", 0.0, 1000.0)
+    assert got == _oracle(samples, 5, 0.0, 1000.0)
+    assert [t for t, _ in got] == [18.0, 19.0, 20.0, 21.0, 22.0]
     # window straddling the physical wrap point stays chronological
-    t2, _ = ring.window(19.0, 22.0)
-    assert list(t2) == [19.0, 20.0, 21.0]
+    assert _window(store, "s", 19.0, 22.0) == _oracle(samples, 5, 19.0, 22.0)
+    assert store.last("s") == samples[-1]
 
 
 def test_stats_at_capacity_boundaries():
@@ -148,79 +159,76 @@ def test_stats_at_capacity_boundaries():
     assert (stats.count, stats.minimum, stats.maximum) == (4, 9.0, 12.0)
 
 
-def test_store_series_handle_is_live():
-    # probes hold direct ring references; the handle and record() must hit
-    # the same ring
+def test_store_block_column_is_live():
+    # probes write their reserved block directly; the block and record()
+    # must hit the same column
     store = MetricStore(capacity_per_series=4)
-    ring = store.series("node.cpu")
-    ring.append(1.0, 0.5)
+    block = store.add_block(["node.cpu"])
+    block.append(0, 1.0, 0.5)
     store.record("node.cpu", 2.0, 0.7)
-    assert store.series("node.cpu") is ring
-    assert len(ring) == 2
+    assert block.count(0) == 2
     assert store.last("node.cpu") == (2.0, 0.7)
 
 
 # -- column blocks -------------------------------------------------------------
 #
-# The park sweeps pack per-node rings into one RingColumnBlock and append
-# with a single scatter; every column must behave exactly like a
-# stand-alone RingBuffer, including across the wrap seams.
+# The park sweeps append one sample to many columns with a single scatter;
+# every column must keep exactly the samples a plain list would, including
+# across the wrap seams.
 
 
 def test_column_ring_matches_ring_buffer_through_wraps():
-    from repro.monitoring import RingColumnBlock
-
     block = RingColumnBlock(columns=3, capacity=5)
-    rings = [block.ring(c) for c in range(3)]
-    oracles = [RingBuffer(5) for _ in range(3)]
+    oracles = [[] for _ in range(3)]
     for i in range(23):  # multiple full wraps
-        cols = np.arange(3)
-        values = np.array([float(i), float(i * 10), float(-i)])
-        block.append_rows(cols, float(i), values)
+        values = [float(i), float(i * 10), float(-i)]
+        block.append_rows(np.arange(3), float(i), np.array(values))
         for oracle, v in zip(oracles, values):
-            oracle.append(float(i), float(v))
-    for ring, oracle in zip(rings, oracles):
-        assert len(ring) == len(oracle)
-        assert ring.last() == oracle.last()
-        t, v = ring.window(0.0, 1000.0)
-        ot, ov = oracle.window(0.0, 1000.0)
-        assert list(t) == list(ot) and list(v) == list(ov)
-        t2, _ = ring.window(19.0, 22.0)  # straddles the physical wrap
-        ot2, _ = oracle.window(19.0, 22.0)
-        assert list(t2) == list(ot2)
+            oracle.append((float(i), v))
+    for col, oracle in enumerate(oracles):
+        assert block.count(col) == 5
+        assert block.last(col) == oracle[-1]
+        for t_from, t_to in ((0.0, 1000.0), (19.0, 22.0)):  # 2nd straddles
+            t, v = block.window(col, t_from, t_to)          # the wrap
+            assert list(zip(t.tolist(), v.tolist())) == \
+                _oracle(oracle, 5, t_from, t_to)
 
 
 def test_column_ring_scalar_and_scatter_appends_interleave():
-    from repro.monitoring import RingColumnBlock
-
     block = RingColumnBlock(columns=2, capacity=4)
-    ring = block.ring(0)
-    ring.append(0.0, 1.0)                             # scalar
+    block.append(0, 0.0, 1.0)                                       # scalar
     block.append_rows(np.array([0, 1]), 1.0, np.array([2.0, 9.0]))  # scatter
-    ring.append(2.0, 3.0)                             # scalar again
-    t, v = ring.window(0.0, 10.0)
+    block.append(0, 2.0, 3.0)                                 # scalar again
+    t, v = block.window(0, 0.0, 10.0)
     assert list(t) == [0.0, 1.0, 2.0]
     assert list(v) == [1.0, 2.0, 3.0]
-    assert len(block.ring(1)) == 1
+    assert block.count(1) == 1
 
 
 def test_column_ring_empty_last_raises():
-    from repro.monitoring import RingColumnBlock
-
     with pytest.raises(MonitoringError):
-        RingColumnBlock(columns=1, capacity=4).ring(0).last()
+        RingColumnBlock(columns=2, capacity=4).last(1)
 
 
-def test_store_bind_series_adopts_and_guards():
-    from repro.monitoring import RingColumnBlock
-
+def test_store_add_block_guards():
     store = MetricStore(capacity_per_series=4)
-    block = RingColumnBlock(columns=1, capacity=store.capacity)
-    assert store.bind_series("n1.power_w", block.ring(0))
-    store.record("n1.power_w", 1.0, 50.0)            # lands in the column
-    assert store.last("n1.power_w") == (1.0, 50.0)
-    assert len(block.ring(0)) == 1
-    # A taken name refuses the bind — the caller must fall back.
-    assert not store.bind_series("n1.power_w", block.ring(0))
-    store.series("plain")
-    assert not store.bind_series("plain", block.ring(0))
+    block = store.add_block(["n1.power_w", "n2.power_w"])
+    # reserved columns stay hidden until they hold a sample
+    assert not store.has_series("n1.power_w")
+    assert store.series_names() == []
+    with pytest.raises(MonitoringError, match="unknown series"):
+        store.window("n1.power_w", 0.0, 1.0)
+    store.record("n1.power_w", 1.0, 50.0)  # lands in the block's column
+    assert block.last(0) == (1.0, 50.0)
+    assert store.series_names() == ["n1.power_w"]
+    # a stored name, reserved or recorded, is never handed out twice
+    with pytest.raises(MonitoringError, match="n2.power_w"):
+        store.add_block(["n3.power_w", "n2.power_w"])
+    store.record("plain", 0.0, 1.0)
+    with pytest.raises(MonitoringError, match="plain"):
+        store.add_block(["plain"])
+    with pytest.raises(MonitoringError):
+        store.add_block(["n4.power_w", "n4.power_w"])
+    assert not store.has_series("n3.power_w")  # a refused block left nothing
+    store.record("n3.power_w", 2.0, 1.0)       # so the name is still free
+    assert store.last("n3.power_w") == (2.0, 1.0)

@@ -6,7 +6,7 @@ import pytest
 from repro.faults import FaultContext, FaultKind, ServiceHealth, apply_fault
 from repro.monitoring import Ganglia, Kwapi
 from repro.nodes import MachinePark
-from repro.util import RngStreams, Simulator
+from repro.util import MonitoringError, RngStreams, Simulator
 
 
 @pytest.fixture()
@@ -116,8 +116,8 @@ def test_ganglia_sample_park_matches_per_node_samples(world):
 
 
 def test_ganglia_handles_survive_machine_state_changes(world):
-    # The precomputed handles hold machine references, not snapshots: a
-    # later crash/load change must show up in the next sample.
+    # The probe reads the live machine on every sample, never a snapshot:
+    # a later crash/load change must show up in the next sample.
     sim, _, park, _ = world
     ganglia = Ganglia(sim, park)
     ganglia.sample_node("grisou-1")
@@ -172,52 +172,59 @@ def test_kwapi_sample_park_skips_down_sites(world):
         assert not kwapi.store.has_series(f"{uid}.power_w")
 
 
-# -- vectorized vs scalar sweeps -----------------------------------------------
+# -- park sweeps vs per-node sweeps ---------------------------------------------
 #
-# The default probes pack per-node series into a RingColumnBlock and land
-# each park sweep with one numpy scatter per metric; vectorized=False pins
-# the original one-append-per-node loop as the oracle.  Both paths must
-# record byte-identical samples.
+# sample_park lands a whole sweep with one numpy scatter per metric into
+# the probe's column block; a loop of per-node reads on a second probe
+# (sample_node, node_power_watts) is the oracle.  Both must record
+# byte-identical samples.
 
 
 def test_ganglia_vectorized_sweep_equals_scalar_sweep(world):
     sim, _, park, _ = world
-    vector = Ganglia(sim, park)                    # default: column block
-    scalar = Ganglia(sim, park, vectorized=False)  # oracle loop
-    assert vector._block is not None and scalar._block is None
+    vector = Ganglia(sim, park)  # one scatter per metric per sweep
+    scalar = Ganglia(sim, park)  # oracle: one sample_node per node
     uids = sorted(park.machines)
     park[uids[0]].cpu_load = 0.7
     park[uids[2]].crash()
-    for _ in range(3):  # several sweeps so rings accumulate history
-        assert vector.sample_park(uids) == scalar.sample_park(uids)
+    for step in range(3):  # several sweeps so the series accumulate history
+        sim.run(until=float(step))
+        assert vector.sample_park(uids) == len(uids)
+        for uid in uids:
+            scalar.sample_node(uid)
     for uid in uids:
         for metric in ("cpu_load", "mem_total_gb", "up"):
             key = f"{uid}.{metric}"
             t, v = vector.store.window(key, 0.0, 1e9)
             ot, ov = scalar.store.window(key, 0.0, 1e9)
-            assert list(t) == list(ot) and list(v) == list(ov)
+            assert list(t) == list(ot) == [0.0, 1.0, 2.0]
+            assert list(v) == list(ov)
             assert vector.store.last(key) == scalar.store.last(key)
 
 
 def test_kwapi_vectorized_sweep_equals_scalar_sweep(world):
     sim, services, park, testbed = world
     vector = Kwapi(sim, park, testbed, services)
-    scalar = Kwapi(sim, park, testbed, services, vectorized=False)
-    assert vector._block is not None and scalar._block is None
+    scalar = Kwapi(sim, park, testbed, services)  # oracle: per-node reads
     services.kwapi_down.add(testbed.sites[0].uid)  # sweep must skip a site
     uids = sorted(park.machines)
     park[uids[0]].cpu_load = 0.6
-    assert vector.sample_park(uids) == scalar.sample_park(uids)
+    count = vector.sample_park(uids)
+    reads = {uid: scalar.node_power_watts(uid) for uid in uids}
+    assert count == sum(w is not None for w in reads.values())
     for uid in uids:
         key = f"{uid}.power_w"
         assert vector.store.has_series(key) == scalar.store.has_series(key)
-        if vector.store.has_series(key):
+        if reads[uid] is not None:
             assert vector.store.last(key) == scalar.store.last(key)
 
 
+# -- one block per probe ------------------------------------------------------
+
+
 def test_ganglia_on_demand_sample_lands_in_column_block(world):
-    # sample_node goes through the same bound column the sweep scatters
-    # into: mixed scalar/vector appends stay one chronological series.
+    # sample_node appends to the same column the sweep scatters into:
+    # mixed single and swept samples stay one chronological series.
     sim, _, park, _ = world
     ganglia = Ganglia(sim, park)
     ganglia.sample_node("grisou-1")
@@ -226,14 +233,49 @@ def test_ganglia_on_demand_sample_lands_in_column_block(world):
     assert len(t) == 2
 
 
-def test_ganglia_shared_store_conflict_falls_back_to_scalar(world):
-    # A series name already owned by a plain ring cannot be rebound; the
-    # sweep must drop to the scalar path and still record everything.
-    sim, _, park, _ = world
-    store = Ganglia(sim, park).store  # placeholder store
-    store.record("grisou-1.cpu_load", -1.0, 0.0)  # foreign plain ring
-    ganglia = Ganglia(sim, park, store=store)
+def test_probes_share_one_store_and_a_second_ganglia_raises(world):
+    # Each probe reserves its own columns; a second writer of the same
+    # series names is refused instead of sharing (or shadowing) them.
+    sim, services, park, testbed = world
+    ganglia = Ganglia(sim, park)
+    kwapi = Kwapi(sim, park, testbed, services, store=ganglia.store)
     uids = sorted(park.machines)
     assert ganglia.sample_park(uids) == len(uids)
+    assert kwapi.sample_park(uids) == len(uids)
     assert ganglia.store.last("grisou-1.cpu_load")[0] == 0.0
-    assert ganglia.store.last("grisou-2.cpu_load")[0] == 0.0
+    assert ganglia.store.last("grisou-1.power_w")[0] == 0.0
+    with pytest.raises(MonitoringError, match="already stored"):
+        Ganglia(sim, park, store=ganglia.store)
+    with pytest.raises(MonitoringError, match="already stored"):
+        Kwapi(sim, park, testbed, services, store=ganglia.store)
+
+
+def test_ganglia_restart_within_a_period_keeps_one_sampler(world):
+    sim, _, park, _ = world
+    ganglia = Ganglia(sim, park, period_s=30.0)
+    ganglia.start(node_uids=["grisou-1"])
+    sim.run(until=10.0)
+    ganglia.stop()
+    ganglia.start(node_uids=["grisou-1"])  # the old loop is still asleep
+    sim.run(until=301.0)
+    ganglia.stop()
+    t, _ = ganglia.store.window("grisou-1.cpu_load", 0.0, 1e9)
+    assert list(t) == [0.0] + [10.0 + 30.0 * k for k in range(10)]
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda g, k, uids: g.sample_park(uids),
+    lambda g, k, uids: g.start(uids),
+    lambda g, k, uids: k.sample_park(uids),
+], ids=["ganglia-sample_park", "ganglia-start", "kwapi-sample_park"])
+def test_sweep_rejects_repeated_nodes(world, sweep):
+    # A scatter writes a repeated column once: the sweep must refuse the
+    # input rather than silently drop a sample.
+    sim, services, park, testbed = world
+    ganglia = Ganglia(sim, park)
+    kwapi = Kwapi(sim, park, testbed, services)
+    with pytest.raises(MonitoringError, match="grisou-1"):
+        sweep(ganglia, kwapi, ["grisou-1", "grisou-2", "grisou-1"])
+    sim.run(until=1.0)
+    assert ganglia.store.series_names() == []
+    assert kwapi.store.series_names() == []

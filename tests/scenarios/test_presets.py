@@ -3,8 +3,10 @@
 import pytest
 
 from repro import scenarios
-from repro.core import CampaignConfig
+from repro.oar import WorkloadConfig
 from repro.scenarios import ScenarioSpec
+from repro.scheduling import SchedulerPolicy
+from repro.util.simclock import DAY
 
 EXPECTED_PRESETS = {
     "paper-baseline",
@@ -43,20 +45,21 @@ def test_register_rejects_duplicates():
 
 
 def test_paper_baseline_matches_legacy_campaign_defaults():
-    """The preset must describe exactly run_campaign(CampaignConfig())."""
+    """The preset pins the slide-22/23 calibration: five months from
+    February's 50-fault backlog, ~0.45 faults/day, 60 % user load, 16
+    Jenkins executors, framework on, whole-cluster (not per-node) tests."""
     spec = scenarios.get("paper-baseline")
-    legacy = CampaignConfig()
-    assert spec.seed == legacy.seed
-    assert spec.months == legacy.months
+    assert spec.seed == 0
+    assert spec.months == 5.0
     assert spec.clusters is None and spec.scale == 1.0
-    assert spec.backlog_faults == legacy.backlog_faults
-    assert spec.fault_mean_interarrival_s == legacy.fault_mean_interarrival_s
-    assert spec.policy == legacy.policy
-    assert spec.workload == legacy.workload
-    assert spec.operator_speedup == legacy.operator_speedup
-    assert spec.framework_enabled == legacy.framework_enabled
-    assert spec.pernode == legacy.pernode
-    assert spec.executors == legacy.executors
+    assert spec.backlog_faults == 50
+    assert spec.fault_mean_interarrival_s == 2.2 * DAY
+    assert spec.policy == SchedulerPolicy()
+    assert spec.workload == WorkloadConfig(target_utilization=0.6)
+    assert spec.operator_speedup == 1.0
+    assert spec.framework_enabled is True
+    assert spec.pernode is False
+    assert spec.executors == 16
 
 
 def test_ablation_presets_differ_only_where_advertised():

@@ -4,10 +4,12 @@ covered by tests/service/test_chaos_convergence.py)."""
 
 import hashlib
 import json
+import threading
+import time
 
 import pytest
 
-from repro.service import RunRegistry, Session
+from repro.service import RunRegistry, Session, resume
 from test_session import HELO, ScriptTransport
 
 # -- registry semantics -------------------------------------------------------
@@ -23,7 +25,8 @@ def test_tokens_are_unique_and_resumable_once_detached():
     assert resumed is a and a.status == "running" and a.attached
 
 
-def test_attach_guards():
+def test_attach_guards(monkeypatch):
+    monkeypatch.setattr(resume, "ATTACH_WAIT_S", 0.01)
     reg = RunRegistry()
     rec = reg.create("tiny-smoke", 0, None)
     with pytest.raises(KeyError):
@@ -33,6 +36,23 @@ def test_attach_guards():
     reg.detach(rec, "done")
     with pytest.raises(ValueError):  # finished runs never resume
         reg.attach(rec.token)
+
+
+def test_attach_waits_for_the_old_session_to_detach():
+    # The reconnecting client can beat the old session's reaper: attach
+    # must wait for the detach instead of refusing the run.
+    reg = RunRegistry()
+    rec = reg.create("tiny-smoke", 0, None)
+    reaper = threading.Timer(0.2, reg.detach, (rec, "disconnected"))
+    started = time.monotonic()
+    reaper.start()
+    try:
+        assert reg.attach(rec.token) is rec
+    finally:
+        reaper.join(timeout=5.0)
+    assert not reaper.is_alive()
+    assert rec.attached and rec.status == "running"
+    assert time.monotonic() - started < resume.ATTACH_WAIT_S
 
 
 def test_eviction_spares_attached_runs():
@@ -60,7 +80,8 @@ def test_resm_unknown_token_is_err_run():
     assert sent[-1] == "OK bye"  # the session survived
 
 
-def test_resm_attached_and_finished_runs_are_state_errors():
+def test_resm_attached_and_finished_runs_are_state_errors(monkeypatch):
+    monkeypatch.setattr(resume, "ATTACH_WAIT_S", 0.01)
     reg = RunRegistry()
     attached = reg.create("tiny-smoke", 0, 0.05)
     done = reg.create("tiny-smoke", 1, 0.05)
