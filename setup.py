@@ -17,7 +17,7 @@ setup(
     packages=find_packages(where="src"),
     package_data={"repro.oar": ["builtin_traces/*.jsonl"]},
     include_package_data=True,
-    python_requires=">=3.9",
+    python_requires=">=3.10",
     install_requires=["numpy"],
     entry_points={
         "console_scripts": [

@@ -481,8 +481,8 @@ _TICK_PATH_FUNCS = {
     "_reclaim", "_negotiate", "grow_candidates", "_free_alive",
     "resources_available", "availability", "earliest_start",
 }
-#: Attributes holding the whole park (node lists, timeline maps).
-_PARK_ATTRS = {"nodes", "machines", "_timelines", "timelines"}
+#: Attributes holding the whole park (node lists, per-node maps).
+_PARK_ATTRS = {"nodes", "machines", "timelines"}
 #: Methods returning the whole park.
 _PARK_CALLS = {"node_uids", "alive_nodes", "iter_nodes"}
 _PARK_WRAPPERS = {"sorted", "list", "tuple", "reversed", "enumerate"}

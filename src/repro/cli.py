@@ -194,7 +194,8 @@ def _build_parser() -> argparse.ArgumentParser:
     fsck_p.add_argument("store", help="path to a campaign store (JSONL)")
     fsck_p.add_argument("--repair", action="store_true",
                         help="atomically rewrite the store keeping only "
-                             "verifiable records (checksums legacy lines)")
+                             "verifiable records (migrates pre-checksum "
+                             "records, which a plain load counts damaged)")
     fsck_p.add_argument("--json", action="store_true",
                         help="emit the audit counters as JSON on stdout")
 

@@ -21,14 +21,16 @@ report``/``compare`` can audit exactly what ran without the original preset
 code.  Appends are flushed + fsynced; a torn line from a killed process is
 sealed by the next append and loses only itself on load.
 
-Integrity: every record written since the checksum era carries a ``sum``
-field — the content hash of the rest of the document.  A record whose
-checksum no longer matches (bit rot, a partial overwrite, a hand edit)
-is skipped and counted on load (:attr:`CampaignStore.corrupt_records`),
-never trusted; records from before the checksum era have no ``sum`` and
-are grandfathered in.  :func:`fsck_store` audits an archive offline and
-``--repair`` rewrites it atomically keeping only verifiable records
-(re-encoding them, which retrofits checksums onto legacy lines).
+Integrity: every record carries a ``sum`` field — the content hash of
+the rest of the document.  A record whose checksum no longer matches
+(bit rot, a partial overwrite, a hand edit) is skipped and counted on
+load (:attr:`CampaignStore.corrupt_records`), never trusted; a record
+with no ``sum`` at all counts as damaged
+(:attr:`CampaignStore.damaged_records`), so a flipped bit in the key name
+cannot turn verification off.  :func:`fsck_store` audits an archive
+offline and ``--repair`` rewrites it atomically keeping only verifiable
+records; it also migrates records from before the checksum era once, by
+checksumming them as it re-encodes them.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from ..util.serialization import (
     append_jsonl,
     canonical_json,
     content_hash,
+    fsync_dir,
     iter_jsonl,
 )
 from .campaign import CampaignReport
@@ -146,16 +149,14 @@ class StoredCell:
         if doc.get("v") != _FORMAT:
             raise StoreFormatError(
                 f"unsupported store record version {doc.get('v')!r}")
-        checksum = doc.get("sum")
-        if checksum is not None:
-            body = {k: v for k, v in doc.items() if k != "sum"}
-            actual = content_hash(body)
-            if actual != checksum:
-                raise StoreChecksumError(
-                    f"record checksum mismatch for key "
-                    f"{doc.get('key')!r}: stored {checksum}, "
-                    f"content hashes to {actual}")
-        # else: pre-checksum record, grandfathered.
+        checksum = doc["sum"]
+        body = {k: v for k, v in doc.items() if k != "sum"}
+        actual = content_hash(body)
+        if actual != checksum:
+            raise StoreChecksumError(
+                f"record checksum mismatch for key "
+                f"{doc.get('key')!r}: stored {checksum}, "
+                f"content hashes to {actual}")
         report_doc = doc.get("report")
         return cls(
             key=doc["key"],
@@ -399,7 +400,8 @@ class FsckReport:
 
     total_lines: int = 0       # non-blank lines examined
     valid: int = 0             # verifiable records (checksum OK or legacy)
-    legacy: int = 0            # of the valid: pre-checksum records
+    legacy: int = 0            # of the valid: pre-checksum records, which
+                               # load as damaged until a repair migrates them
     torn: int = 0              # unparseable lines (torn tails, bit rot)
     checksum_failed: int = 0   # parsed, but the checksum disagrees
     malformed: int = 0         # parsed JSON that is not a store record
@@ -446,7 +448,8 @@ def fsck_store(path: Union[str, "os.PathLike[str]"],
     Every non-blank line is classified (see :class:`FsckReport`).  With
     ``repair=True`` and anything to fix — damage, or legacy records that
     would gain checksums — the file is atomically rewritten (tmp file +
-    ``os.replace``) keeping verifiable records re-encoded in order;
+    ``os.replace``, then a directory fsync) keeping verifiable records
+    re-encoded in order;
     version-skew records are preserved verbatim (a newer tool owns them),
     damaged ones are dropped.  Without damage and without legacy records
     the file is left untouched.
@@ -469,6 +472,11 @@ def fsck_store(path: Union[str, "os.PathLike[str]"],
             if not isinstance(doc, dict):
                 report.malformed += 1
                 continue
+            # A pre-checksum record is checksummed here, before decoding:
+            # repair migrates it once; a plain load counts it damaged.
+            legacy = "sum" not in doc
+            if legacy:
+                doc = dict(doc, sum=content_hash(doc))
             try:
                 cell = StoredCell.from_doc(doc)
             except StoreChecksumError:
@@ -482,8 +490,7 @@ def fsck_store(path: Union[str, "os.PathLike[str]"],
                 report.malformed += 1
                 continue
             report.valid += 1
-            if doc.get("sum") is None:
-                report.legacy += 1
+            report.legacy += legacy
             keep.append(canonical_json(cell.to_doc()))
     if repair and (not report.clean or report.legacy):
         tmp = path + ".fsck-tmp"
@@ -493,5 +500,6 @@ def fsck_store(path: Union[str, "os.PathLike[str]"],
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
+        fsync_dir(path)
         report.repaired = True
     return report

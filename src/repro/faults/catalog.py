@@ -488,8 +488,7 @@ def _apply_oar_drift(ctx: FaultContext, rng: np.random.Generator):
     count = max(1, len(uids) // 8)
     chosen = [uids[int(i)] for i in rng.choice(len(uids), size=count, replace=False)]
     prop = ["memnode", "disktype", "eth10g"][int(rng.integers(3))]
-    for uid in chosen:
-        ctx.services.oar_property_drift.setdefault(uid, set()).add(prop)
+    ctx.services.drift_oar_property(chosen, prop)
     return cluster, {"nodes": chosen, "property": prop}
 
 
@@ -634,12 +633,7 @@ def revert_fault(instance: FaultInstance, ctx: FaultContext) -> None:
     elif kind == FaultKind.CONSOLE_BROKEN:
         machines[target].actual.console_ok = True
     elif kind == FaultKind.OAR_PROPERTY_DRIFT:
-        for uid in details["nodes"]:
-            drifted = services.oar_property_drift.get(uid)
-            if drifted:
-                drifted.discard(details["property"])
-                if not drifted:
-                    del services.oar_property_drift[uid]
+        services.fix_oar_property(details["nodes"], details["property"])
     elif kind == FaultKind.API_FLAKY:
         services.api_failure_prob.pop(target, None)
     elif kind == FaultKind.CMDLINE_BROKEN:

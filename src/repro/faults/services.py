@@ -10,6 +10,7 @@ simulators / check scripts (which observe the breakage) share this object.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 __all__ = ["ServiceHealth"]
 
@@ -35,6 +36,9 @@ class ServiceHealth:
     #: node uid -> properties whose OAR-database value drifted from the
     #: Reference API (oarproperties family).
     oar_property_drift: dict[str, set[str]] = field(default_factory=dict)
+    #: Bumped on every drift and fix, so caches of property matches
+    #: (the OAR server's) know when to refill.
+    oar_drift_epoch: int = 0
 
     def api_ok(self, site: str, draw: float) -> bool:
         """Whether one API call succeeds, given a uniform draw in [0,1)."""
@@ -48,3 +52,19 @@ class ServiceHealth:
 
     def deploy_extra_failure_prob(self, cluster: str) -> float:
         return self.deploy_degradation.get(cluster, 0.0)
+
+    def drift_oar_property(self, uids: Iterable[str], prop: str) -> None:
+        """Corrupt ``prop`` in the OAR rows of ``uids``."""
+        for uid in uids:
+            self.oar_property_drift.setdefault(uid, set()).add(prop)
+        self.oar_drift_epoch += 1
+
+    def fix_oar_property(self, uids: Iterable[str], prop: str) -> None:
+        """Undo :meth:`drift_oar_property`."""
+        for uid in uids:
+            drifted = self.oar_property_drift.get(uid)
+            if drifted:
+                drifted.discard(prop)
+                if not drifted:
+                    del self.oar_property_drift[uid]
+        self.oar_drift_epoch += 1

@@ -1,7 +1,7 @@
 """OAR-shaped resource manager: request language, database, scheduler."""
 
 from .database import OarDatabase, properties_from_description
-from .gantt import Gantt, NodeTimeline, Reservation
+from .gantt import Gantt
 from .jobs import Job, JobState
 from .request import (
     ALL_NODES,
@@ -43,8 +43,6 @@ __all__ = [
     "OarDatabase",
     "properties_from_description",
     "Gantt",
-    "NodeTimeline",
-    "Reservation",
     "Job",
     "JobState",
     "OarServer",

@@ -1,187 +1,33 @@
-"""Per-node allocation timeline (the scheduler's Gantt chart).
+"""The scheduler's Gantt chart: one park-wide availability profile.
 
-Each node has a sorted list of ``(start, end, job_id)`` reservations.  The
-scheduler asks two questions:
+The scheduler asks two questions:
 
-* is a node free over ``[t, t+d)``?
-* what candidate start times after ``t`` are worth trying? (interval ends)
+* which nodes are free over ``[t, t+d)``?
+* what is the earliest ``t`` when ``k`` of a node set are free together?
 
 Conservative backfilling emerges naturally: reservations of
 earlier-submitted jobs stay in the Gantt, and later jobs simply search for
 the earliest window that fits around them.
 
-Two representations coexist:
-
-* ``NodeTimeline`` — the per-node source of truth (sorted reservations).
-* ``ResourceProfile`` — a derived park-wide availability index: a step
-  function from time to the *bitmask of free nodes*, maintained
-  incrementally by :meth:`Gantt.reserve`/:meth:`Gantt.release`/
-  :meth:`Gantt.truncate` and rebuilt lazily after anything else touches a
-  timeline.  Placement queries (``earliest_start``, free-set probes)
-  bisect the profile instead of scanning every candidate timeline, which
-  turns the per-job placement cost from O(nodes x reservations) into
-  O(log steps + steps-in-window) — the difference between thousand-job
-  and million-job campaigns.
+The :class:`ResourceProfile` — a step function from time to the *bitmask
+of free nodes* — is the only record of busy time.  :class:`Gantt` pairs it
+with a small per-job ledger of the ``(start, end, mask)`` intervals each
+job holds, which tells :meth:`Gantt.release`, :meth:`Gantt.truncate` and
+:meth:`Gantt.purge_before` which bits to free.  Placement queries bisect
+the profile, so the per-job placement cost is O(log steps +
+steps-in-window) instead of O(nodes x reservations).
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..util.errors import SchedulingError
 
-__all__ = ["Reservation", "NodeTimeline", "ResourceProfile", "Gantt"]
+__all__ = ["ResourceProfile", "Gantt"]
 
 _NEG_INF = float("-inf")
-
-
-@dataclass(frozen=True)
-class Reservation:
-    start: float
-    end: float
-    job_id: int
-
-
-class NodeTimeline:
-    """Sorted, non-overlapping reservations for one node."""
-
-    __slots__ = ("_starts", "_reservations")
-
-    def __init__(self) -> None:
-        self._starts: list[float] = []
-        self._reservations: list[Reservation] = []
-
-    def __len__(self) -> int:
-        return len(self._reservations)
-
-    def __iter__(self) -> Iterator[Reservation]:
-        return iter(self._reservations)
-
-    def is_free(self, start: float, end: float) -> bool:
-        """True if no reservation overlaps [start, end)."""
-        if end <= start:
-            raise SchedulingError(f"empty interval [{start}, {end})")
-        idx = bisect.bisect_right(self._starts, start)
-        if idx > 0 and self._reservations[idx - 1].end > start:
-            return False
-        if idx < len(self._reservations) and self._reservations[idx].start < end:
-            return False
-        return True
-
-    def add(self, reservation: Reservation) -> None:
-        if not self.is_free(reservation.start, reservation.end):
-            raise SchedulingError(
-                f"overlapping reservation {reservation} on busy timeline"
-            )
-        idx = bisect.bisect_right(self._starts, reservation.start)
-        self._starts.insert(idx, reservation.start)
-        self._reservations.insert(idx, reservation)
-
-    def pop_job(self, job_id: int, start: Optional[float] = None) -> list[Reservation]:
-        """Drop all reservations of one job; returns the removed entries.
-
-        ``start`` is the scheduler's hint of where the job's reservation
-        sits (a job holds at most one interval per node, and two intervals
-        on one timeline can never share a start): with it the removal is a
-        bisect + single deletion instead of a full-list rebuild — releases
-        run once per node per completed job, which made the rebuild one of
-        the hottest allocations of a campaign.  A stale hint (the
-        reservation was truncated away, or never existed) falls back to the
-        full scan, so the hint can never drop the wrong job's entry.
-        """
-        starts = self._starts
-        reservations = self._reservations
-        if start is not None:
-            idx = bisect.bisect_left(starts, start)
-            if idx < len(reservations) and reservations[idx].job_id == job_id \
-                    and starts[idx] == start:
-                hit = reservations[idx]
-                del starts[idx]
-                del reservations[idx]
-                return [hit]
-            # Hint missed (e.g. the reservation was truncated): fall through.
-        removed: list[Reservation] = []
-        for i in range(len(reservations) - 1, -1, -1):
-            if reservations[i].job_id == job_id:
-                removed.append(reservations[i])
-                del starts[i]
-                del reservations[i]
-        removed.reverse()
-        return removed
-
-    def remove_job(self, job_id: int, start: Optional[float] = None) -> int:
-        """Drop all reservations of one job; returns how many were removed."""
-        return len(self.pop_job(job_id, start))
-
-    def truncate_job(self, job_id: int, end: float) -> Optional[Tuple[float, float]]:
-        """Shorten a job's reservation (early release); returns the freed
-        ``(start, end)`` interval, or None if nothing changed.
-
-        Truncating to at/before the reservation's start drops the entry
-        entirely — a zero-length ``[start, start)`` residue would linger in
-        ``_starts`` and distort ``release_points``/``candidate_starts``
-        until the next purge.
-
-        Bisects to the reservation covering ``end`` first (the running-job
-        shape: every scheduler truncation cuts a reservation that started
-        at or before now), scanning forward only for the rare
-        entirely-in-the-future entry; reservations strictly before the
-        bisect point end at or before ``end`` and can never match.
-        """
-        starts = self._starts
-        reservations = self._reservations
-        idx = bisect.bisect_right(starts, end) - 1
-        for i in range(max(idx, 0), len(reservations)):
-            r = reservations[i]
-            if r.job_id == job_id and r.end > end:
-                if end <= r.start:
-                    del starts[i]
-                    del reservations[i]
-                    return (r.start, r.end)
-                reservations[i] = Reservation(r.start, end, job_id)
-                return (end, r.end)
-        return None
-
-    def busy_until(self, t: float) -> float:
-        """End of the reservation covering ``t`` (or ``t`` if free)."""
-        idx = bisect.bisect_right(self._starts, t)
-        if idx > 0 and self._reservations[idx - 1].end > t:
-            return self._reservations[idx - 1].end
-        return t
-
-    def next_fit(self, after: float, duration: float) -> float:
-        """Earliest ``s >= after`` with ``[s, s + duration)`` free.
-
-        Always finite (the timeline's tail is an unbounded free window).
-        Bisects to the first relevant reservation instead of walking the
-        whole list — the building block of the whole-cluster search.
-        """
-        reservations = self._reservations
-        idx = bisect.bisect_right(self._starts, after)
-        t = after
-        if idx > 0 and reservations[idx - 1].end > t:
-            t = reservations[idx - 1].end
-        while idx < len(reservations):
-            r = reservations[idx]
-            if r.start - t >= duration:
-                return t
-            if r.end > t:
-                t = r.end
-            idx += 1
-        return t
-
-    def release_points(self, after: float) -> list[float]:
-        """Reservation end times > ``after`` (candidate start times)."""
-        return sorted({r.end for r in self._reservations if r.end > after})
-
-    def purge_before(self, t: float) -> None:
-        """Forget reservations that ended before ``t`` (memory hygiene on
-        long campaigns)."""
-        keep = [(s, r) for s, r in zip(self._starts, self._reservations) if r.end >= t]
-        self._starts = [s for s, _ in keep]
-        self._reservations = [r for _, r in keep]
 
 
 class ResourceProfile:
@@ -198,12 +44,12 @@ class ResourceProfile:
     its touched range), keeping the step count proportional to the number
     of distinct reservation boundaries.
 
-    Queries replicate the retired per-node interval sweep bit for bit: a
-    node is eligible to host a start at ``t`` iff its free window ``[s,
-    e)`` satisfies ``s <= t`` and ``e - duration >= t`` — :meth:`earliest`
-    finds the window-end boundary by bisecting on ``times[j] - duration >=
-    t``, the very subtraction the sweep used for its event coordinates, so
-    golden report hashes survive the refactor unchanged.
+    Queries replicate the retired per-node searches bit for bit: a node
+    is eligible to host a start at ``t`` iff its free window ``[s, e)``
+    satisfies ``s <= t`` and ``e - duration >= t`` — :meth:`earliest`
+    finds the window-end boundary by bisecting on the very subtraction
+    those searches used (see there), so golden report hashes survive the
+    refactor unchanged.
     """
 
     __slots__ = ("_uids", "_bits", "_full", "_times", "_masks")
@@ -245,32 +91,6 @@ class ResourceProfile:
         return out
 
     # -- maintenance -------------------------------------------------------------
-
-    def rebuild(self, busy: Iterable[Tuple[float, float, int]]) -> None:
-        """Reload from scratch out of ``(start, end, mask)`` busy intervals.
-
-        One sweep over the sorted boundary set; a bit both released and
-        re-acquired at the same instant (back-to-back reservations) stays
-        busy across the boundary, which the coalescing then erases.
-        """
-        acquire: Dict[float, int] = {}
-        release: Dict[float, int] = {}
-        for start, end, mask in busy:
-            if end <= start or mask == 0:
-                continue
-            acquire[start] = acquire.get(start, 0) | mask
-            release[end] = release.get(end, 0) | mask
-        times: List[float] = [_NEG_INF]
-        masks: List[int] = [self._full]
-        current = self._full
-        for t in sorted(set(acquire) | set(release)):
-            nxt = (current | release.get(t, 0)) & ~acquire.get(t, 0)
-            if nxt != current:
-                times.append(t)
-                masks.append(nxt)
-                current = nxt
-        self._times = times
-        self._masks = masks
 
     def _boundary(self, t: float) -> int:
         """Index of the step opening exactly at ``t``, splitting if needed."""
@@ -328,9 +148,6 @@ class ResourceProfile:
             out &= masks[s]
         return out
 
-    def free_count(self, mask: int, start: float, end: float) -> int:
-        return self.free_mask(mask, start, end).bit_count()
-
     def _window_hits(self, avail: int, i: int, j: int, k: int) -> bool:
         """Do ``k`` bits of ``avail`` survive intersecting steps (i, j)?"""
         masks = self._masks
@@ -353,96 +170,94 @@ class ResourceProfile:
         finite), so the walk terminates whenever ``k <=
         mask.bit_count()``.
 
-        Float compatibility with the retired sweep, candidate by
-        candidate: the sweep's fits-now shortcut admitted ``after`` when
-        a window end satisfied ``fl(end - after) >= duration``, while its
-        event coordinates encode ``fl(end - duration) >= t`` — identical
-        in exact arithmetic, divergent at sub-ULP scales.  ``after``
-        therefore wins here if *either* form reaches ``k`` (exactly the
-        old control flow); later candidates use the event form only.
+        Float compatibility with the retired per-node searches, candidate
+        by candidate.  A k-of-n request reproduces the interval sweep:
+        its fits-now shortcut admitted ``after`` when a window end
+        satisfied ``fl(end - after) >= duration``, while its event
+        coordinates encode ``fl(end - duration) >= t`` — identical in
+        exact arithmetic, divergent at sub-ULP scales.  ``after``
+        therefore wins if *either* form reaches ``k``; later candidates
+        use the event form only.  A whole-set request (``k ==
+        mask.bit_count()``) reproduces the per-node next-fit walk, whose
+        window-end test is ``fl(end - t) >= duration`` at every
+        candidate.
         """
         if k < 1:
             return None
         times = self._times
+        masks = self._masks
         n = len(times)
+        whole = k == mask.bit_count()
         i = bisect.bisect_right(times, after) - 1
-        avail = self._masks[i] & mask
+        avail = masks[i] & mask
         if avail.bit_count() >= k:
             j = bisect.bisect_left(times, duration, i + 1, n,
                                    key=lambda b: b - after)
             if self._window_hits(avail, i, j, k):
                 return after
-            j = bisect.bisect_left(times, after, i + 1, n,
-                                   key=lambda b: b - duration)
-            if self._window_hits(avail, i, j, k):
-                return after
+            if not whole:
+                j = bisect.bisect_left(times, after, i + 1, n,
+                                       key=lambda b: b - duration)
+                if self._window_hits(avail, i, j, k):
+                    return after
         while True:
             i += 1
             if i >= n:
                 return None
             t = times[i]
-            avail = self._masks[i] & mask
+            avail = masks[i] & mask
             if avail.bit_count() >= k:
-                j = bisect.bisect_left(times, t, i + 1, n,
-                                       key=lambda b: b - duration)
+                if whole:
+                    j = bisect.bisect_left(times, duration, i + 1, n,
+                                           key=lambda b: b - t)
+                else:
+                    j = bisect.bisect_left(times, t, i + 1, n,
+                                           key=lambda b: b - duration)
                 if self._window_hits(avail, i, j, k):
                     return t
 
+    def starts_from(self, after: float) -> List[float]:
+        """``after`` plus every later step boundary: the start times a
+        placement search needs to try."""
+        times = self._times
+        return [after] + times[bisect.bisect_right(times, after):]
+
 
 class Gantt:
-    """Timelines for a set of nodes, indexed by a park-wide profile.
+    """The availability profile plus the job ledger.
 
-    ``NodeTimeline`` objects stay the per-node source of truth; the
-    :class:`ResourceProfile` is a derived index kept in lockstep by the
-    mutators below.  Handing out a raw timeline via :meth:`timeline` marks
-    the index dirty (tests mutate timelines directly); it is then rebuilt
-    lazily on the next profile query.
+    The profile is the only record of busy time; the ledger maps each job
+    to the ``(start, end, mask)`` intervals it holds, so the mutators know
+    which bits to free.  Node uids map to profile bits in the order given
+    (the OAR database's sorted node order).
     """
 
     def __init__(self, node_uids: Iterable[str]) -> None:
-        uid_list = list(node_uids)
-        self._timelines: dict[str, NodeTimeline] = {
-            uid: NodeTimeline() for uid in uid_list
-        }
-        self._profile = ResourceProfile(uid_list)
-        self._profile_dirty = False
+        self.profile = ResourceProfile(node_uids)
+        self._ledger: Dict[int, List[Tuple[float, float, int]]] = {}
 
-    # -- profile plumbing --------------------------------------------------------
-
-    @property
-    def profile(self) -> ResourceProfile:
-        """The availability index, rebuilt first if something stale-marked it."""
-        if self._profile_dirty:
-            self._rebuild_profile()
-        return self._profile
-
-    def _rebuild_profile(self) -> None:
-        prof = self._profile
-        prof.rebuild(
-            (r.start, r.end, 1 << prof.bit(uid))
-            for uid, tl in self._timelines.items()
-            for r in tl
-        )
-        self._profile_dirty = False
+    # -- bit bookkeeping ---------------------------------------------------------
 
     @property
     def full_mask(self) -> int:
-        return self._profile.full_mask
+        return self.profile.full_mask
 
     def bit(self, uid: str) -> int:
-        return self._profile.bit(uid)
+        return self.profile.bit(uid)
 
     def mask_for(self, uids: Iterable[str]) -> int:
-        """Bitmask of a uid set (stable across profile rebuilds)."""
-        return self._profile.mask_for(uids)
+        return self.profile.mask_for(uids)
 
-    def uids_from_mask(self, mask: int, limit: Optional[int] = None) -> list[str]:
-        return self._profile.uids_from_mask(mask, limit)
+    def uids_from_mask(self, mask: int, limit: Optional[int] = None) -> List[str]:
+        return self.profile.uids_from_mask(mask, limit)
+
+    # -- queries -----------------------------------------------------------------
 
     def profile_earliest(self, mask: int, after: float, duration: float,
                          k: int) -> Optional[float]:
-        """Mask-native :meth:`earliest_start` (hot-path form: callers keep
-        cached candidate masks instead of node lists)."""
+        """Earliest ``t >= after`` when ``k`` nodes of ``mask`` are free
+        together over ``[t, t + duration)`` (see
+        :meth:`ResourceProfile.earliest`)."""
         if duration <= 0:
             raise SchedulingError(f"non-positive duration: {duration}")
         return self.profile.earliest(mask, after, duration, k)
@@ -451,121 +266,82 @@ class Gantt:
         return self.profile.free_mask(mask, start, end)
 
     def free_uids(self, mask: int, start: float, end: float,
-                  limit: Optional[int] = None) -> list[str]:
+                  limit: Optional[int] = None) -> List[str]:
         """First ``limit`` free nodes of ``mask`` over ``[start, end)``, in
-        database order (identical to filtering the candidate list through
-        ``is_free`` and slicing)."""
+        database order."""
         prof = self.profile
         return prof.uids_from_mask(prof.free_mask(mask, start, end), limit)
 
-    # -- timeline access ---------------------------------------------------------
+    # -- mutators ----------------------------------------------------------------
 
-    def timeline(self, uid: str) -> NodeTimeline:
-        """Hand out a mutable timeline; the profile index goes stale."""
-        self._profile_dirty = True
-        return self._timelines[uid]
+    def reserve(self, uids: Iterable[str], start: float, end: float,
+                job_id: int) -> None:
+        """Mark ``uids`` busy over ``[start, end)`` for ``job_id``.
 
-    def is_free(self, uid: str, start: float, end: float) -> bool:
-        return self._timelines[uid].is_free(start, end)
+        Raises :class:`SchedulingError`, changing nothing, when the
+        interval is empty or any of the nodes is busy somewhere in it.
+        """
+        if end <= start:
+            raise SchedulingError(f"empty interval [{start}, {end})")
+        prof = self.profile
+        mask = prof.mask_for(uids)
+        busy = mask & ~prof.free_mask(mask, start, end)
+        if busy:
+            raise SchedulingError(
+                f"job {job_id}: {prof.uids_from_mask(busy)} already "
+                f"reserved within [{start}, {end})")
+        prof.set_busy(mask, start, end)
+        self._ledger.setdefault(job_id, []).append((start, end, mask))
 
-    def free_nodes(self, uids: Iterable[str], start: float, end: float) -> list[str]:
-        return [u for u in uids if self._timelines[u].is_free(start, end)]
-
-    # -- mutators (timelines + profile in lockstep) ------------------------------
-
-    def reserve(self, uids: Iterable[str], start: float, end: float, job_id: int) -> None:
-        uids = list(uids)
-        reserved = []
-        try:
-            for uid in uids:
-                self._timelines[uid].add(Reservation(start, end, job_id))
-                reserved.append(uid)
-        except SchedulingError:
-            for uid in reserved:  # roll back the partial reservation
-                self._timelines[uid].remove_job(job_id, start)
-            raise
-        if not self._profile_dirty:
-            self._profile.set_busy(self._profile.mask_for(uids), start, end)
-
-    def release(self, uids: Iterable[str], job_id: int,
-                start: Optional[float] = None) -> None:
-        timelines = self._timelines
-        prof = self._profile
-        live = not self._profile_dirty
-        freed: dict[tuple[float, float], int] = {}
-        for uid in uids:
-            removed = timelines[uid].pop_job(job_id, start)
-            if live:
-                for r in removed:
-                    key = (r.start, r.end)
-                    freed[key] = freed.get(key, 0) | (1 << prof.bit(uid))
-        for (s, e), mask in freed.items():
-            prof.set_free(mask, s, e)
+    def release(self, job_id: int) -> None:
+        """Free every interval the job holds (no-op for an unknown job)."""
+        for start, end, mask in self._ledger.pop(job_id, ()):
+            self.profile.set_free(mask, start, end)
 
     def truncate(self, uids: Iterable[str], job_id: int, end: float) -> None:
-        prof = self._profile
-        live = not self._profile_dirty
-        freed: dict[tuple[float, float], int] = {}
-        for uid in uids:
-            interval = self._timelines[uid].truncate_job(job_id, end)
-            if live and interval is not None:
-                freed[interval] = freed.get(interval, 0) | (1 << prof.bit(uid))
-        for (s, e), mask in freed.items():
-            prof.set_free(mask, s, e)
+        """End the job's intervals on ``uids`` at ``end`` (early release).
+
+        An interval that starts at or after ``end`` is dropped whole, so
+        no zero-length residue stays in the ledger.
+        """
+        held = self._ledger.get(job_id)
+        if not held:
+            return
+        prof = self.profile
+        cut = prof.mask_for(uids)
+        kept: List[Tuple[float, float, int]] = []
+        for start, stop, mask in held:
+            hit = mask & cut
+            if not hit or stop <= end:
+                kept.append((start, stop, mask))
+                continue
+            prof.set_free(hit, max(start, end), stop)
+            if mask != hit:
+                kept.append((start, stop, mask & ~hit))
+            if start < end:
+                kept.append((start, end, hit))
+        if kept:
+            self._ledger[job_id] = kept
+        else:
+            del self._ledger[job_id]
 
     def purge_before(self, t: float) -> None:
-        for timeline in self._timelines.values():
-            timeline.purge_before(t)
-        # History that a purge forgets was all in the past; rebuilding the
-        # profile from the surviving reservations keeps every query about
-        # the present and future identical.
-        self._profile_dirty = True
+        """Forget intervals that ended before ``t`` (memory hygiene on
+        long campaigns).
 
-    # -- placement queries -------------------------------------------------------
-
-    def candidate_starts(self, uids: Iterable[str], after: float) -> list[float]:
-        """`after` plus every release point on the candidate nodes."""
-        times = {after}
-        for uid in uids:
-            times.update(self._timelines[uid].release_points(after))
-        return sorted(times)
-
-    def earliest_start(self, uids: Iterable[str], after: float,
-                       duration: float, k: int) -> Optional[float]:
-        """Earliest ``t >= after`` when ``k`` of the nodes are simultaneously
-        free over ``[t, t + duration)``.
-
-        Routed through the :class:`ResourceProfile` (one bisect walk over
-        the park-wide step function).  Whole-set requests (``k ==
-        len(uids)``) keep the fixpoint walk over the candidate timelines:
-        every node must be probed anyway, and its float arithmetic is
-        golden-pinned.
+        Each forgotten interval is freed in the profile, so the steps
+        before ``t`` collapse to those of the surviving intervals; every
+        answer about ``t`` and later is unchanged.
         """
-        if duration <= 0:
-            raise SchedulingError(f"non-positive duration: {duration}")
-        uids = list(uids)
-        n = len(uids)
-        if k < 1 or k > n:
-            return None
-        if k == n:
-            return self._whole_set_start(uids, after, duration)
         prof = self.profile
-        return prof.earliest(prof.mask_for(uids), after, duration, k)
-
-    def _whole_set_start(self, uids: list[str], after: float,
-                         duration: float) -> float:
-        """Whole-set request: the answer is the fixpoint of "advance to
-        every node's next window".  Each pass re-queries only the nodes
-        that still conflict (via bisect), instead of building the full
-        interval-overlap event list across every timeline."""
-        timelines = [self._timelines[u] for u in uids]
-        t = after
-        while True:
-            worst = t
-            for tl in timelines:
-                s = tl.next_fit(t, duration)
-                if s > worst:
-                    worst = s
-            if worst == t:
-                return t
-            t = worst
+        for job_id, held in list(self._ledger.items()):
+            kept = [iv for iv in held if iv[1] >= t]
+            if len(kept) == len(held):
+                continue
+            for start, end, mask in held:
+                if end < t:
+                    prof.set_free(mask, start, end)
+            if kept:
+                self._ledger[job_id] = kept
+            else:
+                del self._ledger[job_id]

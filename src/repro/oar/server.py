@@ -74,6 +74,42 @@ class _PassContext:
         return mask
 
 
+def _multi_part_assignment(
+    gantt: Gantt, parts: list[tuple[int, Union[int, str]]], after: float,
+    walltime: float,
+) -> Optional[tuple[float, tuple[tuple[str, ...], ...]]]:
+    """Rare multi-part shape: earliest start at which every part fits.
+
+    ``parts`` holds ``(candidate mask, node count or ALL_NODES)`` pairs.
+    The walk tries ``after`` and every later profile boundary; at each
+    start the parts, in order, take the lowest free bits of their
+    candidates not taken by an earlier part (ALL takes every such
+    candidate, and needs all of them free).  The first feasible start is
+    always ``after`` or the release point of a candidate node, so trying
+    every boundary finds the same start a walk over release points does.
+    """
+    for start in gantt.profile.starts_from(after):
+        end = start + walltime
+        taken = 0
+        assignment: list[tuple[str, ...]] = []
+        for cmask, count in parts:
+            rest = cmask & ~taken
+            free = gantt.profile_free_mask(rest, start, end)
+            if count == ALL_NODES:
+                if free != rest:
+                    break
+                chosen = gantt.uids_from_mask(free)
+            elif free.bit_count() < int(count):
+                break
+            else:
+                chosen = gantt.uids_from_mask(free, int(count))
+            assignment.append(tuple(chosen))
+            taken |= gantt.mask_for(chosen)
+        else:
+            return start, tuple(assignment)
+    return None
+
+
 class OarServer:
     """Resource manager over one testbed."""
 
@@ -88,7 +124,8 @@ class OarServer:
         self._waiting: list[Job] = []
         #: Jobs with a reservation that has not started yet.
         self._scheduled: list[Job] = []
-        self._matching_cache: dict[str, list[str]] = {}
+        self._matching_cache: dict = {}
+        self._matching_epoch = database.services.oar_drift_epoch
         #: Replan coalescing: many completions in a burst trigger a single
         #: rescheduling pass (like OAR's periodic scheduler), which keeps
         #: long campaigns tractable.
@@ -176,9 +213,7 @@ class OarServer:
             self._waiting.remove(job)
         elif job.state == JobState.SCHEDULED:
             self._scheduled.remove(job)
-            scheduled_start = job.scheduled_start
-            self.gantt.release(job.assigned_nodes, job.job_id,
-                               scheduled_start)
+            self.gantt.release(job.job_id)
             self._dirty_nodes.update(job.assigned_nodes)
             self._request_replan()
             job.assignment = ()
@@ -197,36 +232,44 @@ class OarServer:
 
     # -- scheduling ------------------------------------------------------------------
 
+    def _match_cache(self) -> dict:
+        """Property-filter results by expression, emptied first whenever an
+        OAR_PROPERTY_DRIFT fault changed the rows since they were cached."""
+        epoch = self.db.services.oar_drift_epoch
+        if epoch != self._matching_epoch:
+            self._matching_cache.clear()
+            self._matching_epoch = epoch
+        return self._matching_cache
+
     def _matching(self, part_expr) -> list[str]:
         """Cached property-filter evaluation (expressions repeat heavily)."""
+        cache = self._match_cache()
         key = str(part_expr)
-        uids = self._matching_cache.get(key)
+        uids = cache.get(key)
         if uids is None:
             uids = self.db.matching(part_expr)
-            self._matching_cache[key] = uids
+            cache[key] = uids
         return uids
 
     def _matching_set(self, part_expr) -> frozenset:
+        cache = self._match_cache()
         key = "set:" + str(part_expr)
-        cached = self._matching_cache.get(key)
+        cached = cache.get(key)
         if cached is None:
             cached = frozenset(self._matching(part_expr))
-            self._matching_cache[key] = cached
-        return cached  # type: ignore[return-value]
+            cache[key] = cached
+        return cached
 
     def matching_mask(self, part_expr) -> int:
         """Cached bitmask of the nodes matching an expression (bit order ==
         database order, see :class:`~repro.oar.gantt.ResourceProfile`)."""
+        cache = self._match_cache()
         key = "mask:" + str(part_expr)
-        cached = self._matching_cache.get(key)
+        cached = cache.get(key)
         if cached is None:
             cached = self.gantt.mask_for(self._matching(part_expr))
-            self._matching_cache[key] = cached  # type: ignore[assignment]
-        return cached  # type: ignore[return-value]
-
-    def invalidate_matching_cache(self) -> None:
-        """Call after the OAR database rows change (sync or drift)."""
-        self._matching_cache.clear()
+            cache[key] = cached
+        return cached
 
     def _find_assignment(
         self, job: Job, after: float,
@@ -245,79 +288,26 @@ class OarServer:
         if ctx is None:
             ctx = _PassContext(self)
         walltime = job.walltime_s
-        parts = job.request.parts
-        if len(parts) == 1:
-            # Fast path (the overwhelmingly common shape): profile query.
-            part = parts[0]
+        parts: list[tuple[int, Union[int, str]]] = []
+        for part in job.request.parts:
             cmask = ctx.candidates_mask(part.expr)
-            if cmask == 0:
-                return None
             avail = cmask.bit_count()
-            needed = avail if part.count == ALL_NODES else part.count
-            if needed > avail:
+            if avail == 0 or (part.count != ALL_NODES and part.count > avail):
                 return None
-            if needed == avail:
-                # Whole-set placement (ALL, or a count that equals every
-                # alive candidate): the golden-pinned fixpoint walk.
-                candidates = self.gantt.uids_from_mask(cmask)
-                start = self.gantt.earliest_start(candidates, after,
-                                                  walltime, needed)
-                if start is None:
-                    return None
-                free = self.gantt.free_nodes(candidates, start,
-                                             start + walltime)
-                chosen = free if part.count == ALL_NODES else free[:needed]
-                return start, (tuple(chosen),)
-            start = self.gantt.profile_earliest(cmask, after, walltime, needed)
-            if start is None:
-                return None
-            # Lowest free bits == first free candidates in database order —
-            # identical to filtering the candidate list through is_free.
-            chosen = self.gantt.free_uids(cmask, start, start + walltime,
-                                          needed)
-            return start, (tuple(chosen),)
-        part_candidates: list[list[str]] = []
-        for part in parts:
-            cmask = ctx.candidates_mask(part.expr)
-            if cmask == 0:
-                return None
-            candidates = self.gantt.uids_from_mask(cmask)
-            needed = len(candidates) if part.count == ALL_NODES else part.count
-            if needed > len(candidates):
-                return None
-            part_candidates.append(candidates)
-        return self._multi_part_assignment(job, after, part_candidates)
-
-    def _multi_part_assignment(
-        self, job: Job, after: float, part_candidates: list[list[str]],
-    ) -> Optional[tuple[float, tuple[tuple[str, ...], ...]]]:
-        """Rare multi-part shape: candidate-start scan over the union."""
-        walltime = job.walltime_s
-        all_candidates = sorted({u for c in part_candidates for u in c})
-        for start in self.gantt.candidate_starts(all_candidates, after):
-            assignment: list[tuple[str, ...]] = []
-            taken: set[str] = set()
-            feasible = True
-            for part, candidates in zip(job.request.parts, part_candidates):
-                free = [u for u in candidates
-                        if u not in taken and self.gantt.is_free(u, start, start + walltime)]
-                needed = len(candidates) if part.count == ALL_NODES else part.count
-                if part.count == ALL_NODES:
-                    # ALL semantics: every alive matching node, simultaneously.
-                    if len(free) < len([u for u in candidates if u not in taken]):
-                        feasible = False
-                        break
-                    chosen = free
-                elif len(free) < needed:
-                    feasible = False
-                    break
-                else:
-                    chosen = free[:needed]
-                assignment.append(tuple(chosen))
-                taken.update(chosen)
-            if feasible:
-                return start, tuple(assignment)
-        return None
+            parts.append((cmask, part.count))
+        if len(parts) > 1:
+            return _multi_part_assignment(self.gantt, parts, after, walltime)
+        # The overwhelmingly common shape: one profile query.  A whole-set
+        # request (ALL, or a count equal to every alive candidate) is the
+        # same walk with k == the candidate count.
+        cmask, count = parts[0]
+        needed = avail if count == ALL_NODES else int(count)
+        start = self.gantt.profile_earliest(cmask, after, walltime, needed)
+        if start is None:
+            return None
+        # Lowest free bits == first free candidates in database order.
+        chosen = self.gantt.free_uids(cmask, start, start + walltime, needed)
+        return start, (tuple(chosen),)
 
     def _reserve(self, job: Job, start: float,
                  assignment: tuple[tuple[str, ...], ...]) -> None:
@@ -373,8 +363,7 @@ class OarServer:
             replanned = self._scheduled
             self._scheduled = []
         for job in replanned:
-            self.gantt.release(job.assigned_nodes, job.job_id,
-                               job.scheduled_start)
+            self.gantt.release(job.job_id)
             job.assignment = ()
             job.scheduled_start = None
             job.state = JobState.WAITING
@@ -392,8 +381,7 @@ class OarServer:
         dead = [u for u in job.assigned_nodes if self.node_state(u) != "Alive"]
         if dead:
             # A reserved node died in the meantime: back to the queue.
-            self.gantt.release(job.assigned_nodes, job.job_id,
-                               job.scheduled_start)
+            self.gantt.release(job.job_id)
             job.assignment = ()
             job.scheduled_start = None
             job.generation += 1
@@ -641,7 +629,7 @@ class OarServer:
             return True
         # Below min_nodes: tear the run down and restart from the queue.
         released = job.assigned_nodes
-        self.gantt.release(released, job.job_id)
+        self.gantt.release(job.job_id)
         for uid in alive:
             self.machines[uid].cpu_load = _IDLE_LOAD
         self._account_alloc(-len(released))

@@ -27,6 +27,7 @@ __all__ = [
     "encode_dataclass",
     "decode_dataclass",
     "append_jsonl",
+    "fsync_dir",
     "iter_jsonl",
 ]
 
@@ -186,12 +187,27 @@ def decode_dataclass(cls: Type[_T], data: Any) -> _T:
 # process is skipped on read instead of corrupting the whole archive).
 
 
+def fsync_dir(path: Union[str, "os.PathLike[str]"]) -> None:
+    """fsync the directory holding ``path``.
+
+    A file's own fsync does not persist its directory entry: a file just
+    created (or renamed into place) can vanish in a crash until its
+    directory is synced too.
+    """
+    fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def append_jsonl(path: Union[str, "os.PathLike[str]"], doc: Any) -> None:
     """Append one JSON document as a single line, flushed + fsynced.
 
     If the file's last byte is not a newline (a writer was killed
     mid-append), the torn line is sealed with a newline first so the new
-    record cannot be glued onto the partial one.
+    record cannot be glued onto the partial one.  The append that starts
+    the file also syncs its directory entry.
     """
     # allow_nan=False keeps the archive strict RFC-8259 JSON (jq-safe);
     # NaN metrics must be mapped to null upstream (encode_dataclass does).
@@ -199,13 +215,16 @@ def append_jsonl(path: Union[str, "os.PathLike[str]"], doc: Any) -> None:
                       allow_nan=False)
     with open(path, "a+b") as fh:
         fh.seek(0, os.SEEK_END)
-        if fh.tell() > 0:
+        new = fh.tell() == 0
+        if not new:
             fh.seek(-1, os.SEEK_END)
             if fh.read(1) != b"\n":
                 fh.write(b"\n")
         fh.write(line.encode("utf-8") + b"\n")
         fh.flush()
         os.fsync(fh.fileno())
+    if new:
+        fsync_dir(path)
 
 
 def iter_jsonl(path: Union[str, "os.PathLike[str]"],

@@ -8,7 +8,7 @@ class FakeScheduler:
     def _schedule_pass(self, now):
         for uid in self.db.node_uids():  # EXPECT(PRF401)
             self.touch(uid)
-        busy = [u for u in self.gantt._timelines]  # EXPECT(PRF401)
+        busy = [u for u in self.machines]  # EXPECT(PRF401)
         return busy
 
     def grow_candidates(self, job):

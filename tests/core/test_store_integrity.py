@@ -7,7 +7,7 @@ intact, and the loss is *counted* (``corrupt_records`` for checksum
 failures, ``damaged_records`` for everything torn or malformed).
 ``fsck_store`` classifies the same damage offline and ``--repair``
 rewrites the archive atomically, retrofitting checksums onto legacy
-records.
+records, which a plain load counts as damaged.
 """
 
 import json
@@ -119,20 +119,50 @@ def test_checksum_mismatch_is_counted_as_corrupt(store_path):
 
 
 def test_legacy_records_are_grandfathered_and_repair_retrofits(store_path):
+    """A record without ``sum`` is damaged on load — a flipped bit in the
+    key name must not turn verification off — and only ``fsck --repair``
+    grandfathers pre-checksum records, migrating them once."""
     lines = store_path.read_text().splitlines()
     doc = json.loads(lines[0])
     del doc["sum"]  # pre-checksum era record
     lines[0] = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     store_path.write_text("\n".join(lines) + "\n")
     store = CampaignStore(str(store_path))
-    assert len(store) == 3, "legacy records still load"
-    assert store.corrupt_records == 0 and store.damaged_records == 0
+    assert len(store) == 2, "an unchecksummed record is not trusted"
+    assert store.corrupt_records == 0 and store.damaged_records == 1
     audit = fsck_store(store_path)
     assert audit.clean and audit.legacy == 1 and audit.valid == 3
     fixed = fsck_store(store_path, repair=True)
     assert fixed.repaired
     after = fsck_store(store_path)
     assert after.clean and after.legacy == 0 and after.valid == 3
+    assert len(CampaignStore(str(store_path))) == 3
+
+
+def test_flipped_sum_key_counts_as_damage(store_path):
+    data = store_path.read_bytes()
+    assert data.count(b'"sum":') == 3
+    store_path.write_bytes(data.replace(b'"sum":', b'"sUm":', 1))
+    store = CampaignStore(str(store_path))
+    assert len(store) == 2 and store.damaged_records == 1
+
+
+def test_repair_fsyncs_the_directory_after_replace(store_path, monkeypatch):
+    import os
+    import stat
+
+    synced = []
+    real = os.fsync
+
+    def spy(fd):
+        synced.append(stat.S_ISDIR(os.fstat(fd).st_mode))
+        real(fd)
+
+    with open(store_path, "ab") as fh:
+        fh.write(b'{"half a rec')
+    monkeypatch.setattr(os, "fsync", spy)
+    assert fsck_store(store_path, repair=True).repaired
+    assert synced == [False, True]  # the rewritten file, then the rename
 
 
 def test_fsck_classifies_and_repair_drops_only_damage(store_path):

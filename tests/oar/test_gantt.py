@@ -1,13 +1,14 @@
-"""Tests for the Gantt reservation timeline (unit + property-based)."""
+"""Tests for the Gantt and for the per-node reference timeline the
+differential tests replay against (unit + property-based)."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.oar import Gantt, NodeTimeline, Reservation
+from repro.oar import Gantt
 from repro.util import SchedulingError
 
-from oar_reference import free_intervals
+from oar_reference import NodeTimeline, Reservation, TimelineGantt, free_intervals
 
 
 def test_empty_timeline_is_free():
@@ -115,12 +116,16 @@ def test_purge_before():
     assert tl.is_free(0.0, 10.0)
 
 
+def _free(g, uids, start, end):
+    return g.free_uids(g.mask_for(uids), start, end)
+
+
 def test_gantt_reserve_and_release():
     g = Gantt(["a", "b", "c"])
     g.reserve(["a", "b"], 0.0, 10.0, job_id=1)
-    assert g.free_nodes(["a", "b", "c"], 0.0, 10.0) == ["c"]
-    g.release(["a", "b"], job_id=1)
-    assert g.free_nodes(["a", "b", "c"], 0.0, 10.0) == ["a", "b", "c"]
+    assert _free(g, ["a", "b", "c"], 0.0, 10.0) == ["c"]
+    g.release(job_id=1)
+    assert _free(g, ["a", "b", "c"], 0.0, 10.0) == ["a", "b", "c"]
 
 
 def test_gantt_reserve_rolls_back_on_conflict():
@@ -129,14 +134,20 @@ def test_gantt_reserve_rolls_back_on_conflict():
     with pytest.raises(SchedulingError):
         g.reserve(["a", "b"], 5.0, 15.0, job_id=2)
     # "a" must not be left half-reserved by job 2
-    assert g.is_free("a", 0.0, 100.0)
+    assert _free(g, ["a"], 0.0, 100.0) == ["a"]
+    assert 2 not in g._ledger
 
 
 def test_gantt_candidate_starts():
+    ref = TimelineGantt(["a", "b"])
+    ref.reserve(["a"], 0.0, 10.0, job_id=1)
+    ref.reserve(["b"], 5.0, 12.0, job_id=2)
+    assert ref.candidate_starts(["a", "b"], after=0.0) == [0.0, 10.0, 12.0]
+    # The profile's start walk covers every release point (and more).
     g = Gantt(["a", "b"])
     g.reserve(["a"], 0.0, 10.0, job_id=1)
     g.reserve(["b"], 5.0, 12.0, job_id=2)
-    assert g.candidate_starts(["a", "b"], after=0.0) == [0.0, 10.0, 12.0]
+    assert g.profile.starts_from(0.0) == [0.0, 5.0, 10.0, 12.0]
 
 
 # -- property-based invariants -------------------------------------------------
@@ -232,57 +243,19 @@ def test_free_intervals_ignores_ancient_history():
     assert free_intervals(tl, 91.0) == [(95.0, float("inf"))]
 
 
-# -- hinted removal ------------------------------------------------------------
-
-
-def test_remove_job_with_start_hint():
-    tl = NodeTimeline()
-    tl.add(Reservation(0.0, 5.0, 1))
-    tl.add(Reservation(10.0, 15.0, 2))
-    tl.add(Reservation(20.0, 25.0, 3))
-    assert tl.remove_job(2, start=10.0) == 1
-    assert [r.job_id for r in tl] == [1, 3]
-    assert tl.is_free(10.0, 15.0)
-
-
-def test_remove_job_with_stale_hint_falls_back_to_scan():
-    tl = NodeTimeline()
-    tl.add(Reservation(10.0, 15.0, 2))
-    # wrong hint (e.g. caller's bookkeeping drifted): still removed
-    assert tl.remove_job(2, start=11.0) == 1
-    assert len(tl) == 0
-    # missing job: both forms report 0
-    assert tl.remove_job(9, start=3.0) == 0
-    assert tl.remove_job(9) == 0
-
-
-def test_gantt_release_with_hint_matches_plain_release():
-    g1, g2 = Gantt(["a", "b"]), Gantt(["a", "b"])
-    for g in (g1, g2):
-        g.reserve(["a", "b"], 10.0, 20.0, 1)
-        g.reserve(["a"], 30.0, 40.0, 2)
-    g1.release(["a", "b"], 1, start=10.0)
-    g2.release(["a", "b"], 1)
-    for uid in ("a", "b"):
-        assert list(g1.timeline(uid)) == list(g2.timeline(uid))
-
-
-# -- profile invalidation under stale hints ------------------------------------
+# -- release and truncate read the ledger ------------------------------------
 #
-# Regression: Gantt.release once invalidated the availability profile from
-# the caller's ``start`` hint.  A stale hint (the reservation had been
-# truncated, or the job never landed on that node) then freed the wrong
-# window in the profile while the scan fallback removed the real one from
-# the timeline — the two sources of truth disagreed until the next rebuild.
-# The fix invalidates from the intervals ``pop_job`` actually removed.
+# Regression: Gantt.release once freed profile bits from the caller's
+# ``start`` hint, and a stale hint freed the wrong window.  Release now
+# frees exactly the intervals the job's ledger holds.
 
 
-def _profile_agrees_with_timelines(g, probes):
-    """Every profile answer must match the timeline-scan answer."""
-    uids = sorted(g._timelines)
+def _profile_agrees_with_reference(g, ref, probes):
+    """Every profile answer must match the reference timeline scan."""
+    uids = sorted(ref.timelines)
     mask = g.mask_for(uids)
     for start, end in probes:
-        want = g.free_nodes(uids, start, end)
+        want = ref.free_nodes(uids, start, end)
         assert g.free_uids(mask, start, end) == want, (start, end)
 
 
@@ -290,37 +263,45 @@ _PROBES = [(0.0, 5.0), (5.0, 15.0), (10.0, 20.0), (12.0, 28.0),
            (20.0, 30.0), (30.0, 40.0), (0.0, 100.0)]
 
 
+def _both(uids):
+    return Gantt(uids), TimelineGantt(uids)
+
+
 def test_gantt_release_with_stale_hint_frees_actual_interval():
-    g = Gantt(["a", "b"])
-    g.reserve(["a", "b"], 10.0, 20.0, 1)
-    g.reserve(["a"], 30.0, 40.0, 2)
-    # Hint points nowhere (bookkeeping drift): scan fallback removes the
-    # real [10, 20) entries and the profile must free exactly that window.
-    g.release(["a", "b"], 1, start=12.0)
-    assert g.is_free("a", 10.0, 20.0) and g.is_free("b", 10.0, 20.0)
-    assert not g.is_free("a", 30.0, 40.0)
-    _profile_agrees_with_timelines(g, _PROBES)
+    """Release frees the job's real [10, 20) window and nothing of job 2
+    (the start hint this test once passed is gone with the ledger)."""
+    g, ref = _both(["a", "b"])
+    for x in (g, ref):
+        x.reserve(["a", "b"], 10.0, 20.0, 1)
+        x.reserve(["a"], 30.0, 40.0, 2)
+        x.release(1)
+    assert _free(g, ["a", "b"], 10.0, 20.0) == ["a", "b"]
+    assert _free(g, ["a"], 30.0, 40.0) == []
+    _profile_agrees_with_reference(g, ref, _PROBES)
 
 
 def test_gantt_truncate_then_hinted_release_keeps_profile_consistent():
-    g = Gantt(["a", "b"])
-    g.reserve(["a", "b"], 10.0, 30.0, 1)
-    # Early release shortens the reservation to [10, 15)...
-    g.truncate(["a", "b"], 1, end=15.0)
-    # ...so the original-start hint now names a different interval than
-    # the caller believes; only [10, 15) may be freed, and it is.
-    g.release(["a", "b"], 1, start=10.0)
-    _profile_agrees_with_timelines(g, _PROBES)
-    g.reserve(["a"], 10.0, 30.0, 3)  # the slot is genuinely reusable
-    _profile_agrees_with_timelines(g, _PROBES)
+    """An early release shortens the job to [10, 15); the later release
+    (which once carried the original start as a hint) frees only that."""
+    g, ref = _both(["a", "b"])
+    for x in (g, ref):
+        x.reserve(["a", "b"], 10.0, 30.0, 1)
+        x.truncate(["a", "b"], 1, end=15.0)
+        x.release(1)
+    _profile_agrees_with_reference(g, ref, _PROBES)
+    for x in (g, ref):
+        x.reserve(["a"], 10.0, 30.0, 3)  # the slot is genuinely reusable
+    _profile_agrees_with_reference(g, ref, _PROBES)
 
 
 def test_gantt_truncate_at_start_drops_reservation_in_profile():
-    g = Gantt(["a"])
-    g.reserve(["a"], 50.0, 100.0, 7)
-    g.truncate(["a"], 7, end=50.0)  # released at its scheduled start
-    assert g.is_free("a", 0.0, 200.0)
-    assert g.free_uids(g.mask_for(["a"]), 0.0, 200.0) == ["a"]
-    # A hinted release of the already-dropped job must be a no-op.
-    g.release(["a"], 7, start=50.0)
-    _profile_agrees_with_timelines(g, [(0.0, 200.0), (50.0, 100.0)])
+    g, ref = _both(["a"])
+    for x in (g, ref):
+        x.reserve(["a"], 50.0, 100.0, 7)
+        x.truncate(["a"], 7, end=50.0)  # released at its scheduled start
+    assert 7 not in g._ledger
+    assert _free(g, ["a"], 0.0, 200.0) == ["a"]
+    # A release of the already-dropped job must be a no-op.
+    for x in (g, ref):
+        x.release(7)
+    _profile_agrees_with_reference(g, ref, [(0.0, 200.0), (50.0, 100.0)])

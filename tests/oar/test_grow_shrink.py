@@ -211,9 +211,10 @@ def test_shrink_truncates_reservation_so_node_is_reusable_now(world):
     sim.run(until=HOUR)
     now = sim.now
     (freed,) = oar.shrink(job, 1)
-    assert oar.gantt.is_free(freed, now, deadline)
-    for kept in job.assigned_nodes:
-        assert not oar.gantt.is_free(kept, now, now + 1.0)
+    gantt = oar.gantt
+    assert gantt.free_uids(gantt.mask_for([freed]), now, deadline) == [freed]
+    assert gantt.free_uids(gantt.mask_for(job.assigned_nodes), now,
+                           now + 1.0) == []
     # A new rigid job lands on the freed node right away.
     filler = oar.submit("cluster='grisou'/nodes=1,walltime=1",
                         auto_duration=600.0)

@@ -1,10 +1,12 @@
 """Tests for the OAR server: FCFS + backfilling, ALL-nodes, immediate jobs."""
 
+import numpy as np
 import pytest
 
 from repro.faults import ServiceHealth
+from repro.faults.catalog import FaultContext, FaultKind, apply_fault, revert_fault
 from repro.nodes import MachinePark
-from repro.oar import JobState, OarDatabase, OarServer
+from repro.oar import JobState, OarDatabase, OarServer, parse_expression
 from repro.testbed import CLUSTER_SPECS, ReferenceApi, build_grid5000
 from repro.util import HOUR, RngStreams, Simulator
 
@@ -309,5 +311,37 @@ def test_housekeeping_purges_gantt(world):
         oar.submit("nodes=1,walltime=0:10", auto_duration=300.0)
     sim.run(until=HOUR)
     oar.housekeeping(keep_horizon_s=60.0)
-    tl = oar.gantt.timeline(oar.db.node_uids()[0])
-    assert len(tl) <= 1
+    # Every job ended long before the horizon: the ledger forgets them
+    # and the profile collapses to its single all-free step.
+    assert oar.gantt._ledger == {}
+    assert len(oar.gantt.profile) == 1
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_matching_cache_follows_property_drift(world, seed):
+    """A drift fault (and its fix) changes which OAR rows match; the
+    server's cached matches must follow, before and after a placement."""
+    sim, oar, park, _ = world
+    db = oar.db
+    props = ("memnode", "disktype", "eth10g")
+    exprs = {f"{p}={db.properties(u)[p]!r}"
+             for u in db.node_uids() for p in props}
+    for expr in exprs:  # warm the cache before anything drifts
+        oar.matching_mask(parse_expression(expr))
+    ctx = FaultContext.build(park, db.services, ())
+    fault = apply_fault(FaultKind.OAR_PROPERTY_DRIFT, ctx,
+                        np.random.default_rng(seed), fault_id=1, now=0.0)
+    prop, node = fault.details["property"], fault.details["nodes"][0]
+    expr = f"{prop}={db.clean_properties(node)[prop]!r}"
+    want = db.matching(parse_expression(expr))
+    assert node not in want
+    assert oar.gantt.uids_from_mask(
+        oar.matching_mask(parse_expression(expr))) == want
+    job = oar.submit(f"{expr}/nodes=ALL,walltime=1", auto_duration=60.0)
+    assert list(job.assigned_nodes) == want
+    sim.run(until=HOUR)
+    revert_fault(fault, ctx)
+    assert oar.gantt.uids_from_mask(
+        oar.matching_mask(parse_expression(expr))) == \
+        db.matching(parse_expression(expr))
+    assert node in db.matching(parse_expression(expr))

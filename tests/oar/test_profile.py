@@ -1,12 +1,12 @@
-"""Differential tests: ResourceProfile vs the linear timeline oracles.
+"""Differential tests: the Gantt's profile vs the per-node reference model.
 
-The profile is a derived index; every answer it gives must be
-*byte-identical* (same floats, same node choices) to the pre-profile
-linear algorithms: the interval sweep kept as the reference model in
-``oar_reference.py`` (``linear_earliest_start`` / ``free_intervals``)
-and the per-node ``Gantt.free_nodes`` scan.  Random reserve/release/truncate/grow/shrink-shaped
-sequences drive both representations through the public mutators, then
-every query is cross-checked, including after a forced full rebuild.
+The availability profile is the Gantt's only record of busy time; every
+answer it gives must be *byte-identical* (same floats, same node choices)
+to the per-node timelines kept as the reference model in
+``oar_reference.py``.  One random reserve/release/truncate/purge history
+is replayed on both, then every query is cross-checked: earliest start
+for k < n and for the whole set, free-set probes, per-node free windows
+and multi-part placement.
 """
 
 import math
@@ -15,9 +15,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.oar.gantt import Gantt, ResourceProfile
+from repro.oar.request import ALL_NODES
+from repro.oar.server import _multi_part_assignment
 from repro.util.errors import SchedulingError
 
-from oar_reference import free_intervals, linear_earliest_start
+from oar_reference import TimelineGantt, free_intervals, profile_steps
 
 NODES = ["n0", "n1", "n2", "n3", "n4"]
 
@@ -33,38 +35,52 @@ _OPS = st.lists(
         st.tuples(st.just("reserve"),
                   st.sets(st.sampled_from(NODES), min_size=1),
                   TIMES, DURATIONS, st.integers(1, 6)),
-        st.tuples(st.just("release"), st.integers(1, 6), st.booleans()),
-        st.tuples(st.just("truncate"), st.integers(1, 6), TIMES),
+        st.tuples(st.just("release"), st.integers(1, 6)),
+        st.tuples(st.just("truncate"),
+                  st.sets(st.sampled_from(NODES), min_size=1),
+                  st.integers(1, 6), TIMES),
         st.tuples(st.just("purge"), TIMES),
     ),
     max_size=14,
 )
 
+_PARTS = st.lists(
+    st.tuples(st.sets(st.sampled_from(NODES), min_size=1),
+              st.one_of(st.integers(1, 3), st.just(ALL_NODES))),
+    min_size=2, max_size=3,
+)
 
-def _apply_ops(ops):
-    """Drive a Gantt through the public mutators; returns it."""
-    g = Gantt(NODES)
-    starts = {}  # job_id -> reservation start (the scheduler's hint)
+
+def _replay(ops):
+    """Drive a Gantt and the reference through the same history."""
+    g, ref = Gantt(NODES), TimelineGantt(NODES)
+    reserved = set()
     for op in ops:
         if op[0] == "reserve":
             _, uids, start, dur, job_id = op
-            if job_id in starts:
+            if job_id in reserved:
                 continue  # one reservation interval per job, like the server
+            uids = sorted(uids)
             try:
-                g.reserve(sorted(uids), start, start + dur, job_id)
+                ref.reserve(uids, start, start + dur, job_id)
             except SchedulingError:
-                continue  # overlap: rolled back, both views unchanged
-            starts[job_id] = start
+                with pytest.raises(SchedulingError):
+                    g.reserve(uids, start, start + dur, job_id)
+                continue
+            g.reserve(uids, start, start + dur, job_id)
+            reserved.add(job_id)
         elif op[0] == "release":
-            _, job_id, with_hint = op
-            g.release(NODES, job_id, starts.get(job_id) if with_hint else None)
-            starts.pop(job_id, None)
+            g.release(op[1])
+            ref.release(op[1])
+            reserved.discard(op[1])
         elif op[0] == "truncate":
-            _, job_id, t = op
-            g.truncate(NODES, job_id, t)
+            _, uids, job_id, t = op
+            g.truncate(sorted(uids), job_id, t)
+            ref.truncate(sorted(uids), job_id, t)
         else:
             g.purge_before(op[1])
-    return g
+            ref.purge_before(op[1])
+    return g, ref
 
 
 def _profile_free_intervals(prof: ResourceProfile, uid: str, after: float):
@@ -94,92 +110,149 @@ def _check_invariants(prof: ResourceProfile):
     assert all(0 <= m <= prof.full_mask for m in masks)
 
 
+def _steps(g):
+    return list(g.profile._times), list(g.profile._masks)
+
+
+def _ledger_steps(g):
+    busy = [iv for held in g._ledger.values() for iv in held]
+    return profile_steps(busy, g.full_mask)
+
+
 @settings(max_examples=200, deadline=None)
 @given(ops=_OPS, after=TIMES, duration=DURATIONS,
        k=st.integers(1, len(NODES)),
        subset=st.sets(st.sampled_from(NODES), min_size=1))
 def test_profile_matches_linear_oracles(ops, after, duration, k, subset):
-    g = _apply_ops(ops)
+    g, ref = _replay(ops)
     uids = sorted(subset)
+    mask = g.mask_for(uids)
     _check_invariants(g.profile)
 
-    # earliest_start: profile walk vs the retired interval sweep.
-    got = g.earliest_start(uids, after, duration, k)
-    want = linear_earliest_start(g, list(uids), after, duration, k) \
-        if 1 <= k <= len(uids) else None
-    assert got == want
+    # earliest start for k of n: profile walk vs the interval sweep.
+    got = g.profile_earliest(mask, after, duration, k)
+    assert got == ref.earliest_start(uids, after, duration, k)
+    # ... and for the whole set: profile walk vs the next-fit fixpoint.
+    got = g.profile_earliest(mask, after, duration, len(uids))
+    assert got == ref.whole_set_start(uids, after, duration)
 
-    # free-set probe: mask intersection vs per-node is_free, same order.
-    fmask = g.profile_free_mask(g.mask_for(uids), after, after + duration)
-    assert g.uids_from_mask(fmask) == g.free_nodes(uids, after, after + duration)
+    # free-set probes: mask intersection vs per-node is_free, same order.
+    want = ref.free_nodes(uids, after, after + duration)
+    assert g.free_uids(mask, after, after + duration) == want
+    assert g.free_uids(mask, after, after + duration, k) == want[:k]
+    fmask = g.profile_free_mask(mask, after, after + duration)
+    assert fmask == g.mask_for(want)
 
     # per-node free windows: step function vs the reference free_intervals.
     for uid in uids:
         assert _profile_free_intervals(g.profile, uid, after) == \
-            free_intervals(g._timelines[uid], after)
+            free_intervals(ref.timelines[uid], after)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=_OPS, parts=_PARTS, after=TIMES, duration=DURATIONS)
+def test_multi_part_matches_reference(ops, parts, after, duration):
+    """Mask walk over every profile boundary vs the reference scan over
+    the candidates' release points: same start, same nodes per part."""
+    g, ref = _replay(ops)
+    mask_parts = [(g.mask_for(c), count) for c, count in parts]
+    uid_parts = [(sorted(c), count) for c, count in parts]
+    assert _multi_part_assignment(g, mask_parts, after, duration) == \
+        ref.multi_part(uid_parts, after, duration)
 
 
 @settings(max_examples=200, deadline=None)
 @given(ops=_OPS)
 def test_incremental_profile_equals_rebuild(ops):
     """The incrementally maintained step function is exactly the one a
-    from-scratch rebuild produces (same boundaries, same masks)."""
-    g = _apply_ops(ops)
-    inc = (list(g.profile._times), list(g.profile._masks))
-    g._profile_dirty = True
-    g._rebuild_profile()
-    assert (g._profile._times, g._profile._masks) == inc
+    from-scratch build produces, from the job ledger and from the
+    reference timelines alike (same boundaries, same masks)."""
+    g, ref = _replay(ops)
+    assert _steps(g) == _ledger_steps(g)
+    assert _steps(g) == profile_steps(ref.busy(g.bit), g.full_mask)
 
 
-@settings(max_examples=150, deadline=None)
-@given(ops=_OPS, after=TIMES, duration=DURATIONS, k=st.integers(1, 4))
-def test_profile_survives_direct_timeline_mutation(ops, after, duration, k):
-    """timeline() hands out a mutable view and must stale-mark the index."""
-    g = _apply_ops(ops)
-    tl = g.timeline("n2")
-    assert g._profile_dirty
-    tl.purge_before(math.inf)  # wipe n2 behind the profile's back
-    got = g.earliest_start(NODES, after, duration, k)
-    assert got == linear_earliest_start(g, list(NODES), after, duration, k)
+# -- ledger semantics -----------------------------------------------------------
 
 
 def test_failed_reserve_keeps_profile_consistent():
+    """A reserve that hits a busy bit raises and mutates nothing."""
     g = Gantt(NODES)
     g.reserve(["n1"], 10.0, 20.0, 1)
+    before = (_steps(g), {j: list(h) for j, h in g._ledger.items()})
     with pytest.raises(SchedulingError):
-        g.reserve(["n0", "n1", "n2"], 5.0, 15.0, 2)  # n1 overlaps: rollback
-    # Rollback left the timelines as before; the profile must agree.
-    assert g.free_nodes(NODES, 5.0, 15.0) == ["n0", "n2", "n3", "n4"]
+        g.reserve(["n0", "n1", "n2"], 5.0, 15.0, 2)  # n1 overlaps
+    with pytest.raises(SchedulingError):
+        g.reserve(["n0"], 5.0, 5.0, 3)  # empty interval
+    assert (_steps(g), g._ledger) == before
     fmask = g.profile_free_mask(g.full_mask, 5.0, 15.0)
     assert g.uids_from_mask(fmask) == ["n0", "n2", "n3", "n4"]
-    inc = (list(g.profile._times), list(g.profile._masks))
-    g._profile_dirty = True
-    assert (g.profile._times, g.profile._masks) == inc
+
+
+def test_release_frees_exactly_the_ledger_once():
+    g = Gantt(NODES)
+    g.reserve(["n0", "n1"], 10.0, 50.0, 1)
+    g.reserve(["n0"], 50.0, 60.0, 2)
+    g.reserve(["n3"], 0.0, 5.0, 1)  # a second interval of job 1
+    g.release(1)
+    assert 1 not in g._ledger
+    assert _steps(g) == profile_steps([(50.0, 60.0, 1)], g.full_mask)
+    g.release(1)  # nothing left to free
+    g.release(9)  # never reserved
+    assert _steps(g) == profile_steps([(50.0, 60.0, 1)], g.full_mask)
 
 
 def test_truncate_then_hinted_release_frees_exactly_once():
-    """A truncated reservation released with the original start hint must
-    not double-free the tail in the profile (the hint bisect still finds
-    the entry: truncation keeps the start)."""
+    """A truncated job released later (the release once carried the
+    original start as a hint) must not free the cut tail a second time."""
     g = Gantt(NODES)
+    g.reserve(["n2"], 30.0, 50.0, 2)
     g.reserve(["n0", "n1"], 10.0, 50.0, 1)
-    g.truncate(["n0", "n1"], 1, 30.0)       # early completion at t=30
-    g.release(["n0", "n1"], 1, start=10.0)  # then teardown with stale-ish hint
-    inc = (list(g.profile._times), list(g.profile._masks))
-    g._profile_dirty = True
-    assert (g.profile._times, g.profile._masks) == inc
-    assert g.free_nodes(NODES, 0.0, 100.0) == NODES
+    g.truncate(["n0", "n1"], 1, 30.0)   # early completion at t=30
+    g.reserve(["n0"], 30.0, 40.0, 3)    # the cut tail is reused at once
+    g.release(1)                        # then teardown
+    assert _steps(g) == _ledger_steps(g)
+    assert g.free_uids(g.full_mask, 30.0, 40.0) == ["n1", "n3", "n4"]
+    assert g.free_uids(g.full_mask, 0.0, 30.0) == NODES
 
 
 def test_truncate_at_start_then_hinted_release_is_noop():
-    """Truncating at/before the start drops the entry; a later hinted
-    release must remove nothing and leave the profile consistent."""
+    """Truncating at/before the start drops the interval from the
+    ledger; a later release then has nothing to free."""
     g = Gantt(NODES)
     g.reserve(["n3"], 10.0, 50.0, 7)
-    g.truncate(["n3"], 7, 10.0)             # dropped entirely
-    assert len(g._timelines["n3"]) == 0
-    g.release(["n3"], 7, start=10.0)        # stale hint: nothing to remove
-    assert g.free_nodes(NODES, 0.0, 100.0) == NODES
-    inc = (list(g.profile._times), list(g.profile._masks))
-    g._profile_dirty = True
-    assert (g.profile._times, g.profile._masks) == inc
+    g.truncate(["n3"], 7, 10.0)         # dropped entirely
+    assert 7 not in g._ledger
+    g.reserve(["n4"], 10.0, 50.0, 8)
+    g.truncate(["n4"], 8, 5.0)          # before the start: dropped too
+    assert 8 not in g._ledger
+    g.release(7)
+    assert len(g.profile) == 1
+    assert g.free_uids(g.full_mask, 0.0, 100.0) == NODES
+
+
+def test_truncate_splits_the_cut_nodes_off():
+    """Truncating part of a job's nodes shortens only their interval."""
+    g = Gantt(NODES)
+    g.reserve(["n0", "n1", "n2"], 10.0, 50.0, 1)
+    g.truncate(["n1"], 1, 20.0)
+    assert sorted(g._ledger[1]) == [(10.0, 20.0, g.mask_for(["n1"])),
+                                    (10.0, 50.0, g.mask_for(["n0", "n2"]))]
+    assert _steps(g) == _ledger_steps(g)
+
+
+def test_purge_before_collapses_past_steps_and_forgets_ended_intervals():
+    g = Gantt(NODES)
+    g.reserve(["n0"], 0.0, 10.0, 1)
+    g.reserve(["n1"], 5.0, 20.0, 2)
+    g.reserve(["n2"], 15.0, 30.0, 3)
+    g.reserve(["n3"], 40.0, 50.0, 4)
+    g.purge_before(20.0)
+    # Job 1 ended before t and is forgotten; job 2 ends exactly at t and
+    # stays, like the jobs still running or yet to start.
+    assert sorted(g._ledger) == [2, 3, 4]
+    assert _steps(g) == _ledger_steps(g)
+    before_t = [t for t in g.profile._times if t < 20.0]
+    assert before_t == [float("-inf"), 5.0, 15.0]
+    g.purge_before(100.0)
+    assert g._ledger == {} and len(g.profile) == 1

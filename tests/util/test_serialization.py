@@ -210,3 +210,32 @@ def test_append_jsonl_seals_torn_tail(tmp_path):
         fh.write('{"torn')  # killed mid-append, no newline
     append_jsonl(path, {"n": 2})
     assert [d for d in iter_jsonl(path)] == [{"n": 1}, {"n": 2}]
+
+
+def _record_fsyncs(monkeypatch):
+    """Spy on os.fsync: one flag per call, True when the fd is a directory."""
+    import os
+    import stat
+
+    synced = []
+    real = os.fsync
+
+    def spy(fd):
+        synced.append(stat.S_ISDIR(os.fstat(fd).st_mode))
+        real(fd)
+
+    monkeypatch.setattr(os, "fsync", spy)
+    return synced
+
+
+def test_append_jsonl_fsyncs_directory_when_creating_the_file(tmp_path,
+                                                              monkeypatch):
+    from repro.util import append_jsonl
+
+    synced = _record_fsyncs(monkeypatch)
+    path = tmp_path / "new.jsonl"
+    append_jsonl(path, {"n": 1})
+    assert synced == [False, True]  # the record, then its directory entry
+    synced.clear()
+    append_jsonl(path, {"n": 2})
+    assert synced == [False]  # the entry already exists
