@@ -473,13 +473,15 @@ class MutableDataclassDefault(Rule):
 # --------------------------------------------------------------------------
 
 #: Functions that run on every scheduler/elastic tick (or inside every
-#: placement).  The PR-9 profile refactor moved their availability
-#: questions onto Gantt's ResourceProfile.
+#: placement).  Their availability questions go to Gantt's
+#: ResourceProfile, their liveness questions to the park's alive mask.
 _TICK_PATH_FUNCS = {
     "_schedule_pass", "_replan_future_jobs", "_find_assignment",
     "on_tick", "elastic_tick", "_expand",
     "_reclaim", "_negotiate", "grow_candidates", "_free_alive",
     "resources_available", "availability", "earliest_start",
+    "_try_start", "grow", "evict_dead_nodes", "utilization",
+    "cluster_states", "_counts",
 }
 #: Attributes holding the whole park (node lists, per-node maps).
 _PARK_ATTRS = {"nodes", "machines", "timelines"}
@@ -504,15 +506,61 @@ def _is_park_iterable(node: ast.AST) -> bool:
     return False
 
 
+def _per_iteration(fn: ast.AST) -> Iterator[ast.AST]:
+    """Nodes of ``fn`` evaluated once per iteration of a loop or
+    comprehension (loop bodies, comprehension elements and filters)."""
+    for node in _walk_same_function(fn):
+        roots: List[ast.AST] = []
+        if isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
+            roots = list(node.body)
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
+                               ast.GeneratorExp)):
+            roots = [n for n in ast.iter_child_nodes(node)
+                     if not isinstance(n, ast.comprehension)]
+            roots += [cond for gen in node.generators for cond in gen.ifs]
+        for root in roots:
+            yield root
+            yield from _walk_same_function(root)
+
+
+def _is_park_lookup(node: ast.AST) -> bool:
+    """``machines[uid]`` / ``park[uid]``: one node fetched from the park."""
+    if not isinstance(node, ast.Subscript):
+        return False
+    name = _dotted_name(node.value)
+    return name is not None and name.split(".")[-1] in _PARK_ATTRS | {"park"}
+
+
+def _liveness_reads(node: ast.AST) -> Iterator[ast.AST]:
+    """Per-node liveness queries: ``node_state(...)`` calls, ``.available``
+    reads, and power-state reads (``.state`` of a park lookup, or compared
+    with a ``PowerState`` member)."""
+    if isinstance(node, ast.Call):
+        if (_dotted_name(node.func) or "").split(".")[-1] == "node_state":
+            yield node
+    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        if node.attr == "available" or (
+                node.attr == "state" and _is_park_lookup(node.value)):
+            yield node
+    elif isinstance(node, ast.Compare):
+        sides = [node.left, *node.comparators]
+        if any("PowerState" in (_dotted_name(side) or "").split(".")[:-1]
+               for side in sides):
+            yield from (side for side in sides
+                        if isinstance(side, ast.Attribute)
+                        and side.attr == "state")
+
+
 @register
 class TickPathParkScan(Rule):
     id = "PRF401"
     title = "per-node park scan on the scheduler tick path"
     rationale = ("Tick-path code answers availability questions through "
-                 "the maintained ResourceProfile (one O(log n) query); a "
-                 "loop over the park's node/timeline collections here "
-                 "reintroduces the O(nodes)-per-tick rescans the profile "
-                 "refactor removed.")
+                 "the maintained ResourceProfile (one O(log n) query) and "
+                 "liveness questions through the park's alive mask; a "
+                 "loop over the park's node/timeline collections, or a "
+                 "per-node state query inside a loop, reintroduces the "
+                 "O(nodes)-per-tick rescans the masks removed.")
     scope = ("scheduling/", "oar/")
 
     def check(self, tree: ast.Module, ctx: RuleContext) -> Iterator[Finding]:
@@ -533,6 +581,17 @@ class TickPathParkScan(Rule):
                             f"O(park) iteration inside {fn.name}() — ask "
                             "the availability profile (Gantt.profile_* / "
                             "free_uids) instead of rescanning the park")
+            seen: Set[int] = set()
+            for node in _per_iteration(fn):
+                for read in _liveness_reads(node):
+                    if id(read) in seen:
+                        continue
+                    seen.add(id(read))
+                    yield ctx.finding(
+                        self, read,
+                        f"per-node liveness query in a loop inside "
+                        f"{fn.name}() — AND with MachinePark.alive_mask "
+                        "instead of asking each node")
 
 
 # --------------------------------------------------------------------------

@@ -189,21 +189,7 @@ class Kadeploy:
         used = 0
         for _ in range(attempts):
             used += 1
-            yield from self._boot_one(machine, boot_factor, env)
+            yield from machine.boot(env, boot_factor)
             if machine.state == PowerState.ON:
                 break
         return used
-
-    def _boot_one(self, machine: SimulatedNode, boot_factor: float,
-                  env: Optional[str]):
-        duration = machine.sample_boot_duration() * boot_factor
-        machine.state = PowerState.BOOTING
-        yield self.sim.timeout(duration)
-        machine.boot_count += 1
-        if machine.sample_boot_ok():
-            if env is not None:
-                machine.deployed_env = env
-            machine.state = PowerState.ON
-        else:
-            machine.state = PowerState.CRASHED
-        return duration

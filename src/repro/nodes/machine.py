@@ -15,8 +15,8 @@ performance-measuring checks (disk, mpigraph) observe realistic signal.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Iterable, Optional
 
 from ..testbed.description import ClusterDescription, NodeDescription
 from ..util.events import Simulator
@@ -189,6 +189,10 @@ class SimulatedNode:
         self.cluster_uid = cluster.uid
         self.site_uid = desc.site
         self.actual = HardwareState.from_description(desc)
+        #: The park that owns this node and the node's bit in the park's
+        #: alive mask (set when the park is built).
+        self._park: Optional[MachinePark] = None
+        self._bit = 0
         self.state = PowerState.ON
         self._mean_boot_s = cluster.boot_time_s
         self._rng = rng_streams.fork("node-timing", index)
@@ -220,14 +224,16 @@ class SimulatedNode:
         """Whether one power cycle succeeds (random-reboot faults fail often)."""
         return float(self._rng.random()) >= self.boot_failure_prob
 
-    def boot(self, env: Optional[str] = None):
+    def boot(self, env: Optional[str] = None, factor: float = 1.0):
         """Process generator: power-cycle the node into ``env``.
 
-        Returns the boot duration, or raises nothing — a failed boot leaves
-        the node CRASHED (callers check ``available``).
+        ``factor`` scales the sampled boot duration (Kadeploy's lighter
+        deployment-environment boots).  Returns the boot duration, or
+        raises nothing — a failed boot leaves the node CRASHED (callers
+        check ``available``).
         """
         self.state = PowerState.BOOTING
-        duration = self.sample_boot_duration()
+        duration = self.sample_boot_duration() * factor
         yield self.sim.timeout(duration)
         self.boot_count += 1
         if not self.sample_boot_ok():
@@ -243,8 +249,23 @@ class SimulatedNode:
         self.state = PowerState.CRASHED
 
     @property
+    def state(self) -> PowerState:
+        return self._state
+
+    @state.setter
+    def state(self, value: PowerState) -> None:
+        """Every power-state write keeps the park's alive mask current."""
+        self._state = value
+        park = self._park
+        if park is not None:
+            if value is PowerState.ON:
+                park.alive_mask |= self._bit
+            else:
+                park.alive_mask &= ~self._bit
+
+    @property
     def available(self) -> bool:
-        return self.state == PowerState.ON
+        return self._state is PowerState.ON
 
     # -- performance model ------------------------------------------------------
 
@@ -328,23 +349,39 @@ class SimulatedNode:
         return f"<SimulatedNode {self.uid} {self.state.value}>"
 
 
-@dataclass
 class MachinePark:
-    """All simulated machines, indexed by node uid."""
+    """All simulated machines, indexed by node uid, plus the park-wide
+    alive bitmask.
 
-    machines: dict[str, SimulatedNode] = field(default_factory=dict)
+    Each node owns one bit, given once in sorted-uid order — the order of
+    ``OarDatabase.node_uids()`` and of the Gantt's availability profile,
+    so ``alive_mask`` composes with the scheduler's masks by plain ``&``.
+    Bit ``b`` of ``alive_mask`` is set iff the node holding it is
+    :attr:`PowerState.ON`; the node's ``state`` setter flips it on every
+    change, so no reader ever rescans the park.
+    """
+
+    def __init__(self, machines: Iterable[SimulatedNode]) -> None:
+        #: uid -> node, in testbed order.
+        self.machines: dict[str, SimulatedNode] = {m.uid: m for m in machines}
+        #: Node uids in bit order.
+        self.uids: list[str] = sorted(self.machines)
+        self.alive_mask = 0
+        for i, uid in enumerate(self.uids):
+            node = self.machines[uid]
+            node._park = self
+            node._bit = 1 << i
+            if node.available:
+                self.alive_mask |= node._bit
 
     @classmethod
     def from_testbed(cls, sim: Simulator, testbed, rng_streams: RngStreams) -> "MachinePark":
-        park = cls()
-        index = 0
+        nodes: list[SimulatedNode] = []
         for cluster in testbed.iter_clusters():
             for desc in cluster.nodes:
-                park.machines[desc.uid] = SimulatedNode(
-                    sim, desc, cluster, rng_streams, index
-                )
-                index += 1
-        return park
+                nodes.append(SimulatedNode(sim, desc, cluster, rng_streams,
+                                           len(nodes)))
+        return cls(nodes)
 
     def __getitem__(self, uid: str) -> SimulatedNode:
         return self.machines[uid]
@@ -357,9 +394,3 @@ class MachinePark:
 
     def of_cluster(self, cluster_uid: str) -> list[SimulatedNode]:
         return [m for m in self.machines.values() if m.cluster_uid == cluster_uid]
-
-    def of_site(self, site_uid: str) -> list[SimulatedNode]:
-        return [m for m in self.machines.values() if m.site_uid == site_uid]
-
-    def available_in_cluster(self, cluster_uid: str) -> list[SimulatedNode]:
-        return [m for m in self.of_cluster(cluster_uid) if m.available]

@@ -19,7 +19,9 @@ Scheduling model (a faithful small-scale OAR):
   pass does).
 
 Node states follow OAR vocabulary: **Alive** (usable), **Absent**
-(rebooting/off), **Suspected** (crashed).
+(rebooting/off), **Suspected** (crashed).  Placement reads liveness from
+the park's alive bitmask (:attr:`MachinePark.alive_mask`), which shares the
+Gantt's bit order: a candidate set is ``matching_mask(expr) & alive_mask``.
 """
 
 from __future__ import annotations
@@ -43,35 +45,6 @@ _IMMEDIATE_SLACK_S = 1.0
 #: CPU load applied to allocated nodes (feeds the power model).
 _BUSY_LOAD = 0.75
 _IDLE_LOAD = 0.02
-
-
-class _PassContext:
-    """Per-instant scheduling context shared by every placement attempt in
-    one pass: the park's alive-node bitmask (dead nodes cleared) and the
-    per-expression candidate masks.  Before the profile refactor each pass
-    carried a ``frozenset`` of alive uids plus a free-interval cache; one
-    integer mask per expression replaces both."""
-
-    __slots__ = ("_server", "alive_mask", "_cand")
-
-    def __init__(self, server: "OarServer") -> None:
-        self._server = server
-        gantt = server.gantt
-        dead = 0
-        for uid in server.db.node_uids():
-            if server.node_state(uid) != "Alive":
-                dead |= 1 << gantt.bit(uid)
-        self.alive_mask = gantt.full_mask & ~dead
-        self._cand: dict[str, int] = {}
-
-    def candidates_mask(self, part_expr) -> int:
-        """Alive nodes matching the expression, as a bitmask."""
-        key = str(part_expr)
-        mask = self._cand.get(key)
-        if mask is None:
-            mask = self._server.matching_mask(part_expr) & self.alive_mask
-            self._cand[key] = mask
-        return mask
 
 
 def _multi_part_assignment(
@@ -117,24 +90,27 @@ class OarServer:
         self.sim = sim
         self.db = database
         self.machines = machines
-        self.gantt = Gantt(database.node_uids())
+        if database.node_uids() != machines.uids:
+            raise SchedulingError(
+                "OAR database and machine park hold different node sets")
+        self.gantt = Gantt(machines.uids)
         self.jobs: dict[int, Job] = {}
         self._next_job_id = 1
         #: Jobs with no reservation yet, in submission order.
         self._waiting: list[Job] = []
         #: Jobs with a reservation that has not started yet.
         self._scheduled: list[Job] = []
-        self._matching_cache: dict = {}
+        self._matching_cache: dict[str, int] = {}
         self._matching_epoch = database.services.oar_drift_epoch
         #: Replan coalescing: many completions in a burst trigger a single
         #: rescheduling pass (like OAR's periodic scheduler), which keeps
         #: long campaigns tractable.
         self._replan_pending = False
         self.replan_batch_s = 300.0
-        #: Nodes freed since the last replanning pass: between periodic
-        #: full passes only scheduled jobs whose matching set contains one
-        #: of them are re-placed.
-        self._dirty_nodes: set[str] = set()
+        #: Bitmask of the nodes freed since the last replanning pass:
+        #: between periodic full passes only scheduled jobs whose matching
+        #: set contains one of them are re-placed.
+        self._dirty_nodes = 0
         self.full_replan_period_s = 3600.0
         self._next_full_replan = 0.0
         #: Observation hooks (read-only subscribers, e.g. the service layer's
@@ -155,15 +131,13 @@ class OarServer:
     # -- node states -----------------------------------------------------------
 
     def node_state(self, uid: str) -> str:
-        machine = self.machines[uid]
-        if machine.state == PowerState.ON:
+        """One node's state in OAR vocabulary (what ``oarnodes`` shows)."""
+        state = self.machines[uid].state
+        if state is PowerState.ON:
             return "Alive"
-        if machine.state == PowerState.CRASHED:
+        if state is PowerState.CRASHED:
             return "Suspected"
         return "Absent"
-
-    def alive_nodes(self) -> list[str]:
-        return [uid for uid in self.db.node_uids() if self.node_state(uid) == "Alive"]
 
     # -- submission ----------------------------------------------------------------
 
@@ -214,7 +188,7 @@ class OarServer:
         elif job.state == JobState.SCHEDULED:
             self._scheduled.remove(job)
             self.gantt.release(job.job_id)
-            self._dirty_nodes.update(job.assigned_nodes)
+            self._dirty_nodes |= self.gantt.mask_for(job.assigned_nodes)
             self._request_replan()
             job.assignment = ()
         else:
@@ -232,65 +206,36 @@ class OarServer:
 
     # -- scheduling ------------------------------------------------------------------
 
-    def _match_cache(self) -> dict:
-        """Property-filter results by expression, emptied first whenever an
-        OAR_PROPERTY_DRIFT fault changed the rows since they were cached."""
-        epoch = self.db.services.oar_drift_epoch
-        if epoch != self._matching_epoch:
-            self._matching_cache.clear()
-            self._matching_epoch = epoch
-        return self._matching_cache
-
-    def _matching(self, part_expr) -> list[str]:
-        """Cached property-filter evaluation (expressions repeat heavily)."""
-        cache = self._match_cache()
-        key = str(part_expr)
-        uids = cache.get(key)
-        if uids is None:
-            uids = self.db.matching(part_expr)
-            cache[key] = uids
-        return uids
-
-    def _matching_set(self, part_expr) -> frozenset:
-        cache = self._match_cache()
-        key = "set:" + str(part_expr)
-        cached = cache.get(key)
-        if cached is None:
-            cached = frozenset(self._matching(part_expr))
-            cache[key] = cached
-        return cached
-
     def matching_mask(self, part_expr) -> int:
         """Cached bitmask of the nodes matching an expression (bit order ==
-        database order, see :class:`~repro.oar.gantt.ResourceProfile`)."""
-        cache = self._match_cache()
-        key = "mask:" + str(part_expr)
-        cached = cache.get(key)
-        if cached is None:
-            cached = self.gantt.mask_for(self._matching(part_expr))
-            cache[key] = cached
-        return cached
+        database order, see :class:`~repro.oar.gantt.ResourceProfile`).
+        The cache empties first whenever an OAR_PROPERTY_DRIFT fault
+        changed the rows since they were cached."""
+        cache = self._matching_cache
+        epoch = self.db.services.oar_drift_epoch
+        if epoch != self._matching_epoch:
+            cache.clear()
+            self._matching_epoch = epoch
+        key = str(part_expr)
+        mask = cache.get(key)
+        if mask is None:
+            mask = cache[key] = self.gantt.mask_for(self.db.matching(part_expr))
+        return mask
 
     def _find_assignment(
         self, job: Job, after: float,
-        ctx: Optional[_PassContext] = None,
     ) -> Optional[tuple[float, tuple[tuple[str, ...], ...]]]:
         """Earliest (start, per-part node sets) satisfying the request.
 
-        ``ctx`` (a :class:`_PassContext`) shares the alive-node mask and
-        the per-expression candidate masks across every job placed at one
-        instant (see :meth:`_schedule_pass`); one-off callers omit it and
-        pay the O(nodes) context build.  Placement runs on the Gantt's
-        availability profile; candidate masks never change while the pass
-        reserves nodes (freeness lives in the profile, which the
-        reservations update), so nothing needs per-job invalidation.
+        A part's candidates are its matching mask ANDed with the park's
+        alive mask; placement runs on the Gantt's availability profile,
+        which the reservations themselves keep current.
         """
-        if ctx is None:
-            ctx = _PassContext(self)
         walltime = job.walltime_s
+        alive = self.machines.alive_mask
         parts: list[tuple[int, Union[int, str]]] = []
         for part in job.request.parts:
-            cmask = ctx.candidates_mask(part.expr)
+            cmask = self.matching_mask(part.expr) & alive
             avail = cmask.bit_count()
             if avail == 0 or (part.count != ALL_NODES and part.count > avail):
                 return None
@@ -321,37 +266,29 @@ class OarServer:
         self.sim.call_at(start, self._try_start, job, generation)
 
     def _schedule_pass(self) -> None:
-        """Give every waiting job the earliest reservation that fits.
-
-        The whole pass runs at one instant, so the alive-node mask and the
-        per-expression candidate masks are computed once (the
-        :class:`_PassContext`) and shared across the queue, while node
-        freeness comes from the availability profile the reservations
-        themselves keep current.
-        """
+        """Give every waiting job the earliest reservation that fits."""
         still_waiting: list[Job] = []
         now = self.sim.now
-        ctx = _PassContext(self)
         for job in self._waiting:
-            placement = self._find_assignment(job, now, ctx)
+            placement = self._find_assignment(job, now)
             if placement is None:
                 still_waiting.append(job)  # no alive matching nodes now
                 continue
             self._reserve(job, *placement)
         self._waiting = still_waiting
 
-    def _replan_future_jobs(self, touching: Optional[set] = None) -> None:
+    def _replan_future_jobs(self, touching: Optional[int] = None) -> None:
         """Tear down not-yet-started reservations and reschedule (pull
         forward after an early release or node repair).
 
-        ``touching`` (a set of freed uids) narrows the teardown to the
+        ``touching`` (a bitmask of freed nodes) narrows the teardown to the
         incremental pass between full sweeps: only scheduled jobs whose
         matching set contains a freed node are re-placed.
         """
         if touching is not None:
             replanned = [
                 j for j in self._scheduled
-                if any(touching & self._matching_set(p.expr)
+                if any(touching & self.matching_mask(p.expr)
                        for p in j.request.parts)
             ]
             if not replanned:
@@ -378,8 +315,7 @@ class OarServer:
         if job.generation != generation or job.state != JobState.SCHEDULED:
             return  # stale timer: the job was replanned or cancelled
         self._scheduled.remove(job)
-        dead = [u for u in job.assigned_nodes if self.node_state(u) != "Alive"]
-        if dead:
+        if self.gantt.mask_for(job.assigned_nodes) & ~self.machines.alive_mask:
             # A reserved node died in the meantime: back to the queue.
             self.gantt.release(job.job_id)
             job.assignment = ()
@@ -443,7 +379,7 @@ class OarServer:
         for uid in job.assigned_nodes:
             self.machines[uid].cpu_load = _IDLE_LOAD
         self.gantt.truncate(job.assigned_nodes, job.job_id, self.sim.now)
-        self._dirty_nodes.update(job.assigned_nodes)
+        self._dirty_nodes |= self.gantt.mask_for(job.assigned_nodes)
         job.done_event.succeed(job)
         for hook in self.on_job_complete:
             hook(job)
@@ -525,15 +461,17 @@ class OarServer:
                 f"cannot grow job {job.job_id} to {job.width + len(nodes)} "
                 f"nodes: max_nodes={job.max_nodes}")
         current = set(job.assigned_nodes)
-        matching = self._matching_set(job.request.parts[0].expr)
+        matching = self.matching_mask(job.request.parts[0].expr)
+        alive = self.machines.alive_mask
+        bit = self.gantt.bit
         for uid in nodes:
             if uid in current:
                 raise SchedulingError(
                     f"node {uid} already allocated to job {job.job_id}")
-            if uid not in matching:
+            if not matching >> bit(uid) & 1:
                 raise SchedulingError(
                     f"node {uid} does not match job {job.job_id}'s request")
-            if self.node_state(uid) != "Alive":
+            if not alive >> bit(uid) & 1:
                 raise SchedulingError(f"node {uid} is not alive")
         self._accrue_mass(job)  # settle work done at the old width first
         self.gantt.reserve(nodes, now, deadline, job.job_id)
@@ -589,7 +527,7 @@ class OarServer:
         job.shrink_count += 1
         self.shrink_events += 1
         self._reschedule_finish(job)
-        self._dirty_nodes.update(chosen)
+        self._dirty_nodes |= self.gantt.mask_for(chosen)
         if replan:
             self.replan_now(chosen_set)
         return chosen
@@ -606,12 +544,12 @@ class OarServer:
         """
         if job.state != JobState.RUNNING or len(job.request.parts) != 1:
             return False
-        dead = [u for u in job.assignment[0]
-                if self.node_state(u) != "Alive"]
-        if not dead:
+        gantt = self.gantt
+        dead_mask = gantt.mask_for(job.assignment[0]) & ~self.machines.alive_mask
+        if not dead_mask:
             return False
-        dead_set = set(dead)
-        alive = [u for u in job.assignment[0] if u not in dead_set]
+        dead = gantt.uids_from_mask(dead_mask)
+        alive = [u for u in job.assignment[0] if not dead_mask >> gantt.bit(u) & 1]
         now = self.sim.now
         if len(alive) >= max(job.min_nodes, 1):
             # Survivable: shrink past the dead nodes.  Work already done on
@@ -624,7 +562,7 @@ class OarServer:
             job.shrink_count += 1
             self.shrink_events += 1
             self._reschedule_finish(job)
-            self._dirty_nodes.update(dead)
+            self._dirty_nodes |= dead_mask
             self._request_replan()
             return True
         # Below min_nodes: tear the run down and restart from the queue.
@@ -642,7 +580,7 @@ class OarServer:
         job.state = JobState.WAITING
         #: Fresh start event: the original already fired for the first run.
         job.started_event = self.sim.event()
-        self._dirty_nodes.update(alive)
+        self._dirty_nodes |= gantt.mask_for(alive)
         # Re-queue at the job-id rank (see _try_start's dead-node path).
         ids = [j.job_id for j in self._waiting]
         self._waiting.insert(bisect.bisect(ids, job.job_id), job)
@@ -654,9 +592,10 @@ class OarServer:
         counterpart of the batched replan; malleable policies call this
         right after freeing capacity so queued work pulls forward within
         the same tick)."""
-        if touching is not None and not touching:
-            return
-        self._replan_future_jobs(touching)
+        if touching is None:
+            self._replan_future_jobs()
+        elif touching:
+            self._replan_future_jobs(self.gantt.mask_for(touching))
 
     def grow_candidates(self, job: Job) -> list[str]:
         """Alive matching nodes free from now through the job's walltime
@@ -668,17 +607,11 @@ class OarServer:
         deadline = job.started_at + job.walltime_s
         if deadline <= now:
             return []
-        current = set(job.assigned_nodes)
-        expr = job.request.parts[0].expr
-        # One profile query answers "free through the deadline" for the
-        # whole matching set; per-node work is a bit test.
-        fmask = self.gantt.profile_free_mask(
-            self.matching_mask(expr), now, deadline)
-        bit = self.gantt.bit
-        return [uid for uid in self._matching(expr)
-                if uid not in current
-                and fmask >> bit(uid) & 1
-                and self.node_state(uid) == "Alive"]
+        gantt = self.gantt
+        cmask = (self.matching_mask(job.request.parts[0].expr)
+                 & self.machines.alive_mask
+                 & ~gantt.mask_for(job.assigned_nodes))
+        return gantt.uids_from_mask(gantt.profile_free_mask(cmask, now, deadline))
 
     def _account_alloc(self, delta: int) -> None:
         now = self.sim.now
@@ -704,7 +637,7 @@ class OarServer:
             self._replan_future_jobs()
         else:
             self._replan_future_jobs(touching=self._dirty_nodes)
-        self._dirty_nodes = set()
+        self._dirty_nodes = 0
 
     # -- introspection ----------------------------------------------------------------
 
@@ -732,11 +665,12 @@ class OarServer:
 
     def utilization(self) -> float:
         """Fraction of alive nodes currently allocated."""
-        alive = self.alive_nodes()
+        alive = self.machines.alive_mask
         if not alive:
             return 0.0
-        busy = {u for j in self.running_jobs() for u in j.assigned_nodes}
-        return len(busy & set(alive)) / len(alive)
+        busy = self.gantt.mask_for(
+            u for j in self.running_jobs() for u in j.assigned_nodes)
+        return (busy & alive).bit_count() / alive.bit_count()
 
     def housekeeping(self, keep_horizon_s: float = 86_400.0) -> None:
         """Purge ancient Gantt entries (call periodically on long campaigns)."""

@@ -158,28 +158,23 @@ class StealAgreementStrategy(CommonPoolStrategy):
         a failed negotiation leaves every allocation untouched.
         """
         now = oar.sim.now
+        gantt = oar.gantt
+        bit = gantt.bit
         for job in queued:
             if len(job.request.parts) != 1:
                 continue
             part = job.request.parts[0]
             if not isinstance(part.count, int):
                 continue  # nodes=ALL cannot be bargained for
-            needed = part.count
-            candidates = [u for u in oar._matching(part.expr)
-                          if oar.node_state(u) == "Alive"]
-            if not candidates:
+            # The alive matching nodes: the only ones the job can use.
+            usable = oar.matching_mask(part.expr) & oar.machines.alive_mask
+            if not usable:
                 continue
             window = max(job.walltime_s, 1.0)
-            # One profile query answers "free through the window" for the
-            # whole matching set; each candidate costs a bit test.
-            fmask = oar.gantt.profile_free_mask(
-                oar.matching_mask(part.expr), now, now + window)
-            bit = oar.gantt.bit
-            have = sum(1 for u in candidates if fmask >> bit(u) & 1)
-            deficit = needed - have
+            have = gantt.profile_free_mask(usable, now, now + window).bit_count()
+            deficit = part.count - have
             if deficit <= 0:
                 continue  # the ordinary replan can already place it
-            usable = set(candidates)
             offers: list[tuple["Job", list[str]]] = []
             offered = 0
             for donor in _running_malleable(oar):
@@ -190,7 +185,7 @@ class StealAgreementStrategy(CommonPoolStrategy):
                 # Only nodes the queued job can actually use, newest first
                 # (mirrors shrink's tail-first release order).
                 givable = [u for u in reversed(donor.assignment[0])
-                           if u in usable][:room]
+                           if usable >> bit(u) & 1][:room]
                 if not givable:
                     continue
                 take = min(len(givable), deficit - offered)

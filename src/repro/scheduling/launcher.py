@@ -133,21 +133,16 @@ class ExternalScheduler:
         self.cells: list[TestCell] = []
         self._in_flight_per_site: dict[str, int] = {}
         self._site_of_cluster = {c.uid: c.site for c in testbed.iter_clusters()}
-        self._cluster_nodes = {c.uid: [n.uid for n in c.nodes]
-                               for c in testbed.iter_clusters()}
-        self._site_nodes: dict[str, list[str]] = {}
-        for site in testbed.sites:
-            self._site_nodes[site.uid] = [n.uid for c in site.clusters
-                                          for n in c.nodes]
-        # Bitmasks of the same node sets (bit order == OAR database order):
-        # the short-horizon availability probes become one profile query
-        # plus a bit test per node, instead of a timeline bisect per node
-        # per tick.
+        # Each cell's target node set as a bitmask (bit order == OAR
+        # database order == the park's alive mask): alive and free-now
+        # counts are popcounts of the target ANDed with the alive mask and
+        # one availability-profile query.
         gantt = oar.gantt
-        self._cluster_masks = {uid: gantt.mask_for(nodes)
-                               for uid, nodes in self._cluster_nodes.items()}
-        self._site_masks = {uid: gantt.mask_for(nodes)
-                            for uid, nodes in self._site_nodes.items()}
+        self._cluster_masks = {c.uid: gantt.mask_for(n.uid for n in c.nodes)
+                               for c in testbed.iter_clusters()}
+        self._site_masks = {
+            site.uid: gantt.mask_for(n.uid for c in site.clusters for n in c.nodes)
+            for site in testbed.sites}
         for family in families:
             for config in family.configurations(testbed):
                 cluster = config.get("cluster")
@@ -166,55 +161,38 @@ class ExternalScheduler:
 
     # -- testbed status queries ----------------------------------------------
 
-    def _target(self, cell: TestCell) -> tuple[list[str], int]:
-        """A cell's target node set with its precomputed bitmask."""
+    def _target(self, cell: TestCell) -> int:
+        """Bitmask of a cell's target node set."""
         if cell.cluster is not None:
-            return (self._cluster_nodes[cell.cluster],
-                    self._cluster_masks[cell.cluster])
-        return self._site_nodes[cell.site], self._site_masks[cell.site]
+            return self._cluster_masks[cell.cluster]
+        return self._site_masks[cell.site]
 
-    def _free_alive(self, uids: list[str], mask: int) -> int:
-        """Nodes alive and not reserved right now (short horizon probe).
-
-        ``mask`` is the precomputed bitmask of ``uids``: one
-        availability-profile query covers the whole set and each node
-        costs a bit test.
-        """
+    def _counts(self, mask: int) -> tuple[int, int]:
+        """(alive, free-now) node counts of ``mask``: free-now means alive
+        and not reserved over the next minute (short horizon probe)."""
         now = self.sim.now
-        oar = self.oar
-        fmask = oar.gantt.profile_free_mask(mask, now, now + 60.0)
-        bit = oar.gantt.bit
-        return sum(1 for uid in uids
-                   if fmask >> bit(uid) & 1
-                   and oar.node_state(uid) == "Alive")
+        alive = mask & self.oar.machines.alive_mask
+        free = self.oar.gantt.profile_free_mask(alive, now, now + 60.0)
+        return alive.bit_count(), free.bit_count()
 
     def resources_available(self, cell: TestCell) -> bool:
         need = cell.family.nodes_needed
         if need == 0:
             return True
-        uids, mask = self._target(cell)
+        alive, free = self._counts(self._target(cell))
         if need == "ALL":
-            alive = sum(1 for u in uids if self.oar.node_state(u) == "Alive")
-            return alive > 0 and self._free_alive(uids, mask) == alive
-        return self._free_alive(uids, mask) >= int(need)
+            return alive > 0 and free == alive
+        return free >= int(need)
 
     def availability(self, cell: TestCell) -> tuple[int, int]:
         """(alive, free-now) counts over the cell's target node set."""
-        uids, mask = self._target(cell)
-        alive = sum(1 for u in uids if self.oar.node_state(u) == "Alive")
-        return alive, self._free_alive(uids, mask)
+        return self._counts(self._target(cell))
 
     def cluster_states(self) -> list[tuple[str, str, int, int]]:
         """(cluster, site, alive, free-now) per cluster, in testbed order
         (the ds-sim-style ``GETS servers`` answer)."""
-        out = []
-        for cluster in self.testbed.iter_clusters():
-            uids = self._cluster_nodes[cluster.uid]
-            alive = sum(1 for u in uids
-                        if self.oar.node_state(u) == "Alive")
-            out.append((cluster.uid, cluster.site, alive,
-                        self._free_alive(uids, self._cluster_masks[cluster.uid])))
-        return out
+        return [(c.uid, c.site, *self._counts(self._cluster_masks[c.uid]))
+                for c in self.testbed.iter_clusters()]
 
     # -- main loop ------------------------------------------------------------
 

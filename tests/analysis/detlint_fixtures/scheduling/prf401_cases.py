@@ -1,7 +1,9 @@
 # detlint PRF401 fixture: park-wide scans inside tick-path functions.
 # The profile refactor moved tick-path availability questions onto
 # Gantt's ResourceProfile; a loop over the park's node/timeline
-# collections in these functions reintroduces the O(nodes) rescans.
+# collections in these functions reintroduces the O(nodes) rescans, and
+# so does asking each node for its liveness inside a loop instead of
+# ANDing with the park's alive mask.
 
 
 class FakeScheduler:
@@ -37,3 +39,51 @@ class FakeScheduler:
         # OK: not a tick-path function (runs once at startup).
         for uid in self.db.node_uids():
             self.touch(uid)
+
+
+class LivenessScheduler:
+    def _try_start(self, job, generation):
+        dead = [u for u in job.assigned_nodes
+                if self.node_state(u) != "Alive"]  # EXPECT(PRF401)
+        return dead
+
+    def evict_dead_nodes(self, job):
+        for uid in job.assignment[0]:
+            if not self.machines[uid].available:  # EXPECT(PRF401)
+                self.drop(uid)
+
+    def grow(self, job, nodes):
+        for node in nodes:
+            if node.state is not PowerState.ON:  # EXPECT(PRF401)
+                raise ValueError(node)
+
+    def cluster_states(self):
+        return {c: sum(1 for u in uids
+                       if self.park[u].state)  # EXPECT(PRF401)
+                for c, uids in self.groups}
+
+    def utilization(self):
+        n = 0
+        while self.more():
+            n += self.oar.node_state(self.next()) == "Alive"  # EXPECT(PRF401)
+        return n
+
+
+class MaskScheduler:
+    def _try_start(self, job, generation):
+        # OK: one mask test answers "is any reserved node dead?".
+        return self.gantt.mask_for(job.assigned_nodes) & ~self.machines.alive_mask
+
+    def grow(self, job, nodes):
+        # OK: the job's own state, and bit tests on the alive mask.
+        for uid in nodes:
+            if job.state == JobState.RUNNING and self.alive >> self.bit(uid) & 1:
+                self.take(uid)
+
+    def utilization(self):
+        # OK: a liveness read outside any loop.
+        return self.machines["a-1"].available
+
+    def refresh_everything(self):
+        # OK: not a tick-path function.
+        return [m for m in self.nodes_of(0) if m.available]

@@ -13,6 +13,12 @@ pre-existing field was diffed against a pre-change capture and came back
 byte-identical — rigid workloads behave exactly as before (these presets
 all run the ``default`` strategy; ``grow_events == shrink_events == 0``).
 
+The two ``elastic-burst`` rows pin the malleable policies
+(``common-pool`` and ``steal-agreement``), so ``grow_candidates``,
+``evict_dead_nodes`` and the steal negotiation are guarded too; they
+were recorded before node liveness moved onto the park's alive bitmask
+and passed unchanged after it.
+
 If this test fails, a change altered simulation *behaviour*, not just
 performance.  That can be a legitimate semantic change — in which case
 regenerate the goldens (see the command in ``_regenerate``) and say so in
@@ -24,17 +30,26 @@ import json
 
 from repro import run_scenario, scenarios
 
-#: (preset, seed, months) -> sha256 of the canonical report JSON.
+#: (preset, strategy, seed, months) -> sha256 of the canonical report JSON.
 GOLDEN_REPORT_HASHES = {
-    ("tiny-smoke", 0, 0.35):
+    ("tiny-smoke", "default", 0, 0.35):
         "9bdda769fd2724d5735a3b42d3d3ef6ac74627fa7b5201f01c01435b3e13b426",
-    ("tiny-smoke", 7, 0.35):
+    ("tiny-smoke", "default", 7, 0.35):
         "5171b73dc13519040f6fff3b3523b955a3e3694d543f3c661204f3a232b4ac23",
-    ("trace-replay", 0, 0.12):
+    ("trace-replay", "default", 0, 0.12):
         "3b7fb0c6401f465217e2ee5e0a1228f52b1e5f6e37f12878365e9b83257e7581",
-    ("bursty-replay", 0, 0.12):
+    ("bursty-replay", "default", 0, 0.12):
         "860f0f8d257ea576cf44d51b9933df1903880fad2c3e2a7f60e976ce4c4026f6",
+    ("elastic-burst", "common-pool", 0, 0.02):
+        "32ece6b0b629ee4cd1190d32c25d2e29d8a2e03d006684f94b8277d05ed76a91",
+    ("elastic-burst", "steal-agreement", 0, 0.02):
+        "729fc0deb83bb707c41e43a8a4da194520190b7ad8d1a91fd4da0646cea4440e",
 }
+
+
+def _run(name, strategy, seed, months):
+    spec = scenarios.get(name).derive(strategy=strategy)
+    return run_scenario(spec, seed=seed, months=months)
 
 
 def report_hash(report) -> str:
@@ -49,18 +64,18 @@ def _regenerate():  # pragma: no cover - manual tool
     """python -c "import sys; sys.path[:0] = ['src', 'tests/core']; \
 from test_determinism_guard import _regenerate; _regenerate()"
     """
-    for (name, seed, months) in GOLDEN_REPORT_HASHES:
-        _, rep = run_scenario(scenarios.get(name), seed=seed, months=months)
-        print(f'    ("{name}", {seed}, {months}):\n'
+    for key in GOLDEN_REPORT_HASHES:
+        _, rep = _run(*key)
+        print(f'    {key!r}:\n'
               f'        "{report_hash(rep)}",')
 
 
 def test_reports_match_pre_fast_path_goldens():
-    for (name, seed, months), want in GOLDEN_REPORT_HASHES.items():
-        _, report = run_scenario(scenarios.get(name), seed=seed, months=months)
+    for (name, strategy, seed, months), want in GOLDEN_REPORT_HASHES.items():
+        _, report = _run(name, strategy, seed, months)
         got = report_hash(report)
         assert got == want, (
-            f"{name} @ seed {seed} ({months} months) drifted from the "
+            f"{name}/{strategy} @ seed {seed} ({months} months) drifted from the "
             f"golden report: {got} != {want} — simulation behaviour "
             "changed, not just speed")
 
