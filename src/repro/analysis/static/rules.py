@@ -488,6 +488,11 @@ _PARK_ATTRS = {"nodes", "machines", "timelines"}
 #: Methods returning the whole park.
 _PARK_CALLS = {"node_uids", "alive_nodes", "iter_nodes"}
 _PARK_WRAPPERS = {"sorted", "list", "tuple", "reversed", "enumerate"}
+#: Calls whose answer does not change inside one tick's loop (the running
+#: jobs, their malleable subset, a donor's feasibility floor): evaluated
+#: per iteration they repeat O(jobs) work the tick can do once.
+_TICK_INVARIANT_CALLS = {"running_jobs", "_running_malleable",
+                         "_feasible_floor"}
 
 
 def _is_park_iterable(node: ast.AST) -> bool:
@@ -560,7 +565,9 @@ class TickPathParkScan(Rule):
                  "liveness questions through the park's alive mask; a "
                  "loop over the park's node/timeline collections, or a "
                  "per-node state query inside a loop, reintroduces the "
-                 "O(nodes)-per-tick rescans the masks removed.")
+                 "O(nodes)-per-tick rescans the masks removed.  Likewise "
+                 "the running-job list and a donor's feasibility floor "
+                 "hold still inside a tick's loops: ask once per tick.")
     scope = ("scheduling/", "oar/")
 
     def check(self, tree: ast.Module, ctx: RuleContext) -> Iterator[Finding]:
@@ -592,6 +599,15 @@ class TickPathParkScan(Rule):
                         f"per-node liveness query in a loop inside "
                         f"{fn.name}() — AND with MachinePark.alive_mask "
                         "instead of asking each node")
+                if isinstance(node, ast.Call) and id(node) not in seen:
+                    name = (_dotted_name(node.func) or "").split(".")[-1]
+                    if name in _TICK_INVARIANT_CALLS:
+                        seen.add(id(node))
+                        yield ctx.finding(
+                            self, node,
+                            f"{name}() evaluated per loop iteration inside "
+                            f"{fn.name}() — compute it once per tick (a "
+                            "table rebuilt only when a resize changes it)")
 
 
 # --------------------------------------------------------------------------

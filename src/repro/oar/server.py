@@ -27,6 +27,7 @@ Gantt's bit order: a candidate set is ``matching_mask(expr) & alive_mask``.
 from __future__ import annotations
 
 import bisect
+from operator import attrgetter
 from typing import Optional, Sequence, Union
 
 from ..nodes.machine import MachinePark, PowerState
@@ -41,6 +42,9 @@ __all__ = ["OarServer"]
 
 #: Tolerance for "starts now" in immediate-or-cancel submissions.
 _IMMEDIATE_SLACK_S = 1.0
+
+#: Sort key of the job-id (FCFS) ordered lists.
+_job_id = attrgetter("job_id")
 
 #: CPU load applied to allocated nodes (feeds the power model).
 _BUSY_LOAD = 0.75
@@ -100,6 +104,9 @@ class OarServer:
         self._waiting: list[Job] = []
         #: Jobs with a reservation that has not started yet.
         self._scheduled: list[Job] = []
+        #: Running jobs in job-id (FCFS) order: in on start, out on finish
+        #: or tear-down, so no reader rescans every job ever submitted.
+        self._running: list[Job] = []
         self._matching_cache: dict[str, int] = {}
         self._matching_epoch = database.services.oar_drift_epoch
         #: Replan coalescing: many completions in a burst trigger a single
@@ -306,7 +313,7 @@ class OarServer:
             job.state = JobState.WAITING
             job.generation += 1  # invalidate the pending _try_start timer
         # Keep global FCFS order across both pools.
-        self._waiting = sorted(self._waiting + replanned, key=lambda j: j.job_id)
+        self._waiting = sorted(self._waiting + replanned, key=_job_id)
         self._schedule_pass()
 
     # -- execution -----------------------------------------------------------------
@@ -332,12 +339,12 @@ class OarServer:
                 # replan re-sort, breaking conservative backfilling's FCFS
                 # fairness.  _waiting is kept sorted by job_id (submission
                 # order), so a bisect insert preserves the invariant.
-                ids = [j.job_id for j in self._waiting]
-                self._waiting.insert(bisect.bisect(ids, job.job_id), job)
+                bisect.insort(self._waiting, job, key=_job_id)
                 self._schedule_pass()
             return
         job.state = JobState.RUNNING
         job.started_at = self.sim.now
+        bisect.insort(self._running, job, key=_job_id)
         for uid in job.assigned_nodes:
             self.machines[uid].cpu_load = _BUSY_LOAD
         self._account_alloc(len(job.assigned_nodes))
@@ -372,6 +379,7 @@ class OarServer:
         self._finish(job, JobState.ERROR)
 
     def _finish(self, job: Job, state: JobState) -> None:
+        self._running.remove(job)
         job.generation += 1
         job.state = state
         job.finished_at = self.sim.now
@@ -566,6 +574,7 @@ class OarServer:
             self._request_replan()
             return True
         # Below min_nodes: tear the run down and restart from the queue.
+        self._running.remove(job)
         released = job.assigned_nodes
         self.gantt.release(job.job_id)
         for uid in alive:
@@ -582,8 +591,7 @@ class OarServer:
         job.started_event = self.sim.event()
         self._dirty_nodes |= gantt.mask_for(alive)
         # Re-queue at the job-id rank (see _try_start's dead-node path).
-        ids = [j.job_id for j in self._waiting]
-        self._waiting.insert(bisect.bisect(ids, job.job_id), job)
+        bisect.insort(self._waiting, job, key=_job_id)
         self._schedule_pass()
         return True
 
@@ -657,11 +665,12 @@ class OarServer:
         queued.extend(j for j in self._scheduled
                       if j.scheduled_start is not None
                       and j.scheduled_start > horizon)
-        queued.sort(key=lambda j: j.job_id)
+        queued.sort(key=_job_id)
         return queued
 
     def running_jobs(self) -> list[Job]:
-        return [j for j in self.jobs.values() if j.state == JobState.RUNNING]
+        """Running jobs in job-id (FCFS) order (a copy of the index)."""
+        return list(self._running)
 
     def utilization(self) -> float:
         """Fraction of alive nodes currently allocated."""
@@ -669,7 +678,7 @@ class OarServer:
         if not alive:
             return 0.0
         busy = self.gantt.mask_for(
-            u for j in self.running_jobs() for u in j.assigned_nodes)
+            u for j in self._running for u in j.assigned_nodes)
         return (busy & alive).bit_count() / alive.bit_count()
 
     def housekeeping(self, keep_horizon_s: float = 86_400.0) -> None:

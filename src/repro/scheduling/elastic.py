@@ -118,19 +118,31 @@ class CommonPoolStrategy(DefaultStrategy):
 
     def _expand(self, oar: "OarServer") -> None:
         """Round-robin grow: one node per job per round until the pool or
-        every job's headroom is exhausted."""
-        while True:
-            granted = False
-            for job in _running_malleable(oar):
-                if job.width >= job.max_nodes:
-                    continue
-                candidates = oar.grow_candidates(job)
-                if not candidates:
-                    continue
-                oar.grow(job, candidates[:1])
-                granted = True
-            if not granted:
-                return
+        every job's headroom is exhausted.
+
+        Each job's grow candidates are asked for once, as a mask.  A grant
+        reserves its node from now to the grower's deadline, so the node
+        leaves every other job's candidates too; nothing else touches the
+        profile or the alive mask between grants, so a job's candidates in
+        any round are its first answer minus the nodes granted so far.
+        """
+        gantt = oar.gantt
+        growers = []  # [job, candidate mask, headroom], FCFS order
+        for job in _running_malleable(oar):
+            headroom = job.max_nodes - job.width
+            if headroom > 0:
+                growers.append(
+                    [job, gantt.mask_for(oar.grow_candidates(job)), headroom])
+        taken = 0
+        while growers:
+            for grower in growers:
+                free = grower[1] & ~taken
+                if free:
+                    low = free & -free
+                    oar.grow(grower[0], gantt.uids_from_mask(low))
+                    taken |= low
+                    grower[2] -= 1
+            growers = [g for g in growers if g[2] and g[1] & ~taken]
 
 
 @register_strategy
@@ -156,10 +168,16 @@ class StealAgreementStrategy(CommonPoolStrategy):
         to cede width from nodes the queued job can use.  All-or-nothing:
         donors only shrink when the combined offer covers the deficit, so
         a failed negotiation leaves every allocation untouched.
+
+        The donor table is built once, on the first deficit, and again
+        only after an agreement: its shrinks are the only thing in the
+        loop that changes a donor.  A failed negotiation is therefore
+        integer work on the table's masks.
         """
         now = oar.sim.now
         gantt = oar.gantt
         bit = gantt.bit
+        donors = None
         for job in queued:
             if len(job.request.parts) != 1:
                 continue
@@ -175,31 +193,44 @@ class StealAgreementStrategy(CommonPoolStrategy):
             deficit = part.count - have
             if deficit <= 0:
                 continue  # the ordinary replan can already place it
-            offers: list[tuple["Job", list[str]]] = []
+            if donors is None:
+                donors = self._donor_table(oar, now)
             offered = 0
-            for donor in _running_malleable(oar):
-                floor = self._feasible_floor(donor, now)
-                room = donor.width - floor
-                if room <= 0:
+            for _, room, dmask in donors:
+                offered += min((dmask & usable).bit_count(), room)
+                if offered >= deficit:
+                    break
+            else:
+                continue  # no agreement: nobody cedes anything
+            freed: set[str] = set()
+            offered = 0
+            for donor, room, dmask in donors:
+                if not dmask & usable:
                     continue
                 # Only nodes the queued job can actually use, newest first
                 # (mirrors shrink's tail-first release order).
+                take = min(room, deficit - offered)
                 givable = [u for u in reversed(donor.assignment[0])
-                           if usable >> bit(u) & 1][:room]
-                if not givable:
-                    continue
-                take = min(len(givable), deficit - offered)
-                offers.append((donor, givable[:take]))
-                offered += take
+                           if usable >> bit(u) & 1][:take]
+                freed.update(oar.shrink(donor, len(givable),
+                                        prefer=set(givable), replan=False))
+                offered += len(givable)
                 if offered >= deficit:
                     break
-            if offered < deficit:
-                continue  # no agreement: nobody cedes anything
-            freed: set[str] = set()
-            for donor, uids in offers:
-                freed.update(oar.shrink(donor, len(uids), prefer=set(uids),
-                                        replan=False))
             oar.replan_now(freed)
+            donors = None  # the donors just shrank
+
+    def _donor_table(self, oar: "OarServer",
+                     now: float) -> list[tuple["Job", int, int]]:
+        """``(donor, cedeable width, allocation mask)`` for every running
+        malleable job above its feasibility floor, FCFS."""
+        table = []
+        for donor in _running_malleable(oar):
+            room = donor.width - self._feasible_floor(donor, now)
+            if room > 0:
+                table.append(
+                    (donor, room, oar.gantt.mask_for(donor.assignment[0])))
+        return table
 
     @staticmethod
     def _feasible_floor(donor: "Job", now: float) -> int:

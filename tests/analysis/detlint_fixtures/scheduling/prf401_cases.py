@@ -87,3 +87,41 @@ class MaskScheduler:
     def refresh_everything(self):
         # OK: not a tick-path function.
         return [m for m in self.nodes_of(0) if m.available]
+
+
+class TickTableScheduler:
+    def _negotiate(self, oar, queued):
+        for job in queued:
+            for donor in _running_malleable(oar):  # EXPECT(PRF401)
+                room = donor.width - self._feasible_floor(donor, 0.0)  # EXPECT(PRF401)
+                self.offer(job, room)
+
+    def _expand(self, oar):
+        while True:
+            for job in oar.running_jobs():  # EXPECT(PRF401)
+                self.grow(job)
+
+    def elastic_tick(self, oar):
+        return [self.floor_of(j, oar.running_jobs())  # EXPECT(PRF401)
+                for j in self.queued]
+
+
+class OncePerTickScheduler:
+    def _negotiate(self, oar, queued):
+        # OK: the donor table is built once, outside the loop.
+        donors = self._donor_table(oar, 0.0)
+        for job in queued:
+            self.offer(job, donors)
+
+    def _expand(self, oar):
+        # OK: one running-job list per tick, iterated.
+        for job in _running_malleable(oar):
+            self.grow(job)
+
+    def _donor_table(self, oar, now):
+        # OK: not a tick-path function; called once per tick.
+        return [self._feasible_floor(d, now) for d in _running_malleable(oar)]
+
+    def utilization(self):
+        # OK: the running list is asked for once.
+        return sum(len(j.assignment) for j in self.oar.running_jobs())

@@ -1,0 +1,81 @@
+"""Reference elastic decisions the oracle test compares production against.
+
+* :func:`negotiate` — the steal round as it ran before the per-tick donor
+  table: for every queued job short of nodes it re-lists the running
+  malleable jobs and recomputes each donor's feasibility floor, width and
+  newest-first givable uids.
+* :func:`expand` — the round-robin grow as it ran before the candidate
+  masks: every round re-lists the running malleable jobs and asks
+  ``grow_candidates`` again for each job with headroom.
+
+Production must make the same ``grow``/``shrink``/``replan_now`` calls,
+in the same order with the same arguments, so these straightforward
+loops are kept here, out of production code, as the oracle.
+"""
+
+from repro.scheduling.elastic import StealAgreementStrategy
+
+
+def _running_malleable(oar):
+    return [j for j in oar.running_jobs() if j.malleable]
+
+
+def expand(strategy, oar):
+    """Round-robin grow: one node per job per round until the pool or
+    every job's headroom is exhausted."""
+    while True:
+        granted = False
+        for job in _running_malleable(oar):
+            if job.width >= job.max_nodes:
+                continue
+            candidates = oar.grow_candidates(job)
+            if not candidates:
+                continue
+            oar.grow(job, candidates[:1])
+            granted = True
+        if not granted:
+            return
+
+
+def negotiate(strategy, oar, queued):
+    """One steal round, FCFS over the queued jobs, all-or-nothing."""
+    now = oar.sim.now
+    gantt = oar.gantt
+    bit = gantt.bit
+    for job in queued:
+        if len(job.request.parts) != 1:
+            continue
+        part = job.request.parts[0]
+        if not isinstance(part.count, int):
+            continue
+        usable = oar.matching_mask(part.expr) & oar.machines.alive_mask
+        if not usable:
+            continue
+        window = max(job.walltime_s, 1.0)
+        have = gantt.profile_free_mask(usable, now, now + window).bit_count()
+        deficit = part.count - have
+        if deficit <= 0:
+            continue
+        offers = []
+        offered = 0
+        for donor in _running_malleable(oar):
+            floor = StealAgreementStrategy._feasible_floor(donor, now)
+            room = donor.width - floor
+            if room <= 0:
+                continue
+            givable = [u for u in reversed(donor.assignment[0])
+                       if usable >> bit(u) & 1][:room]
+            if not givable:
+                continue
+            take = min(len(givable), deficit - offered)
+            offers.append((donor, givable[:take]))
+            offered += take
+            if offered >= deficit:
+                break
+        if offered < deficit:
+            continue
+        freed = set()
+        for donor, uids in offers:
+            freed.update(oar.shrink(donor, len(uids), prefer=set(uids),
+                                    replan=False))
+        oar.replan_now(freed)
