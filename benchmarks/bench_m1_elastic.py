@@ -3,12 +3,15 @@
 Runs the ``elastic-burst`` preset (the bursty trace replay widened to
 0.5x..2x elastic ranges) under the rigid ``easy-backfill`` baseline and
 the two malleable policies at identical contention — same trace, same
-seed, same testbed — and asserts the PR's headline claim: malleability
-alone improves mean user-job turnaround.  Also measures scheduling
-throughput (completed user jobs per wall-clock second) for the perf gate.
+seed, same testbed — and asserts the headline claim: malleability alone
+improves mean user-job turnaround.  Also measures scheduling throughput
+(completed user jobs per wall-clock second) for the perf gate; the rigid
+figure is the median of three runs after an untimed warm-up.
 Numbers land in ``benchmarks/results/BENCH_m1_elastic.json``.
 """
 
+import json
+import statistics
 import time
 
 from repro import run_scenario, scenarios
@@ -18,6 +21,7 @@ from perf import write_results
 
 _MONTHS = 0.12  # the horizon the bundled trace was recorded over
 _STRATEGIES = ("easy-backfill", "common-pool", "steal-agreement")
+_RIGID_TIMED_RUNS = 3  # after one untimed warm-up; the median is reported
 
 
 def _timed_run(spec, strategy, seed=0):
@@ -31,8 +35,17 @@ def bench_m1_elastic(benchmark):
     spec = scenarios.get("elastic-burst")
 
     reports, walls = {}, {}
-    reports["easy-backfill"], walls["easy-backfill"] = benchmark.pedantic(
-        lambda: _timed_run(spec, "easy-backfill"), rounds=1, iterations=1)
+    # The rigid run is short, so a cold first run (lazy imports, first
+    # world build) swings its wall: the warm-up run is not counted, the
+    # rigid figure is the median of the identical runs after it.
+    benchmark.pedantic(_timed_run, args=(spec, "easy-backfill"),
+                       rounds=1, iterations=1)
+    rigid_runs = [_timed_run(spec, "easy-backfill")
+                  for _ in range(_RIGID_TIMED_RUNS)]
+    assert len({json.dumps(rep.to_dict(), sort_keys=True)
+                for rep, _ in rigid_runs}) == 1, "rigid runs diverged"
+    reports["easy-backfill"] = rigid_runs[0][0]
+    walls["easy-backfill"] = statistics.median(w for _, w in rigid_runs)
     for strategy in _STRATEGIES[1:]:
         reports[strategy], walls[strategy] = _timed_run(spec, strategy)
 

@@ -204,5 +204,8 @@ class ChaosTransport(Transport):
             time.sleep(self.plan.config.delay_s)
         self.inner.send_line(line)
 
+    def flush(self) -> None:
+        self.inner.flush()
+
     def close(self) -> None:
         self.inner.close()

@@ -25,6 +25,14 @@ Server → client verbs
     scenario seed status i total · ``DONE`` detail · ``RPRT`` sha256 ·
     ``.``
 
+Framing: the byte stream is the only unit.  One read may return several
+lines, and a line may span reads, so a client must split on ``\\n`` —
+the ds-sim idiom of one message per ``socket.recv()`` breaks.  The
+server coalesces its output: everything said since its last write leaves
+in one write when it is about to block on a read, right after each
+``CELL`` and ``PING`` line, and on close.  A whole scheduler round
+(``TICK``, its ``JCPL`` and ``JOBN`` lines) thus arrives in one write.
+
 Timestamps are serialized with :func:`repr` so the float round-trips
 exactly — the determinism contract depends on both peers computing
 calendar predicates (peak hours) on the identical value.

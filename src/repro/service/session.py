@@ -56,7 +56,11 @@ class SessionClosed(Exception):
 
 class Transport:
     """One line in, one line out.  Sessions never touch sockets directly,
-    so tests drive the full state machine through a scripted transport."""
+    so tests drive the full state machine through a scripted transport.
+
+    A transport may hold sent lines back until it next waits for input;
+    :meth:`flush` pushes them out at once.  Only the server session
+    calls it (progress and heartbeat lines that must not wait)."""
 
     def send_line(self, line: str) -> None:
         raise NotImplementedError
@@ -64,6 +68,9 @@ class Transport:
     def recv_line(self) -> str:
         """Next line without its newline; raises SessionClosed on EOF."""
         raise NotImplementedError
+
+    def flush(self) -> None:
+        """Push buffered output to the peer now (no-op when unbuffered)."""
 
     def close(self) -> None:
         pass
@@ -75,6 +82,14 @@ class SocketTransport(Transport):
     The framing buffer is explicit (no ``makefile`` object), so a socket
     timeout mid-line never loses the partial bytes already received —
     the next ``recv_line`` picks up exactly where the wire left off.
+
+    Output is coalesced: ``send_line`` only appends to an output buffer,
+    and one ``sendall`` writes it out when ``recv_line`` is about to
+    block (no complete line already received), on :meth:`flush`, before
+    :meth:`send_raw`, on :meth:`close`, or once the buffer reaches
+    ``MAX_LINE_BYTES``.  A whole protocol round thus leaves in one write
+    instead of waking the peer once per line; the bytes on the wire are
+    unchanged.
 
     ``recv_deadline_s`` bounds how long one ``recv_line`` waits in total
     before declaring the peer dead (:class:`SessionClosed` frees the
@@ -94,31 +109,40 @@ class SocketTransport(Transport):
         #: raise :class:`SessionClosed` to drop a dead peer.
         self.on_idle: Optional[Callable[[], None]] = None
         try:
-            # The protocol is many tiny request/response lines per tick;
-            # Nagle + delayed ACK would add ~40ms to every exchange.
+            # One write per protocol round, but Nagle would still hold a
+            # round back while the peer delays its ACK of the last (~40ms).
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except OSError:
             pass  # non-TCP transports (unix sockets, socketpairs)
         self._buf = bytearray()
+        self._out = bytearray()
 
     def send_line(self, line: str) -> None:
+        self._out += line.encode("utf-8")
+        self._out += b"\n"
+        if len(self._out) >= MAX_LINE_BYTES:
+            self.flush()
+
+    def flush(self) -> None:
+        if not self._out:
+            return
         try:
             # The recv deadline doubles as the send deadline: a peer that
             # stops draining its socket is as dead as one that stops
             # talking.
             self.sock.settimeout(self.recv_deadline_s)
-            self.sock.sendall(line.encode("utf-8") + b"\n")
+            self.sock.sendall(self._out)
         except OSError:
             raise SessionClosed("send failed") from None
+        finally:
+            self._out.clear()
 
     def send_raw(self, text: str) -> None:
         """Send bytes with *no* newline — the torn-write seam chaos
-        testing uses to leave a half-line in the peer's framing buffer."""
-        try:
-            self.sock.settimeout(self.recv_deadline_s)
-            self.sock.sendall(text.encode("utf-8"))
-        except OSError:
-            raise SessionClosed("send failed") from None
+        testing uses to leave a half-line in the peer's framing buffer.
+        Lines already buffered go out first."""
+        self._out += text.encode("utf-8")
+        self.flush()
 
     def recv_line(self) -> str:
         waited = 0.0
@@ -136,6 +160,8 @@ class SocketTransport(Transport):
                 # then drop the peer (resynchronizing is guesswork).
                 raise ProtocolError(
                     "toobig", f"line exceeds {MAX_LINE_BYTES} bytes")
+            # About to block: whatever we said must reach the peer first.
+            self.flush()
             interval = self.heartbeat_interval_s
             if interval is None or (self.recv_deadline_s is not None
                                     and self.recv_deadline_s < interval):
@@ -160,6 +186,10 @@ class SocketTransport(Transport):
             self._buf += chunk
 
     def close(self) -> None:
+        try:
+            self.flush()
+        except SessionClosed:
+            pass  # the peer is gone; nothing left to deliver to
         try:
             self.sock.close()
         except OSError:
@@ -212,6 +242,7 @@ class Session:
         """Idle probe: a PING the client ignores, but whose *send* fails
         fast on a dead connection (wired as the transport's on_idle)."""
         self._send("PING")
+        self.transport.flush()
 
     def _err(self, exc: ProtocolError) -> None:
         self._send("ERR", exc.code, *exc.message.split())
@@ -502,6 +533,7 @@ class Session:
         def on_cell(run, cached, index, total):
             status = "cached" if cached else ("ok" if run.ok else "failed")
             self._send("CELL", run.scenario, run.seed, status, index, total)
+            self.transport.flush()  # progress streams while the matrix runs
 
         try:
             runs = self.campaigns.run_matrix(doc, on_cell=on_cell)
