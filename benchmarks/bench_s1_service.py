@@ -5,28 +5,29 @@ in-process, once through the socket service driven by the bundled
 reference client — and measures the workload throughput of each path
 (submitted jobs per wall-clock second).  The remote path pays one
 synchronous protocol round per scheduler tick with due cells, so the
-ratio is the protocol's end-to-end overhead.
+ratio is the protocol's end-to-end overhead.  Each path's wall is the
+median of three runs after an untimed warm-up, as in ``bench_m1_elastic``.
 
-Also asserts the PR's determinism contract on a workload-heavy scenario:
-the remote report is byte-identical (same canonical JSON, same sha256)
+Also asserts the determinism contract on a workload-heavy scenario:
+every remote report is byte-identical (same canonical JSON, same sha256)
 to the in-process one.  Numbers land in
 ``benchmarks/results/BENCH_s1_service.json``.
 """
 
 import hashlib
 import json
-import os
+import statistics
 import time
 
 from repro import run_scenario, scenarios
 from repro.service import ReferenceClient, SimulatorService
 
 from conftest import paper_row, print_table
+from perf import write_results
 
-_RESULTS = os.path.join(os.path.dirname(__file__), "results",
-                        "BENCH_s1_service.json")
 _MONTHS = 0.12  # the horizon the bundled trace was recorded over
 _SCENARIO = "bursty-replay"
+_TIMED_RUNS = 3  # per path, after one untimed warm-up; the median is reported
 
 
 def _report_hash(doc: dict) -> str:
@@ -34,27 +35,43 @@ def _report_hash(doc: dict) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _local_run(spec):
+    t0 = time.perf_counter()
+    fw, report = run_scenario(spec, seed=0, months=_MONTHS)
+    wall = time.perf_counter() - t0
+    return fw.workload.submitted, _report_hash(report.to_dict()), wall
+
+
+def _remote_run(client):
+    t0 = time.perf_counter()
+    result = client.run_scenario(_SCENARIO, seed=0, months=_MONTHS)
+    return result, time.perf_counter() - t0
+
+
 def bench_s1_service(benchmark):
     spec = scenarios.get(_SCENARIO)
 
-    t0 = time.perf_counter()
-    fw, report = run_scenario(spec, seed=0, months=_MONTHS)
-    t_local = time.perf_counter() - t0
-    jobs = fw.workload.submitted
-    local_hash = _report_hash(report.to_dict())
+    # A cold first run (lazy imports, first world build, first connection)
+    # swings its wall: each path gets an untimed warm-up, and its figure is
+    # the median of the identical runs after it.
+    benchmark.pedantic(_local_run, args=(spec,), rounds=1, iterations=1)
+    local_runs = [_local_run(spec) for _ in range(_TIMED_RUNS)]
+    jobs, local_hash, _ = local_runs[0]
+    assert {(n, h) for n, h, _ in local_runs} == {(jobs, local_hash)}, \
+        "in-process runs diverged"
+    t_local = statistics.median(w for _, _, w in local_runs)
 
     svc = SimulatorService(port=0).start()
     try:
         host, port = svc.address
         with ReferenceClient(host, port) as client:
-            t0 = time.perf_counter()
-            result = benchmark.pedantic(
-                lambda: client.run_scenario(_SCENARIO, seed=0,
-                                            months=_MONTHS),
-                rounds=1, iterations=1)
-            t_remote = time.perf_counter() - t0
+            warm_up, _ = _remote_run(client)
+            remote_runs = [_remote_run(client) for _ in range(_TIMED_RUNS)]
     finally:
         svc.stop()
+    remote_hashes = [warm_up["sha256"]] + [r["sha256"] for r, _ in remote_runs]
+    result = remote_runs[0][0]
+    t_remote = statistics.median(w for _, w in remote_runs)
 
     local_jps = jobs / max(t_local, 1e-9)
     remote_jps = jobs / max(t_remote, 1e-9)
@@ -66,30 +83,23 @@ def bench_s1_service(benchmark):
         paper_row("remote (jobs/s)", "-", f"{remote_jps:.0f}"),
         paper_row("protocol rounds (ticks)", "-", result["ticks"]),
         paper_row("remote/in-process wall", "-", f"{overhead:.2f}x"),
-        paper_row("remote report", "byte-identical",
-                  "yes" if result["sha256"] == local_hash else "NO"),
+        paper_row("remote reports", "byte-identical",
+                  "yes" if set(remote_hashes) == {local_hash} else "NO"),
     ]
     print_table("S1: simulator-as-a-service overhead", rows)
 
-    os.makedirs(os.path.dirname(_RESULTS), exist_ok=True)
-    with open(_RESULTS, "w", encoding="utf-8") as fh:
-        json.dump({
-            "id": "s1_service",
-            "metrics": {
-                "workload_jobs": jobs,
-                "inprocess_wall_s": round(t_local, 3),
-                "inprocess_jobs_per_s": round(local_jps, 1),
-                "remote_wall_s": round(t_remote, 3),
-                "remote_jobs_per_s": round(remote_jps, 1),
-                "remote_ticks": result["ticks"],
-                "remote_overhead_x": round(overhead, 2),
-            },
-            "outcome": "passed",
-        }, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_results("s1_service", {
+        "workload_jobs": jobs,
+        "inprocess_wall_s": round(t_local, 3),
+        "inprocess_jobs_per_s": round(local_jps, 1),
+        "remote_wall_s": round(t_remote, 3),
+        "remote_jobs_per_s": round(remote_jps, 1),
+        "remote_ticks": result["ticks"],
+        "remote_overhead_x": round(overhead, 2),
+    })
 
     # the acceptance criterion, on the heavier replay scenario
-    assert result["sha256"] == local_hash
+    assert remote_hashes == [local_hash] * len(remote_hashes)
     # localhost protocol rounds are cheap: the remote path must stay in
     # the same order of magnitude (catches per-decision quadratic work
     # or an accidental unpipelined chat inside the tick loop)

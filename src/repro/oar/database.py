@@ -103,7 +103,10 @@ class OarDatabase:
 
     def matching(self, expr: Optional[PropExpr],
                  candidates: Optional[Iterable[str]] = None) -> list[str]:
-        """Node uids whose (possibly corrupted) properties satisfy ``expr``."""
+        """Node uids whose (possibly corrupted) properties satisfy ``expr``.
+
+        The per-row definition: the server's ``matching_mask`` selects the
+        same nodes from a column index of these rows."""
         uids = sorted(candidates) if candidates is not None else self.node_uids()
         if expr is None:
             return uids

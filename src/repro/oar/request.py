@@ -22,13 +22,15 @@ strings and numbers.
 
 The parser is a hand-written tokenizer + recursive-descent (precedence:
 ``or`` < ``and`` < ``not`` < comparison), producing an AST whose nodes
-evaluate against a property dict and render back to canonical text
-(``str(expr)`` re-parses to an equivalent AST — property-tested).
+evaluate against a property dict, select from a column index of node
+bitmasks, and render back to canonical text (``str(expr)`` re-parses to an
+equivalent AST — property-tested).
 """
 
 from __future__ import annotations
 
 import re
+import threading
 from dataclasses import dataclass
 from typing import Any, Optional, Union
 
@@ -57,10 +59,23 @@ ALL_NODES = "ALL"
 # ---------------------------------------------------------------------------
 
 
+#: Column index of the property rows: ``{prop: {value: mask}}``, where
+#: ``mask`` has one bit per row holding ``value`` under ``prop``.
+Columns = dict[str, dict[Any, int]]
+
+
 class PropExpr:
-    """Base class for property-expression AST nodes."""
+    """Base class for property-expression AST nodes.
+
+    ``evaluate`` is the definition, one row at a time; ``select`` answers
+    the same question for every row at once: the rows, as a mask within
+    ``full``, whose ``evaluate`` would be true.
+    """
 
     def evaluate(self, props: dict[str, Any]) -> bool:  # pragma: no cover
+        raise NotImplementedError
+
+    def select(self, columns: Columns, full: int) -> int:  # pragma: no cover
         raise NotImplementedError
 
 
@@ -83,11 +98,20 @@ class Comparison(PropExpr):
     def evaluate(self, props: dict[str, Any]) -> bool:
         if self.name not in props:
             return False
-        actual = props[self.name]
+        return self._holds(props[self.name])
+
+    def _holds(self, actual: Any) -> bool:
         try:
             return _OPS[self.op](actual, self.value)
         except TypeError:
             return False  # comparing number with string -> no match
+
+    def select(self, columns: Columns, full: int) -> int:
+        mask = 0
+        for actual, rows in columns.get(self.name, {}).items():
+            if self._holds(actual):
+                mask |= rows
+        return mask
 
     def __str__(self) -> str:
         value = f"'{self.value}'" if isinstance(self.value, str) else str(self.value)
@@ -105,6 +129,11 @@ class BoolOp(PropExpr):
             return self.left.evaluate(props) and self.right.evaluate(props)
         return self.left.evaluate(props) or self.right.evaluate(props)
 
+    def select(self, columns: Columns, full: int) -> int:
+        left = self.left.select(columns, full)
+        right = self.right.select(columns, full)
+        return left & right if self.op == "and" else left | right
+
     def __str__(self) -> str:
         return f"({self.left} {self.op} {self.right})"
 
@@ -115,6 +144,9 @@ class NotOp(PropExpr):
 
     def evaluate(self, props: dict[str, Any]) -> bool:
         return not self.operand.evaluate(props)
+
+    def select(self, columns: Columns, full: int) -> int:
+        return full & ~self.operand.select(columns, full)
 
     def __str__(self) -> str:
         return f"(not {self.operand})"
@@ -388,11 +420,15 @@ class _Parser:
             return preferred, None, None  # degenerate range: plain rigid
         return preferred, lo, hi
 
-    def parse_request(self) -> JobRequest:
+    def parse_parts(self) -> tuple[RequestPart, ...]:
         parts = [self.parse_part()]
         while self.at_punct("+"):
             self.next()
             parts.append(self.parse_part())
+        return tuple(parts)
+
+    def parse_request(self) -> JobRequest:
+        parts = self.parse_parts()
         walltime_s = HOUR  # OAR's default walltime
         if self.at_punct(","):
             self.next()
@@ -402,7 +438,7 @@ class _Parser:
         tok = self.peek()
         if tok is not None:
             raise ParseError(f"trailing input {tok.text!r}", self.text, tok.pos)
-        return JobRequest(tuple(parts), walltime_s)
+        return JobRequest(parts, walltime_s)
 
     def _parse_time_value(self) -> float:
         """``H``, ``H:MM`` or ``H:MM:SS`` (also fractional hours ``1.5``)."""
@@ -429,11 +465,69 @@ def parse_expression(text: str) -> PropExpr:
     return expr
 
 
+#: The trailing walltime clause the fast path splits a request at.
+_WALLTIME_CLAUSE = ",walltime="
+
+#: A walltime value exactly as the tokenizer reads one: fractional hours,
+#: or integer ``H[:MM[:SS]]``, with spaces allowed around every token.
+_TIME_VALUE_RE = re.compile(
+    r"\s*(?:(-?\d+\.\d+)|(-?\d+)(?:\s*:\s*(-?\d+)(?:\s*:\s*(-?\d+))?)?)\s*")
+
+#: Most part strings the memo keeps; past it the oldest entry goes.
+_PARTS_MEMO_MAX = 4096
+
+#: Request text before its walltime clause -> its parsed parts.  Parts are
+#: frozen and a pure function of that text, so sharing them is safe.
+_parts_memo: dict[str, tuple[RequestPart, ...]] = {}
+#: Serialises inserts and evictions: service sessions parse in threads.
+_parts_memo_lock = threading.Lock()
+
+
+def _time_value(match: re.Match[str]) -> float:
+    """:meth:`_Parser._parse_time_value` on a :data:`_TIME_VALUE_RE` match."""
+    fractional, hours, minutes, seconds = match.groups()
+    if fractional is not None:
+        return float(fractional) * HOUR
+    total = int(hours) * HOUR
+    if minutes is not None:
+        total += int(minutes) * MINUTE
+    if seconds is not None:
+        total += int(seconds)
+    return float(total)
+
+
 def parse_request(text: str) -> JobRequest:
     """Parse a full ``-l`` request string.
+
+    Jobs repeat a few request shapes with a different walltime each, so
+    the parts before a trailing ``,walltime=<time>`` clause are parsed once
+    and kept in a bounded memo; the walltime is read on every call.  Text
+    this split does not recognise, and every error, goes through the full
+    parser, so results and error messages do not depend on the memo.
 
     >>> req = parse_request("cluster='grisou'/nodes=2,walltime=2:30:00")
     >>> req.parts[0].count, req.walltime_s
     (2, 9000.0)
     """
-    return _Parser(text).parse_request()
+    head, clause, tail = text.rpartition(_WALLTIME_CLAUSE)
+    if clause:
+        match = _TIME_VALUE_RE.fullmatch(tail)
+        if match is None:
+            return _Parser(text).parse_request()
+        walltime_s = _time_value(match)
+    else:
+        head, walltime_s = text, HOUR
+    parts = _parts_memo.get(head)
+    if parts is None:
+        try:
+            parser = _Parser(head)
+            parts = parser.parse_parts()
+        except ParseError:
+            return _Parser(text).parse_request()
+        if parser.peek() is not None:
+            return _Parser(text).parse_request()
+        with _parts_memo_lock:
+            if len(_parts_memo) >= _PARTS_MEMO_MAX:
+                del _parts_memo[next(iter(_parts_memo))]
+            _parts_memo[head] = parts
+    return JobRequest(parts, walltime_s)

@@ -36,7 +36,7 @@ from ..util.events import Simulator
 from .database import OarDatabase
 from .gantt import Gantt
 from .jobs import Job, JobState
-from .request import ALL_NODES, JobRequest, parse_request
+from .request import ALL_NODES, Columns, JobRequest, parse_request
 
 __all__ = ["OarServer"]
 
@@ -109,6 +109,9 @@ class OarServer:
         self._running: list[Job] = []
         self._matching_cache: dict[str, int] = {}
         self._matching_epoch = database.services.oar_drift_epoch
+        #: Column index of the database rows a cache miss selects from;
+        #: built on the first miss of each drift epoch.
+        self._columns: Optional[Columns] = None
         #: Replan coalescing: many completions in a burst trigger a single
         #: rescheduling pass (like OAR's periodic scheduler), which keeps
         #: long campaigns tractable.
@@ -216,18 +219,40 @@ class OarServer:
     def matching_mask(self, part_expr) -> int:
         """Cached bitmask of the nodes matching an expression (bit order ==
         database order, see :class:`~repro.oar.gantt.ResourceProfile`).
-        The cache empties first whenever an OAR_PROPERTY_DRIFT fault
-        changed the rows since they were cached."""
+        The cache and the column index empty first whenever an
+        OAR_PROPERTY_DRIFT fault changed the rows since they were built.
+        A miss selects from the column index, so it reads each distinct
+        property value once instead of every row: the same nodes
+        :meth:`OarDatabase.matching` lists."""
         cache = self._matching_cache
         epoch = self.db.services.oar_drift_epoch
         if epoch != self._matching_epoch:
             cache.clear()
+            self._columns = None
             self._matching_epoch = epoch
         key = str(part_expr)
         mask = cache.get(key)
         if mask is None:
-            mask = cache[key] = self.gantt.mask_for(self.db.matching(part_expr))
+            full = self.gantt.full_mask
+            if part_expr is None:
+                mask = full
+            else:
+                if self._columns is None:
+                    self._columns = self._column_index()
+                mask = part_expr.select(self._columns, full)
+            cache[key] = mask
         return mask
+
+    def _column_index(self) -> Columns:
+        """``{prop: {value: mask}}`` over the database rows as OAR sees
+        them (drift applied), in database (bit) order."""
+        columns: Columns = {}
+        for uid in self.db.node_uids():
+            bit = 1 << self.gantt.bit(uid)
+            for prop, value in self.db.properties(uid).items():
+                column = columns.setdefault(prop, {})
+                column[value] = column.get(value, 0) | bit
+        return columns
 
     def _find_assignment(
         self, job: Job, after: float,

@@ -128,7 +128,9 @@ class DefaultStrategy(SchedulingStrategy):
     For each due cell, in cell order: skip during peak hours (hardware
     tests, calendar gate — no backoff growth), skip when the per-site
     concurrency cap is reached, defer with exponential backoff when the
-    resources are not available right now, otherwise launch.
+    resources are not available right now, otherwise launch.  The
+    calendar gate depends only on the family kind and the tick's instant,
+    so it is asked once per kind per tick.
     """
 
     name = "default"
@@ -139,10 +141,17 @@ class DefaultStrategy(SchedulingStrategy):
     def on_tick(self, view: "TickView") -> None:
         policy = self.policy
         now = view.now
+        cap = policy.max_concurrent_per_site
+        in_flight = view.in_flight
+        allowed: dict[str, bool] = {}
         for cell in view.due_cells():
-            if not policy.allows_now(cell.family.kind, now):
+            kind = cell.family.kind
+            gate = allowed.get(kind)
+            if gate is None:
+                gate = allowed[kind] = policy.allows_now(kind, now)
+            if not gate:
                 continue  # retry next tick; no backoff growth for calendar
-            if view.in_flight(cell.site) >= policy.max_concurrent_per_site:
+            if in_flight(cell.site) >= cap:
                 continue
             if policy.check_resources_first \
                     and not view.resources_available(cell):
