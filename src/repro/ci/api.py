@@ -36,20 +36,6 @@ class JenkinsApi:
     def __init__(self, server: JenkinsServer):
         self._server = server
 
-    def list_jobs(self) -> list[str]:
-        return sorted(self._server.jobs)
-
-    def job_info(self, job_name: str, depth_builds: int = 25) -> dict[str, Any]:
-        job = self._server.job(job_name)
-        last = job.last_build()
-        return {
-            "name": job.name,
-            "description": job.description,
-            "buildable": True,
-            "builds": [_build_doc(b) for b in job.builds[-depth_builds:]],
-            "lastCompletedBuild": _build_doc(last) if last else None,
-        }
-
     def build_info(self, job_name: str, number: int) -> dict[str, Any]:
         job = self._server.job(job_name)
         for build in job.builds:
@@ -75,9 +61,3 @@ class JenkinsApi:
                 continue
             out.append(_build_doc(build))
         return out
-
-    def queue_info(self) -> dict[str, Any]:
-        return {
-            "queue_length": self._server.queue_length(),
-            "busy_executors": self._server.busy_executors(),
-        }

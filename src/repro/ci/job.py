@@ -19,10 +19,6 @@ class BuildStatus(enum.Enum):
     FAILURE = "FAILURE"
     ABORTED = "ABORTED"
 
-    @property
-    def is_success(self) -> bool:
-        return self is BuildStatus.SUCCESS
-
 
 @dataclass(eq=False)
 class Build:

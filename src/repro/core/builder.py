@@ -279,10 +279,6 @@ class FrameworkBuilder:
 
     # -- fluent configuration --------------------------------------------------
 
-    def with_spec(self, spec: ScenarioSpec) -> "FrameworkBuilder":
-        self._spec = spec
-        return self
-
     def with_seed(self, seed: int) -> "FrameworkBuilder":
         self._spec = self._spec.derive(seed=seed)
         return self

@@ -51,17 +51,8 @@ class GroundTruth:
                 return f
         return None
 
-    def active_on_cluster(self, cluster: str) -> list[FaultInstance]:
-        return [f for f in self._faults if f.active and f.cluster == cluster]
-
-    def active_on_site(self, site: str) -> list[FaultInstance]:
-        return [f for f in self._faults if f.active and f.site == site]
-
     def detected(self) -> list[FaultInstance]:
         return [f for f in self._faults if f.detected]
-
-    def undetected_active(self) -> list[FaultInstance]:
-        return [f for f in self._faults if f.active and not f.detected]
 
     def mark_detected(self, instance: FaultInstance, when: float, by: str) -> None:
         if instance.detected_at is None:

@@ -391,6 +391,3 @@ class MachinePark:
 
     def __len__(self) -> int:
         return len(self.machines)
-
-    def of_cluster(self, cluster_uid: str) -> list[SimulatedNode]:
-        return [m for m in self.machines.values() if m.cluster_uid == cluster_uid]

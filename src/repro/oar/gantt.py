@@ -36,13 +36,12 @@ class ResourceProfile:
     ``_times[i]`` opens step ``i``, which covers ``[_times[i],
     _times[i+1])`` (the final step is unbounded); ``_masks[i]`` has bit
     ``b`` set iff the node holding bit ``b`` is reservation-free
-    throughout the step.  The uid -> bit mapping is fixed at construction
-    in the order given (the OAR database's sorted node order), so masks
-    from different queries compose with plain ``&``/``|`` and the lowest
-    set bits of a free mask are exactly the first free nodes in database
-    order.  Adjacent steps never share a mask (every update re-coalesces
-    its touched range), keeping the step count proportional to the number
-    of distinct reservation boundaries.
+    throughout the step.  The profile knows nodes only as bit positions
+    ``0 .. node_count - 1``; :class:`Gantt` owns the uid <-> bit map.
+    Masks from different queries compose with plain ``&``/``|``.
+    Adjacent steps never share a mask (every update re-coalesces its
+    touched range), keeping the step count proportional to the number of
+    distinct reservation boundaries.
 
     Queries replicate the retired per-node searches bit for bit: a node
     is eligible to host a start at ``t`` iff its free window ``[s, e)``
@@ -52,43 +51,19 @@ class ResourceProfile:
     refactor unchanged.
     """
 
-    __slots__ = ("_uids", "_bits", "_full", "_times", "_masks")
+    __slots__ = ("_full", "_times", "_masks")
 
-    def __init__(self, node_uids: Iterable[str]) -> None:
-        self._uids: List[str] = list(node_uids)
-        self._bits: Dict[str, int] = {u: i for i, u in enumerate(self._uids)}
-        self._full: int = (1 << len(self._uids)) - 1
+    def __init__(self, node_count: int) -> None:
+        self._full: int = (1 << node_count) - 1
         self._times: List[float] = [_NEG_INF]
         self._masks: List[int] = [self._full]
 
     def __len__(self) -> int:
         return len(self._times)
 
-    # -- bit bookkeeping ---------------------------------------------------------
-
     @property
     def full_mask(self) -> int:
         return self._full
-
-    def bit(self, uid: str) -> int:
-        return self._bits[uid]
-
-    def mask_for(self, uids: Iterable[str]) -> int:
-        bits = self._bits
-        mask = 0
-        for uid in uids:
-            mask |= 1 << bits[uid]
-        return mask
-
-    def uids_from_mask(self, mask: int, limit: Optional[int] = None) -> List[str]:
-        """Set bits -> node uids, lowest bit (database order) first."""
-        out: List[str] = []
-        uids = self._uids
-        while mask and (limit is None or len(out) < limit):
-            low = mask & -mask
-            out.append(uids[low.bit_length() - 1])
-            mask ^= low
-        return out
 
     # -- maintenance -------------------------------------------------------------
 
@@ -228,12 +203,16 @@ class Gantt:
 
     The profile is the only record of busy time; the ledger maps each job
     to the ``(start, end, mask)`` intervals it holds, so the mutators know
-    which bits to free.  Node uids map to profile bits in the order given
-    (the OAR database's sorted node order).
+    which bits to free.  Node sets are bitmasks throughout; the Gantt
+    holds the scheduler's one uid <-> bit map, in the order given (the
+    OAR database's sorted node order, which the park's alive bits share),
+    so the lowest set bits of a mask are its first nodes in that order.
     """
 
     def __init__(self, node_uids: Iterable[str]) -> None:
-        self.profile = ResourceProfile(node_uids)
+        self._uids: List[str] = list(node_uids)
+        self._bits: Dict[str, int] = {u: i for i, u in enumerate(self._uids)}
+        self.profile = ResourceProfile(len(self._uids))
         self._ledger: Dict[int, List[Tuple[float, float, int]]] = {}
 
     # -- bit bookkeeping ---------------------------------------------------------
@@ -243,13 +222,24 @@ class Gantt:
         return self.profile.full_mask
 
     def bit(self, uid: str) -> int:
-        return self.profile.bit(uid)
+        return self._bits[uid]
 
     def mask_for(self, uids: Iterable[str]) -> int:
-        return self.profile.mask_for(uids)
+        bits = self._bits
+        mask = 0
+        for uid in uids:
+            mask |= 1 << bits[uid]
+        return mask
 
     def uids_from_mask(self, mask: int, limit: Optional[int] = None) -> List[str]:
-        return self.profile.uids_from_mask(mask, limit)
+        """Set bits -> node uids, lowest bit (database order) first."""
+        out: List[str] = []
+        uids = self._uids
+        while mask and (limit is None or len(out) < limit):
+            low = mask & -mask
+            out.append(uids[low.bit_length() - 1])
+            mask ^= low
+        return out
 
     # -- queries -----------------------------------------------------------------
 
@@ -269,14 +259,15 @@ class Gantt:
                   limit: Optional[int] = None) -> List[str]:
         """First ``limit`` free nodes of ``mask`` over ``[start, end)``, in
         database order."""
-        prof = self.profile
-        return prof.uids_from_mask(prof.free_mask(mask, start, end), limit)
+        return self.uids_from_mask(self.profile.free_mask(mask, start, end),
+                                   limit)
 
     # -- mutators ----------------------------------------------------------------
 
-    def reserve(self, uids: Iterable[str], start: float, end: float,
+    def reserve(self, mask: int, start: float, end: float,
                 job_id: int) -> None:
-        """Mark ``uids`` busy over ``[start, end)`` for ``job_id``.
+        """Mark the nodes of ``mask`` busy over ``[start, end)`` for
+        ``job_id``.
 
         Raises :class:`SchedulingError`, changing nothing, when the
         interval is empty or any of the nodes is busy somewhere in it.
@@ -284,11 +275,10 @@ class Gantt:
         if end <= start:
             raise SchedulingError(f"empty interval [{start}, {end})")
         prof = self.profile
-        mask = prof.mask_for(uids)
         busy = mask & ~prof.free_mask(mask, start, end)
         if busy:
             raise SchedulingError(
-                f"job {job_id}: {prof.uids_from_mask(busy)} already "
+                f"job {job_id}: {self.uids_from_mask(busy)} already "
                 f"reserved within [{start}, {end})")
         prof.set_busy(mask, start, end)
         self._ledger.setdefault(job_id, []).append((start, end, mask))
@@ -298,8 +288,9 @@ class Gantt:
         for start, end, mask in self._ledger.pop(job_id, ()):
             self.profile.set_free(mask, start, end)
 
-    def truncate(self, uids: Iterable[str], job_id: int, end: float) -> None:
-        """End the job's intervals on ``uids`` at ``end`` (early release).
+    def truncate(self, cut: int, job_id: int, end: float) -> None:
+        """End the job's intervals on the nodes of ``cut`` at ``end``
+        (early release).
 
         An interval that starts at or after ``end`` is dropped whole, so
         no zero-length residue stays in the ledger.
@@ -308,7 +299,6 @@ class Gantt:
         if not held:
             return
         prof = self.profile
-        cut = prof.mask_for(uids)
         kept: List[Tuple[float, float, int]] = []
         for start, stop, mask in held:
             hit = mask & cut

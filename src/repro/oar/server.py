@@ -22,13 +22,16 @@ Node states follow OAR vocabulary: **Alive** (usable), **Absent**
 (rebooting/off), **Suspected** (crashed).  Placement reads liveness from
 the park's alive bitmask (:attr:`MachinePark.alive_mask`), which shares the
 Gantt's bit order: a candidate set is ``matching_mask(expr) & alive_mask``.
+Every node set inside the scheduler is such a mask; uids appear only on
+``Job.assignment``, built once per placement or resize.
 """
 
 from __future__ import annotations
 
 import bisect
-from operator import attrgetter
-from typing import Optional, Sequence, Union
+from functools import reduce
+from operator import attrgetter, or_
+from typing import Optional, Union
 
 from ..nodes.machine import MachinePark, PowerState
 from ..util.errors import SchedulingError
@@ -51,39 +54,52 @@ _BUSY_LOAD = 0.75
 _IDLE_LOAD = 0.02
 
 
+def _lowest_bits(mask: int, k: int) -> int:
+    """The ``k`` lowest set bits of ``mask``: its first ``k`` nodes in
+    database order."""
+    if mask.bit_count() <= k:
+        return mask
+    out = 0
+    for _ in range(k):
+        low = mask & -mask
+        out |= low
+        mask ^= low
+    return out
+
+
 def _multi_part_assignment(
     gantt: Gantt, parts: list[tuple[int, Union[int, str]]], after: float,
     walltime: float,
-) -> Optional[tuple[float, tuple[tuple[str, ...], ...]]]:
+) -> Optional[tuple[float, tuple[int, ...]]]:
     """Rare multi-part shape: earliest start at which every part fits.
 
-    ``parts`` holds ``(candidate mask, node count or ALL_NODES)`` pairs.
-    The walk tries ``after`` and every later profile boundary; at each
-    start the parts, in order, take the lowest free bits of their
-    candidates not taken by an earlier part (ALL takes every such
-    candidate, and needs all of them free).  The first feasible start is
-    always ``after`` or the release point of a candidate node, so trying
-    every boundary finds the same start a walk over release points does.
+    ``parts`` holds ``(candidate mask, node count or ALL_NODES)`` pairs;
+    the answer is the start and one node mask per part.  The walk tries
+    ``after`` and every later profile boundary; at each start the parts,
+    in order, take the lowest free bits of their candidates not taken by
+    an earlier part (ALL takes every such candidate, and needs all of
+    them free).  The first feasible start is always ``after`` or the
+    release point of a candidate node, so trying every boundary finds
+    the same start a walk over release points does.
     """
     for start in gantt.profile.starts_from(after):
         end = start + walltime
         taken = 0
-        assignment: list[tuple[str, ...]] = []
+        masks: list[int] = []
         for cmask, count in parts:
             rest = cmask & ~taken
             free = gantt.profile_free_mask(rest, start, end)
             if count == ALL_NODES:
                 if free != rest:
                     break
-                chosen = gantt.uids_from_mask(free)
             elif free.bit_count() < int(count):
                 break
             else:
-                chosen = gantt.uids_from_mask(free, int(count))
-            assignment.append(tuple(chosen))
-            taken |= gantt.mask_for(chosen)
+                free = _lowest_bits(free, int(count))
+            masks.append(free)
+            taken |= free
         else:
-            return start, tuple(assignment)
+            return start, tuple(masks)
     return None
 
 
@@ -180,33 +196,13 @@ class OarServer:
         if immediate:
             placement = self._find_assignment(job, self.sim.now)
             if placement is None or placement[0] > self.sim.now + _IMMEDIATE_SLACK_S:
-                job.state = JobState.CANCELLED
-                job.finished_at = self.sim.now
-                job.done_event.succeed(job)
-                return job
-            start, assignment = placement
-            self._reserve(job, start, assignment)
+                self._end(job, JobState.CANCELLED)
+            else:
+                self._reserve(job, *placement)
             return job
         self._waiting.append(job)
         self._schedule_pass()
         return job
-
-    def cancel(self, job: Job) -> None:
-        """Cancel a waiting/scheduled job (running jobs use release())."""
-        if job.state == JobState.WAITING:
-            self._waiting.remove(job)
-        elif job.state == JobState.SCHEDULED:
-            self._scheduled.remove(job)
-            self.gantt.release(job.job_id)
-            self._dirty_nodes |= self.gantt.mask_for(job.assigned_nodes)
-            self._request_replan()
-            job.assignment = ()
-        else:
-            raise SchedulingError(f"cannot cancel job in state {job.state}")
-        job.generation += 1
-        job.state = JobState.CANCELLED
-        job.finished_at = self.sim.now
-        job.done_event.succeed(job)
 
     def release(self, job: Job) -> None:
         """End a running job now (normal completion)."""
@@ -256,8 +252,8 @@ class OarServer:
 
     def _find_assignment(
         self, job: Job, after: float,
-    ) -> Optional[tuple[float, tuple[tuple[str, ...], ...]]]:
-        """Earliest (start, per-part node sets) satisfying the request.
+    ) -> Optional[tuple[float, tuple[int, ...]]]:
+        """Earliest (start, per-part node masks) satisfying the request.
 
         A part's candidates are its matching mask ANDed with the park's
         alive mask; placement runs on the Gantt's availability profile,
@@ -283,14 +279,14 @@ class OarServer:
         if start is None:
             return None
         # Lowest free bits == first free candidates in database order.
-        chosen = self.gantt.free_uids(cmask, start, start + walltime, needed)
-        return start, (tuple(chosen),)
+        free = self.gantt.profile_free_mask(cmask, start, start + walltime)
+        return start, (_lowest_bits(free, needed),)
 
-    def _reserve(self, job: Job, start: float,
-                 assignment: tuple[tuple[str, ...], ...]) -> None:
-        nodes = [uid for part in assignment for uid in part]
-        self.gantt.reserve(nodes, start, start + job.walltime_s, job.job_id)
-        job.assignment = assignment
+    def _reserve(self, job: Job, start: float, masks: tuple[int, ...]) -> None:
+        gantt = self.gantt
+        gantt.reserve(reduce(or_, masks), start, start + job.walltime_s,
+                      job.job_id)
+        job.assignment = tuple(tuple(gantt.uids_from_mask(m)) for m in masks)
         job.scheduled_start = start
         job.state = JobState.SCHEDULED
         self._scheduled.append(job)
@@ -332,11 +328,8 @@ class OarServer:
             replanned = self._scheduled
             self._scheduled = []
         for job in replanned:
-            self.gantt.release(job.job_id)
-            job.assignment = ()
-            job.scheduled_start = None
+            self._unplace(job)
             job.state = JobState.WAITING
-            job.generation += 1  # invalidate the pending _try_start timer
         # Keep global FCFS order across both pools.
         self._waiting = sorted(self._waiting + replanned, key=_job_id)
         self._schedule_pass()
@@ -349,23 +342,11 @@ class OarServer:
         self._scheduled.remove(job)
         if self.gantt.mask_for(job.assigned_nodes) & ~self.machines.alive_mask:
             # A reserved node died in the meantime: back to the queue.
-            self.gantt.release(job.job_id)
-            job.assignment = ()
-            job.scheduled_start = None
-            job.generation += 1
+            self._unplace(job)
             if job.immediate:
-                job.state = JobState.CANCELLED
-                job.finished_at = self.sim.now
-                job.done_event.succeed(job)
+                self._end(job, JobState.CANCELLED)
             else:
-                job.state = JobState.WAITING
-                # Re-queue in job-id order: appending to the tail would rank
-                # this job behind later-submitted waiters until the next
-                # replan re-sort, breaking conservative backfilling's FCFS
-                # fairness.  _waiting is kept sorted by job_id (submission
-                # order), so a bisect insert preserves the invariant.
-                bisect.insort(self._waiting, job, key=_job_id)
-                self._schedule_pass()
+                self._requeue(job)
             return
         job.state = JobState.RUNNING
         job.started_at = self.sim.now
@@ -406,17 +387,43 @@ class OarServer:
     def _finish(self, job: Job, state: JobState) -> None:
         self._running.remove(job)
         job.generation += 1
-        job.state = state
-        job.finished_at = self.sim.now
         self._account_alloc(-len(job.assigned_nodes))
         for uid in job.assigned_nodes:
             self.machines[uid].cpu_load = _IDLE_LOAD
-        self.gantt.truncate(job.assigned_nodes, job.job_id, self.sim.now)
-        self._dirty_nodes |= self.gantt.mask_for(job.assigned_nodes)
-        job.done_event.succeed(job)
+        # The job's whole node set turns dirty, even where the truncate
+        # frees nothing (a walltime kill exactly at the deadline).
+        held = self.gantt.mask_for(job.assigned_nodes)
+        self.gantt.truncate(held, job.job_id, self.sim.now)
+        self._dirty_nodes |= held
+        self._end(job, state)
         for hook in self.on_job_complete:
             hook(job)
         self._request_replan()
+
+    # -- tear-down -------------------------------------------------------------
+
+    def _unplace(self, job: Job) -> None:
+        """Drop the job's reservation: free its Gantt intervals, clear its
+        assignment and start, and bump the generation so every pending
+        timer of the old placement turns stale."""
+        self.gantt.release(job.job_id)
+        job.assignment = ()
+        job.scheduled_start = None
+        job.generation += 1
+
+    def _requeue(self, job: Job) -> None:
+        """Put an unplaced job back in the job-id-sorted queue at its FCFS
+        rank (appended, it would wait behind later submissions until the
+        next replan re-sort) and run a schedule pass."""
+        job.state = JobState.WAITING
+        bisect.insort(self._waiting, job, key=_job_id)
+        self._schedule_pass()
+
+    def _end(self, job: Job, state: JobState) -> None:
+        """Record the job's final state and fire its done event."""
+        job.state = state
+        job.finished_at = self.sim.now
+        job.done_event.succeed(job)
 
     # -- grow/shrink protocol (malleable jobs) ---------------------------------
 
@@ -471,43 +478,43 @@ class OarServer:
         else:
             self.sim.call_at(deadline, self._walltime_kill, job, generation)
 
-    def grow(self, job: Job, nodes: Sequence[str]) -> None:
-        """Expand a running malleable job onto idle nodes, effective now.
+    def grow(self, job: Job, mask: int) -> None:
+        """Expand a running malleable job onto the idle nodes of ``mask``,
+        effective now.
 
-        The nodes must match the request's property expression, be alive,
-        and be free from now through the job's walltime deadline (see
-        :meth:`grow_candidates`) — growing therefore never disturbs any
-        existing reservation.  With linear speedup the remaining work
-        spreads over the wider allocation and the finish timer pulls in.
+        The nodes must be new to the job, match the request's property
+        expression, be alive, and be free from now through the job's
+        walltime deadline (see :meth:`grow_candidates`) — growing
+        therefore never disturbs any existing reservation.  With linear
+        speedup the remaining work spreads over the wider allocation and
+        the finish timer pulls in.
         """
-        nodes = list(nodes)
         self._check_resizable(job, "grow")
-        if not nodes:
+        if not mask:
             return
         now = self.sim.now
         deadline = job.started_at + job.walltime_s
         if now >= deadline:
             raise SchedulingError(
                 f"job {job.job_id} is at its walltime deadline")
-        if job.width + len(nodes) > job.max_nodes:
+        width = job.width + mask.bit_count()
+        if width > job.max_nodes:
             raise SchedulingError(
-                f"cannot grow job {job.job_id} to {job.width + len(nodes)} "
+                f"cannot grow job {job.job_id} to {width} "
                 f"nodes: max_nodes={job.max_nodes}")
-        current = set(job.assigned_nodes)
-        matching = self.matching_mask(job.request.parts[0].expr)
-        alive = self.machines.alive_mask
-        bit = self.gantt.bit
-        for uid in nodes:
-            if uid in current:
+        gantt = self.gantt
+        for bad, why in (
+                (mask & gantt.mask_for(job.assignment[0]),
+                 f"already allocated to job {job.job_id}"),
+                (mask & ~self.matching_mask(job.request.parts[0].expr),
+                 f"do not match job {job.job_id}'s request"),
+                (mask & ~self.machines.alive_mask, "are not alive")):
+            if bad:
                 raise SchedulingError(
-                    f"node {uid} already allocated to job {job.job_id}")
-            if not matching >> bit(uid) & 1:
-                raise SchedulingError(
-                    f"node {uid} does not match job {job.job_id}'s request")
-            if not alive >> bit(uid) & 1:
-                raise SchedulingError(f"node {uid} is not alive")
+                    f"nodes {gantt.uids_from_mask(bad)} {why}")
         self._accrue_mass(job)  # settle work done at the old width first
-        self.gantt.reserve(nodes, now, deadline, job.job_id)
+        gantt.reserve(mask, now, deadline, job.job_id)
+        nodes = gantt.uids_from_mask(mask)
         job.assignment = (job.assignment[0] + tuple(nodes),)
         for uid in nodes:
             self.machines[uid].cpu_load = _BUSY_LOAD
@@ -516,17 +523,17 @@ class OarServer:
         self.grow_events += 1
         self._reschedule_finish(job)
 
-    def shrink(self, job: Job, k: int, prefer: Optional[set] = None,
-               replan: bool = True) -> list[str]:
+    def shrink(self, job: Job, k: int, prefer: int = 0,
+               replan: bool = True) -> int:
         """Reclaim ``k`` nodes from a running malleable job, effective now.
 
         Refuses to shrink below the request's ``min_nodes``.  Nodes leave
-        the allocation tail first (grown nodes before original ones);
-        ``prefer`` biases the pick toward specific uids (the
-        steal-agreement policy frees nodes a queued job can actually use).
-        Freed reservations are truncated at now, and with ``replan=True``
-        future reservations touching them are immediately re-placed so
-        queued work pulls forward.  Returns the freed uids.
+        the allocation tail first (grown nodes before original ones),
+        those in the ``prefer`` mask before any other (the
+        steal-agreement policy frees nodes a queued job can actually
+        use).  Freed reservations are truncated at now, and with
+        ``replan=True`` future reservations touching them are immediately
+        re-placed so queued work pulls forward.  Returns the freed mask.
         """
         self._check_resizable(job, "shrink")
         if k <= 0:
@@ -535,35 +542,29 @@ class OarServer:
             raise SchedulingError(
                 f"cannot shrink job {job.job_id} to {job.width - k} nodes: "
                 f"min_nodes={job.min_nodes}")
-        alloc = list(job.assignment[0])
-        chosen: list[str] = []
-        if prefer:
-            for uid in reversed(alloc):
-                if len(chosen) == k:
-                    break
-                if uid in prefer:
-                    chosen.append(uid)
-        if len(chosen) < k:
-            taken = set(chosen)
-            for uid in reversed(alloc):
-                if len(chosen) == k:
-                    break
-                if uid not in taken:
-                    chosen.append(uid)
+        alloc = job.assignment[0]
+        bit = self.gantt.bit
+        # Newest first, the ``prefer`` nodes ahead of the rest (stable).
+        tail = sorted((1 << bit(uid) for uid in reversed(alloc)),
+                      key=lambda b: not prefer & b)
+        freed = reduce(or_, tail[:k])
         self._accrue_mass(job)  # settle work done at the old width first
-        chosen_set = set(chosen)
-        job.assignment = (tuple(u for u in alloc if u not in chosen_set),)
-        self.gantt.truncate(chosen, job.job_id, self.sim.now)
-        for uid in chosen:
-            self.machines[uid].cpu_load = _IDLE_LOAD
+        kept: list[str] = []
+        for uid in alloc:
+            if freed >> bit(uid) & 1:
+                self.machines[uid].cpu_load = _IDLE_LOAD
+            else:
+                kept.append(uid)
+        job.assignment = (tuple(kept),)
+        self.gantt.truncate(freed, job.job_id, self.sim.now)
         self._account_alloc(-k)
         job.shrink_count += 1
         self.shrink_events += 1
         self._reschedule_finish(job)
-        self._dirty_nodes |= self.gantt.mask_for(chosen)
+        self._dirty_nodes |= freed
         if replan:
-            self.replan_now(chosen_set)
-        return chosen
+            self.replan_now(freed)
+        return freed
 
     def evict_dead_nodes(self, job: Job) -> bool:
         """Drop dead nodes from a running job's allocation (policy-driven).
@@ -578,73 +579,63 @@ class OarServer:
         if job.state != JobState.RUNNING or len(job.request.parts) != 1:
             return False
         gantt = self.gantt
-        dead_mask = gantt.mask_for(job.assignment[0]) & ~self.machines.alive_mask
-        if not dead_mask:
+        held = gantt.mask_for(job.assignment[0])
+        dead = held & ~self.machines.alive_mask
+        if not dead:
             return False
-        dead = gantt.uids_from_mask(dead_mask)
-        alive = [u for u in job.assignment[0] if not dead_mask >> gantt.bit(u) & 1]
-        now = self.sim.now
+        alive = [u for u in job.assignment[0] if not dead >> gantt.bit(u) & 1]
         if len(alive) >= max(job.min_nodes, 1):
             # Survivable: shrink past the dead nodes.  Work already done on
             # them is kept (the mass account accrues at the full width up
             # to now) — checkpoint-and-continue semantics.
             self._accrue_mass(job)
             job.assignment = (tuple(alive),)
-            self.gantt.truncate(dead, job.job_id, now)
-            self._account_alloc(-len(dead))
+            gantt.truncate(dead, job.job_id, self.sim.now)
+            self._account_alloc(-dead.bit_count())
             job.shrink_count += 1
             self.shrink_events += 1
             self._reschedule_finish(job)
-            self._dirty_nodes |= dead_mask
+            self._dirty_nodes |= dead
             self._request_replan()
             return True
         # Below min_nodes: tear the run down and restart from the queue.
         self._running.remove(job)
-        released = job.assigned_nodes
-        self.gantt.release(job.job_id)
         for uid in alive:
             self.machines[uid].cpu_load = _IDLE_LOAD
-        self._account_alloc(-len(released))
-        job.assignment = ()
-        job.scheduled_start = None
+        self._account_alloc(-len(job.assigned_nodes))
+        self._unplace(job)
         job.started_at = None
         job.mass_remaining = None
         job.mass_accrued_at = None
-        job.generation += 1
-        job.state = JobState.WAITING
         #: Fresh start event: the original already fired for the first run.
         job.started_event = self.sim.event()
-        self._dirty_nodes |= gantt.mask_for(alive)
-        # Re-queue at the job-id rank (see _try_start's dead-node path).
-        bisect.insort(self._waiting, job, key=_job_id)
-        self._schedule_pass()
+        self._dirty_nodes |= held & ~dead
+        self._requeue(job)
         return True
 
-    def replan_now(self, touching: Optional[set] = None) -> None:
+    def replan_now(self, touching: Optional[int] = None) -> None:
         """Synchronously re-place future reservations (the immediate
         counterpart of the batched replan; malleable policies call this
         right after freeing capacity so queued work pulls forward within
-        the same tick)."""
-        if touching is None:
-            self._replan_future_jobs()
-        elif touching:
-            self._replan_future_jobs(self.gantt.mask_for(touching))
+        the same tick).  ``touching`` is the freed node mask: ``None``
+        replans every reservation, ``0`` none."""
+        if touching is None or touching:
+            self._replan_future_jobs(touching)
 
-    def grow_candidates(self, job: Job) -> list[str]:
-        """Alive matching nodes free from now through the job's walltime
-        deadline — exactly what :meth:`grow` may claim without disturbing
-        any existing reservation.  Deterministic database order."""
+    def grow_candidates(self, job: Job) -> int:
+        """Mask of the alive matching nodes free from now through the
+        job's walltime deadline — exactly what :meth:`grow` may claim
+        without disturbing any existing reservation.  The job's own nodes
+        are reserved through that deadline, so none of them is in it."""
         if job.state != JobState.RUNNING or len(job.request.parts) != 1:
-            return []
+            return 0
         now = self.sim.now
         deadline = job.started_at + job.walltime_s
         if deadline <= now:
-            return []
-        gantt = self.gantt
+            return 0
         cmask = (self.matching_mask(job.request.parts[0].expr)
-                 & self.machines.alive_mask
-                 & ~gantt.mask_for(job.assigned_nodes))
-        return gantt.uids_from_mask(gantt.profile_free_mask(cmask, now, deadline))
+                 & self.machines.alive_mask)
+        return self.gantt.profile_free_mask(cmask, now, deadline)
 
     def _account_alloc(self, delta: int) -> None:
         now = self.sim.now

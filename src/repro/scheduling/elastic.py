@@ -108,11 +108,11 @@ class CommonPoolStrategy(DefaultStrategy):
     def _reclaim(self, oar: "OarServer", pressure: list["Job"]) -> None:
         """Clip every malleable job back to its preferred width and re-plan
         the queue onto the freed nodes at once."""
-        freed: set[str] = set()
+        freed = 0
         for job in _running_malleable(oar):
             extra = job.width - job.request.parts[0].count
             if extra > 0:
-                freed.update(oar.shrink(job, extra, replan=False))
+                freed |= oar.shrink(job, extra, replan=False)
         if freed:
             oar.replan_now(freed)
 
@@ -126,20 +126,18 @@ class CommonPoolStrategy(DefaultStrategy):
         profile or the alive mask between grants, so a job's candidates in
         any round are its first answer minus the nodes granted so far.
         """
-        gantt = oar.gantt
         growers = []  # [job, candidate mask, headroom], FCFS order
         for job in _running_malleable(oar):
             headroom = job.max_nodes - job.width
             if headroom > 0:
-                growers.append(
-                    [job, gantt.mask_for(oar.grow_candidates(job)), headroom])
+                growers.append([job, oar.grow_candidates(job), headroom])
         taken = 0
         while growers:
             for grower in growers:
                 free = grower[1] & ~taken
                 if free:
                     low = free & -free
-                    oar.grow(grower[0], gantt.uids_from_mask(low))
+                    oar.grow(grower[0], low)
                     taken |= low
                     grower[2] -= 1
             growers = [g for g in growers if g[2] and g[1] & ~taken]
@@ -176,7 +174,6 @@ class StealAgreementStrategy(CommonPoolStrategy):
         """
         now = oar.sim.now
         gantt = oar.gantt
-        bit = gantt.bit
         donors = None
         for job in queued:
             if len(job.request.parts) != 1:
@@ -202,19 +199,18 @@ class StealAgreementStrategy(CommonPoolStrategy):
                     break
             else:
                 continue  # no agreement: nobody cedes anything
-            freed: set[str] = set()
+            freed = 0
             offered = 0
             for donor, room, dmask in donors:
-                if not dmask & usable:
+                # Only nodes the queued job can actually use: shrink's
+                # tail-first walk restricted to ``usable`` picks them
+                # newest first.
+                give = min(room, deficit - offered,
+                           (dmask & usable).bit_count())
+                if not give:
                     continue
-                # Only nodes the queued job can actually use, newest first
-                # (mirrors shrink's tail-first release order).
-                take = min(room, deficit - offered)
-                givable = [u for u in reversed(donor.assignment[0])
-                           if usable >> bit(u) & 1][:take]
-                freed.update(oar.shrink(donor, len(givable),
-                                        prefer=set(givable), replan=False))
-                offered += len(givable)
+                freed |= oar.shrink(donor, give, prefer=usable, replan=False)
+                offered += give
                 if offered >= deficit:
                     break
             oar.replan_now(freed)

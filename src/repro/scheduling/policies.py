@@ -73,10 +73,6 @@ class Backoff:
         self._current_s = policy.backoff_initial_s
         self.attempts = 0
 
-    @property
-    def current_s(self) -> float:
-        return self._current_s
-
     def next_delay(self) -> float:
         """Delay to wait after a failed attempt; grows exponentially."""
         delay = self._current_s

@@ -65,12 +65,6 @@ class NetworkTopology:
                 return neighbor
         raise KeyError(f"{node_uid} has no switch link")
 
-    def nodes_on_switch(self, switch: str) -> list[str]:
-        return sorted(
-            n for n in self.graph.neighbors(switch)
-            if self.graph.nodes[n]["kind"] == "node"
-        )
-
     # -- path queries --------------------------------------------------------
 
     def path(self, a: str, b: str) -> list[str]:
@@ -83,12 +77,6 @@ class NetworkTopology:
         return min(
             self.graph.edges[u, v]["gbps"] for u, v in zip(path, path[1:])
         )
-
-    def hop_count(self, a: str, b: str) -> int:
-        return len(self.path(a, b)) - 1
-
-    def same_switch(self, a: str, b: str) -> bool:
-        return self.switch_of(a) == self.switch_of(b)
 
 
 def build_topology(testbed: TestbedDescription) -> NetworkTopology:

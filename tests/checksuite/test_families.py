@@ -179,8 +179,9 @@ def test_multireboot_catches_flaky_node(world, run_family):
 
 
 def test_multideploy_catches_boot_race(world, run_family):
-    for m in world.machines.of_cluster("grimoire"):
-        m.boot_race_delay_s = 500.0
+    for m in world.machines.machines.values():
+        if m.cluster_uid == "grimoire":
+            m.boot_race_delay_s = 500.0
     outcome = run_family(world, family_by_name("multideploy"),
                          {"cluster": "grimoire"})
     assert not outcome.passed

@@ -1,7 +1,5 @@
 """Tests for the REST-shaped API and periodic triggers."""
 
-import json
-
 import pytest
 
 from repro.ci import BuildStatus, JenkinsApi, JenkinsServer, PeriodicTrigger
@@ -20,22 +18,6 @@ def jenkins():
 
     server.register_job("check", runner, description="a check")
     return sim, server, JenkinsApi(server)
-
-
-def test_list_jobs(jenkins):
-    _, _, api = jenkins
-    assert api.list_jobs() == ["check"]
-
-
-def test_job_info_shape(jenkins):
-    sim, server, api = jenkins
-    server.trigger("check", parameters={"cluster": "ok"})
-    sim.run()
-    info = api.job_info("check")
-    assert info["name"] == "check"
-    assert info["lastCompletedBuild"]["result"] == "SUCCESS"
-    assert len(info["builds"]) == 1
-    json.dumps(info)  # JSON-serializable end to end
 
 
 def test_build_info_includes_log(jenkins):
@@ -71,17 +53,6 @@ def test_builds_matching_since(jenkins):
     sim.run(until=2 * HOUR)
     recent = api.builds_matching("check", since=HOUR)
     assert len(recent) == 1
-
-
-def test_queue_info(jenkins):
-    sim, server, api = jenkins
-    for _ in range(6):
-        server.trigger("check")
-    sim.run(until=1.0)
-    info = api.queue_info()
-    assert info["busy_executors"] == 4
-    assert info["queue_length"] == 2
-    sim.run()
 
 
 def test_periodic_trigger_fires_on_schedule(jenkins):

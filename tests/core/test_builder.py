@@ -28,7 +28,7 @@ def test_builder_wires_everything():
     fw = FrameworkBuilder(small_spec()).build()
     assert fw.scheduler is not None
     assert fw.scheduler.cells  # families expanded into cells
-    assert set(fw.api.list_jobs()) == {"test_refapi", "test_oarstate"}
+    assert set(fw.jenkins.jobs) == {"test_refapi", "test_oarstate"}
     assert fw.testbed.cluster_count == len(SMALL)
 
 

@@ -24,7 +24,7 @@ def make_world(seed=31, families=("refapi", "oarstate", "console", "dellbios"),
 
 def test_jobs_registered_per_family():
     fw = make_world()
-    assert set(fw.api.list_jobs()) == {
+    assert set(fw.jenkins.jobs) == {
         "test_refapi", "test_oarstate", "test_console", "test_dellbios",
     }
 

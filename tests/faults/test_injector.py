@@ -84,12 +84,9 @@ def test_ground_truth_queries(world):
     assert set(gt.active()) == {a, b}
     assert gt.active_matching(FaultKind.CPU_CSTATES, a.target) is a
     assert gt.active_matching(FaultKind.CPU_CSTATES, "other") is None
-    assert gt.active_on_site(b.site)
-    assert a in gt.active_on_cluster(a.cluster)
     gt.mark_detected(a, when=100.0, by="refapi")
     assert a.detected and a.detected_by == "refapi"
     assert gt.detected() == [a]
-    assert gt.undetected_active() == [b]
     assert gt.detection_latencies() == [100.0 - a.injected_at]
 
 

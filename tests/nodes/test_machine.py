@@ -164,7 +164,7 @@ def test_find_disk_unknown_raises(park):
 
 def test_cluster_and_site_selectors(park, fresh_testbed):
     _, p = park
-    grisou = p.of_cluster("grisou")
+    grisou = [m for m in p.machines.values() if m.cluster_uid == "grisou"]
     assert len(grisou) == fresh_testbed.cluster("grisou").node_count
     assert {m.site_uid for m in grisou} == {fresh_testbed.cluster("grisou").site}
 

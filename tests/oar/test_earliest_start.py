@@ -32,7 +32,7 @@ def _build(raw):
     for uid, start, length in raw:
         job += 1
         try:
-            g.reserve([uid], start, start + length, job)
+            g.reserve(g.mask_for([uid]), start, start + length, job)
         except SchedulingError:
             continue
         ref.reserve([uid], start, start + length, job)
@@ -84,14 +84,14 @@ def test_earliest_start_k_too_large():
 
 def test_earliest_start_waits_for_release():
     g = Gantt(_NODES)
-    g.reserve(_NODES, 0.0, 100.0, 1)
+    g.reserve(g.mask_for(_NODES), 0.0, 100.0, 1)
     assert _earliest(g, _NODES, 0.0, 10.0, 4) == 100.0
 
 
 def test_earliest_start_uses_gap_between_reservations():
     g = Gantt(_NODES)
-    g.reserve(["n1"], 0.0, 10.0, 1)
-    g.reserve(["n1"], 50.0, 60.0, 2)
+    g.reserve(g.mask_for(["n1"]), 0.0, 10.0, 1)
+    g.reserve(g.mask_for(["n1"]), 50.0, 60.0, 2)
     # a 40s job fits the [10, 50) gap on n1
     assert _earliest(g, ["n1"], 0.0, 40.0, 1) == 10.0
     # a 41s job does not: next chance is after the second reservation
@@ -110,7 +110,7 @@ def test_earliest_start_exact_fit_window_tie():
     counted first (kind 0 sorts before kind 1) or the only feasible start
     is missed."""
     g = Gantt(["n1"])
-    g.reserve(["n1"], 10.0, 20.0, 1)
+    g.reserve(g.mask_for(["n1"]), 10.0, 20.0, 1)
     # free window [0, 10) fits a 10s job only if it starts exactly at 0
     assert _earliest(g, ["n1"], 0.0, 10.0, 1) == 0.0
 
@@ -119,8 +119,8 @@ def test_earliest_start_equal_coordinate_handover_tie():
     """One node's last feasible start coincides with another node's first:
     at that shared coordinate both must count simultaneously."""
     g = Gantt(["n1", "n2"])
-    g.reserve(["n1"], 10.0, 20.0, 1)   # n1 hosts in [0, 5]
-    g.reserve(["n2"], 0.0, 5.0, 2)     # n2 hosts from 5 on
+    g.reserve(g.mask_for(["n1"]), 10.0, 20.0, 1)   # n1 hosts in [0, 5]
+    g.reserve(g.mask_for(["n2"]), 0.0, 5.0, 2)     # n2 hosts from 5 on
     # duration 5, k=2: only t=5 sees both nodes free over [5, 10)
     assert _earliest(g, ["n1", "n2"], 0.0, 5.0, 2) == 5.0
     assert g.free_uids(g.full_mask, 5.0, 10.0) == ["n1", "n2"]

@@ -122,7 +122,7 @@ def _free(g, uids, start, end):
 
 def test_gantt_reserve_and_release():
     g = Gantt(["a", "b", "c"])
-    g.reserve(["a", "b"], 0.0, 10.0, job_id=1)
+    g.reserve(g.mask_for(["a", "b"]), 0.0, 10.0, job_id=1)
     assert _free(g, ["a", "b", "c"], 0.0, 10.0) == ["c"]
     g.release(job_id=1)
     assert _free(g, ["a", "b", "c"], 0.0, 10.0) == ["a", "b", "c"]
@@ -130,9 +130,9 @@ def test_gantt_reserve_and_release():
 
 def test_gantt_reserve_rolls_back_on_conflict():
     g = Gantt(["a", "b"])
-    g.reserve(["b"], 0.0, 10.0, job_id=1)
+    g.reserve(g.mask_for(["b"]), 0.0, 10.0, job_id=1)
     with pytest.raises(SchedulingError):
-        g.reserve(["a", "b"], 5.0, 15.0, job_id=2)
+        g.reserve(g.mask_for(["a", "b"]), 5.0, 15.0, job_id=2)
     # "a" must not be left half-reserved by job 2
     assert _free(g, ["a"], 0.0, 100.0) == ["a"]
     assert 2 not in g._ledger
@@ -145,8 +145,8 @@ def test_gantt_candidate_starts():
     assert ref.candidate_starts(["a", "b"], after=0.0) == [0.0, 10.0, 12.0]
     # The profile's start walk covers every release point (and more).
     g = Gantt(["a", "b"])
-    g.reserve(["a"], 0.0, 10.0, job_id=1)
-    g.reserve(["b"], 5.0, 12.0, job_id=2)
+    g.reserve(g.mask_for(["a"]), 0.0, 10.0, job_id=1)
+    g.reserve(g.mask_for(["b"]), 5.0, 12.0, job_id=2)
     assert g.profile.starts_from(0.0) == [0.0, 5.0, 10.0, 12.0]
 
 
@@ -267,13 +267,18 @@ def _both(uids):
     return Gantt(uids), TimelineGantt(uids)
 
 
+def _nodes(x, uids):
+    """A Gantt takes node masks; the reference takes the uids."""
+    return x.mask_for(uids) if isinstance(x, Gantt) else uids
+
+
 def test_gantt_release_with_stale_hint_frees_actual_interval():
     """Release frees the job's real [10, 20) window and nothing of job 2
     (the start hint this test once passed is gone with the ledger)."""
     g, ref = _both(["a", "b"])
     for x in (g, ref):
-        x.reserve(["a", "b"], 10.0, 20.0, 1)
-        x.reserve(["a"], 30.0, 40.0, 2)
+        x.reserve(_nodes(x, ["a", "b"]), 10.0, 20.0, 1)
+        x.reserve(_nodes(x, ["a"]), 30.0, 40.0, 2)
         x.release(1)
     assert _free(g, ["a", "b"], 10.0, 20.0) == ["a", "b"]
     assert _free(g, ["a"], 30.0, 40.0) == []
@@ -285,20 +290,20 @@ def test_gantt_truncate_then_hinted_release_keeps_profile_consistent():
     (which once carried the original start as a hint) frees only that."""
     g, ref = _both(["a", "b"])
     for x in (g, ref):
-        x.reserve(["a", "b"], 10.0, 30.0, 1)
-        x.truncate(["a", "b"], 1, end=15.0)
+        x.reserve(_nodes(x, ["a", "b"]), 10.0, 30.0, 1)
+        x.truncate(_nodes(x, ["a", "b"]), 1, end=15.0)
         x.release(1)
     _profile_agrees_with_reference(g, ref, _PROBES)
     for x in (g, ref):
-        x.reserve(["a"], 10.0, 30.0, 3)  # the slot is genuinely reusable
+        x.reserve(_nodes(x, ["a"]), 10.0, 30.0, 3)  # the slot is genuinely reusable
     _profile_agrees_with_reference(g, ref, _PROBES)
 
 
 def test_gantt_truncate_at_start_drops_reservation_in_profile():
     g, ref = _both(["a"])
     for x in (g, ref):
-        x.reserve(["a"], 50.0, 100.0, 7)
-        x.truncate(["a"], 7, end=50.0)  # released at its scheduled start
+        x.reserve(_nodes(x, ["a"]), 50.0, 100.0, 7)
+        x.truncate(_nodes(x, ["a"]), 7, end=50.0)  # released at its scheduled start
     assert 7 not in g._ledger
     assert _free(g, ["a"], 0.0, 200.0) == ["a"]
     # A release of the already-dropped job must be a no-op.

@@ -12,7 +12,7 @@ import pytest
 from repro.faults import ServiceHealth
 from repro.nodes import MachinePark
 from repro.oar import JobState, OarDatabase, OarServer
-from repro.oar.server import SchedulingError
+from repro.oar.server import SchedulingError, _lowest_bits as _first
 from repro.testbed import CLUSTER_SPECS, ReferenceApi, build_grid5000
 from repro.util import HOUR, RngStreams, Simulator
 
@@ -53,8 +53,7 @@ def test_grow_pulls_finish_in_under_linear_speedup(world):
                            auto_duration=2 * HOUR)
     # At t=1h, half the work (2h * 2 nodes = 4 node-hours) is done.
     sim.run(until=HOUR)
-    grown = oar.grow_candidates(job)[:2]
-    oar.grow(job, grown)
+    oar.grow(job, _first(oar.grow_candidates(job), 2))
     assert job.width == 4
     assert job.grow_count == 1
     sim.run()
@@ -70,7 +69,7 @@ def test_shrink_pushes_finish_out_and_frees_nodes(world):
                            auto_duration=2 * HOUR)
     sim.run(until=HOUR)
     freed = oar.shrink(job, 2)
-    assert len(freed) == 2 and job.width == 2
+    assert freed.bit_count() == 2 and job.width == 2
     assert job.shrink_count == 1
     sim.run()
     # 4 remaining node-hours over 2 nodes: finish at 1h + 2h.
@@ -91,7 +90,7 @@ def test_grow_beyond_max_nodes_is_rejected(world):
     job = _start_malleable(sim, oar, lo=2, pref=2, hi=3)
     candidates = oar.grow_candidates(job)
     with pytest.raises(SchedulingError, match="max_nodes"):
-        oar.grow(job, candidates[:2])
+        oar.grow(job, _first(candidates, 2))
     assert job.width == 2
 
 
@@ -118,7 +117,7 @@ def test_grow_races_pending_walltime_kill(world):
     # At 1h, double the width: remaining 3 node-hours over 4 nodes ->
     # done at 1.75h, before the 2h deadline the old timer targets.
     sim.run(until=HOUR)
-    oar.grow(job, oar.grow_candidates(job)[:2])
+    oar.grow(job, _first(oar.grow_candidates(job), 2))
     assert job.generation > kill_generation
     sim.run()
     assert job.state == JobState.TERMINATED
@@ -149,7 +148,7 @@ def test_walltime_kill_still_fires_when_mass_outstanding(world):
     job = _start_malleable(sim, oar, lo=2, pref=2, hi=4, walltime="2",
                            auto_duration=40 * HOUR)
     sim.run(until=HOUR)
-    oar.grow(job, oar.grow_candidates(job)[:2])
+    oar.grow(job, _first(oar.grow_candidates(job), 2))
     sim.run()
     assert job.killed_by_walltime
     assert job.finished_at == pytest.approx(2 * HOUR)
@@ -160,8 +159,8 @@ def test_node_death_in_grown_allocation_shrinks_past_it(world):
     job = _start_malleable(sim, oar, lo=2, pref=2, hi=6,
                            auto_duration=2 * HOUR)
     sim.run(until=HOUR)
-    grown = oar.grow_candidates(job)[:2]
-    oar.grow(job, grown)
+    grown = oar.gantt.uids_from_mask(oar.grow_candidates(job), 2)
+    oar.grow(job, oar.gantt.mask_for(grown))
     park[grown[0]].crash()
     assert oar.evict_dead_nodes(job)
     assert job.state == JobState.RUNNING
@@ -210,11 +209,12 @@ def test_shrink_truncates_reservation_so_node_is_reusable_now(world):
     deadline = job.started_at + job.walltime_s
     sim.run(until=HOUR)
     now = sim.now
-    (freed,) = oar.shrink(job, 1)
+    freed = oar.shrink(job, 1)
+    assert freed.bit_count() == 1
     gantt = oar.gantt
-    assert gantt.free_uids(gantt.mask_for([freed]), now, deadline) == [freed]
-    assert gantt.free_uids(gantt.mask_for(job.assigned_nodes), now,
-                           now + 1.0) == []
+    assert gantt.profile_free_mask(freed, now, deadline) == freed
+    assert gantt.profile_free_mask(gantt.mask_for(job.assigned_nodes), now,
+                                   now + 1.0) == 0
     # A new rigid job lands on the freed node right away.
     filler = oar.submit("cluster='grisou'/nodes=1,walltime=1",
                         auto_duration=600.0)
@@ -241,7 +241,7 @@ def test_grow_candidates_exclude_future_reservations(world):
     assert wide.state == JobState.SCHEDULED
     assert wide.scheduled_start == pytest.approx(HOUR, abs=2.0)
     # The two idle nodes are reserved at ~1h < the 4h deadline: excluded.
-    assert oar.grow_candidates(job) == []
+    assert oar.grow_candidates(job) == 0
 
 
 def test_resize_accounting_matches_alloc_integral(world):
@@ -249,10 +249,34 @@ def test_resize_accounting_matches_alloc_integral(world):
     job = _start_malleable(sim, oar, lo=1, pref=2, hi=4,
                            auto_duration=2 * HOUR)
     sim.run(until=HOUR)
-    oar.grow(job, oar.grow_candidates(job)[:2])  # 2 -> 4 nodes
+    oar.grow(job, _first(oar.grow_candidates(job), 2))  # 2 -> 4 nodes
     sim.run(until=1.25 * HOUR)
     oar.shrink(job, 3)  # 4 -> 1 node
     sim.run(until=1.5 * HOUR)
     # 2 nodes * 1h + 4 nodes * 0.25h + 1 node * 0.25h
     want = 2 * HOUR + 4 * 0.25 * HOUR + 1 * 0.25 * HOUR
     assert oar.allocated_node_seconds() == pytest.approx(want)
+
+
+def test_grow_onto_own_node_is_rejected_and_changes_nothing(world):
+    """A grow mask overlapping the job's own nodes raises before touching
+    the width, the assignment, the Gantt or the allocation integral."""
+    sim, oar, _, _ = world
+    job = _start_malleable(sim, oar, lo=2, pref=2, hi=6)
+    sim.run(until=HOUR)
+    gantt = oar.gantt
+    own = gantt.mask_for(job.assigned_nodes)
+    fresh = _first(oar.grow_candidates(job), 1)
+
+    def state():
+        return (job.assignment, job.width, job.generation,
+                job.mass_remaining, oar._alloc_count,
+                list(gantt.profile._times), list(gantt.profile._masks),
+                list(gantt._ledger[job.job_id]))
+
+    before = state()
+    for mask in (own & -own, own | fresh):
+        with pytest.raises(SchedulingError, match="already allocated"):
+            oar.grow(job, mask)
+        assert state() == before
+    assert job.grow_count == 0 and oar.grow_events == 0

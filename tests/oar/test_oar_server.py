@@ -233,37 +233,6 @@ def test_early_release_pulls_forward(world):
     assert follower.started_at == pytest.approx(HOUR + oar.replan_batch_s)
 
 
-def test_cancel_waiting_job(world):
-    sim, oar, _, _ = world
-    job = oar.submit("cluster='nonexistent'/nodes=1,walltime=1")
-    oar.cancel(job)
-    assert job.state == JobState.CANCELLED
-    assert oar.waiting_count() == 0
-
-
-def test_cancel_scheduled_job_frees_reservation(world):
-    sim, oar, _, testbed = world
-    n = testbed.cluster("grimoire").node_count
-    oar.submit(f"cluster='grimoire'/nodes={n},walltime=2", auto_duration=2 * HOUR)
-    queued = oar.submit(f"cluster='grimoire'/nodes={n},walltime=2", auto_duration=60.0)
-    third = oar.submit(f"cluster='grimoire'/nodes={n},walltime=1", auto_duration=60.0)
-    sim.run(until=1.0)
-    assert third.scheduled_start == pytest.approx(4 * HOUR)
-    oar.cancel(queued)
-    sim.run(until=5 * HOUR)
-    # the cancel triggers a replan; third's reservation moves up to the
-    # first job's completion
-    assert third.started_at == pytest.approx(2 * HOUR)
-
-
-def test_cancel_running_job_raises(world):
-    sim, oar, _, _ = world
-    job = oar.submit("nodes=1,walltime=1", auto_duration=HOUR)
-    sim.run(until=1.0)
-    with pytest.raises(Exception):
-        oar.cancel(job)
-
-
 def test_utilization_metric(world):
     sim, oar, _, testbed = world
     assert oar.utilization() == 0.0

@@ -65,9 +65,9 @@ def _replay(ops):
                 ref.reserve(uids, start, start + dur, job_id)
             except SchedulingError:
                 with pytest.raises(SchedulingError):
-                    g.reserve(uids, start, start + dur, job_id)
+                    g.reserve(g.mask_for(uids), start, start + dur, job_id)
                 continue
-            g.reserve(uids, start, start + dur, job_id)
+            g.reserve(g.mask_for(uids), start, start + dur, job_id)
             reserved.add(job_id)
         elif op[0] == "release":
             g.release(op[1])
@@ -75,7 +75,7 @@ def _replay(ops):
             reserved.discard(op[1])
         elif op[0] == "truncate":
             _, uids, job_id, t = op
-            g.truncate(sorted(uids), job_id, t)
+            g.truncate(g.mask_for(uids), job_id, t)
             ref.truncate(sorted(uids), job_id, t)
         else:
             g.purge_before(op[1])
@@ -83,9 +83,9 @@ def _replay(ops):
     return g, ref
 
 
-def _profile_free_intervals(prof: ResourceProfile, uid: str, after: float):
+def _profile_free_intervals(prof: ResourceProfile, bit: int, after: float):
     """Reconstruct one node's free windows from the step function."""
-    b = 1 << prof.bit(uid)
+    b = 1 << bit
     out = []
     open_at = None
     for t, mask in zip(prof._times, prof._masks):
@@ -145,7 +145,7 @@ def test_profile_matches_linear_oracles(ops, after, duration, k, subset):
 
     # per-node free windows: step function vs the reference free_intervals.
     for uid in uids:
-        assert _profile_free_intervals(g.profile, uid, after) == \
+        assert _profile_free_intervals(g.profile, g.bit(uid), after) == \
             free_intervals(ref.timelines[uid], after)
 
 
@@ -157,8 +157,11 @@ def test_multi_part_matches_reference(ops, parts, after, duration):
     g, ref = _replay(ops)
     mask_parts = [(g.mask_for(c), count) for c, count in parts]
     uid_parts = [(sorted(c), count) for c, count in parts]
-    assert _multi_part_assignment(g, mask_parts, after, duration) == \
-        ref.multi_part(uid_parts, after, duration)
+    got = _multi_part_assignment(g, mask_parts, after, duration)
+    if got is not None:
+        start, masks = got
+        got = start, tuple(tuple(g.uids_from_mask(m)) for m in masks)
+    assert got == ref.multi_part(uid_parts, after, duration)
 
 
 @settings(max_examples=200, deadline=None)
@@ -178,12 +181,12 @@ def test_incremental_profile_equals_rebuild(ops):
 def test_failed_reserve_keeps_profile_consistent():
     """A reserve that hits a busy bit raises and mutates nothing."""
     g = Gantt(NODES)
-    g.reserve(["n1"], 10.0, 20.0, 1)
+    g.reserve(g.mask_for(["n1"]), 10.0, 20.0, 1)
     before = (_steps(g), {j: list(h) for j, h in g._ledger.items()})
     with pytest.raises(SchedulingError):
-        g.reserve(["n0", "n1", "n2"], 5.0, 15.0, 2)  # n1 overlaps
+        g.reserve(g.mask_for(["n0", "n1", "n2"]), 5.0, 15.0, 2)  # n1 overlaps
     with pytest.raises(SchedulingError):
-        g.reserve(["n0"], 5.0, 5.0, 3)  # empty interval
+        g.reserve(g.mask_for(["n0"]), 5.0, 5.0, 3)  # empty interval
     assert (_steps(g), g._ledger) == before
     fmask = g.profile_free_mask(g.full_mask, 5.0, 15.0)
     assert g.uids_from_mask(fmask) == ["n0", "n2", "n3", "n4"]
@@ -191,9 +194,9 @@ def test_failed_reserve_keeps_profile_consistent():
 
 def test_release_frees_exactly_the_ledger_once():
     g = Gantt(NODES)
-    g.reserve(["n0", "n1"], 10.0, 50.0, 1)
-    g.reserve(["n0"], 50.0, 60.0, 2)
-    g.reserve(["n3"], 0.0, 5.0, 1)  # a second interval of job 1
+    g.reserve(g.mask_for(["n0", "n1"]), 10.0, 50.0, 1)
+    g.reserve(g.mask_for(["n0"]), 50.0, 60.0, 2)
+    g.reserve(g.mask_for(["n3"]), 0.0, 5.0, 1)  # a second interval of job 1
     g.release(1)
     assert 1 not in g._ledger
     assert _steps(g) == profile_steps([(50.0, 60.0, 1)], g.full_mask)
@@ -206,10 +209,10 @@ def test_truncate_then_hinted_release_frees_exactly_once():
     """A truncated job released later (the release once carried the
     original start as a hint) must not free the cut tail a second time."""
     g = Gantt(NODES)
-    g.reserve(["n2"], 30.0, 50.0, 2)
-    g.reserve(["n0", "n1"], 10.0, 50.0, 1)
-    g.truncate(["n0", "n1"], 1, 30.0)   # early completion at t=30
-    g.reserve(["n0"], 30.0, 40.0, 3)    # the cut tail is reused at once
+    g.reserve(g.mask_for(["n2"]), 30.0, 50.0, 2)
+    g.reserve(g.mask_for(["n0", "n1"]), 10.0, 50.0, 1)
+    g.truncate(g.mask_for(["n0", "n1"]), 1, 30.0)   # early completion at t=30
+    g.reserve(g.mask_for(["n0"]), 30.0, 40.0, 3)    # the cut tail is reused at once
     g.release(1)                        # then teardown
     assert _steps(g) == _ledger_steps(g)
     assert g.free_uids(g.full_mask, 30.0, 40.0) == ["n1", "n3", "n4"]
@@ -220,11 +223,11 @@ def test_truncate_at_start_then_hinted_release_is_noop():
     """Truncating at/before the start drops the interval from the
     ledger; a later release then has nothing to free."""
     g = Gantt(NODES)
-    g.reserve(["n3"], 10.0, 50.0, 7)
-    g.truncate(["n3"], 7, 10.0)         # dropped entirely
+    g.reserve(g.mask_for(["n3"]), 10.0, 50.0, 7)
+    g.truncate(g.mask_for(["n3"]), 7, 10.0)         # dropped entirely
     assert 7 not in g._ledger
-    g.reserve(["n4"], 10.0, 50.0, 8)
-    g.truncate(["n4"], 8, 5.0)          # before the start: dropped too
+    g.reserve(g.mask_for(["n4"]), 10.0, 50.0, 8)
+    g.truncate(g.mask_for(["n4"]), 8, 5.0)          # before the start: dropped too
     assert 8 not in g._ledger
     g.release(7)
     assert len(g.profile) == 1
@@ -234,8 +237,8 @@ def test_truncate_at_start_then_hinted_release_is_noop():
 def test_truncate_splits_the_cut_nodes_off():
     """Truncating part of a job's nodes shortens only their interval."""
     g = Gantt(NODES)
-    g.reserve(["n0", "n1", "n2"], 10.0, 50.0, 1)
-    g.truncate(["n1"], 1, 20.0)
+    g.reserve(g.mask_for(["n0", "n1", "n2"]), 10.0, 50.0, 1)
+    g.truncate(g.mask_for(["n1"]), 1, 20.0)
     assert sorted(g._ledger[1]) == [(10.0, 20.0, g.mask_for(["n1"])),
                                     (10.0, 50.0, g.mask_for(["n0", "n2"]))]
     assert _steps(g) == _ledger_steps(g)
@@ -243,10 +246,10 @@ def test_truncate_splits_the_cut_nodes_off():
 
 def test_purge_before_collapses_past_steps_and_forgets_ended_intervals():
     g = Gantt(NODES)
-    g.reserve(["n0"], 0.0, 10.0, 1)
-    g.reserve(["n1"], 5.0, 20.0, 2)
-    g.reserve(["n2"], 15.0, 30.0, 3)
-    g.reserve(["n3"], 40.0, 50.0, 4)
+    g.reserve(g.mask_for(["n0"]), 0.0, 10.0, 1)
+    g.reserve(g.mask_for(["n1"]), 5.0, 20.0, 2)
+    g.reserve(g.mask_for(["n2"]), 15.0, 30.0, 3)
+    g.reserve(g.mask_for(["n3"]), 40.0, 50.0, 4)
     g.purge_before(20.0)
     # Job 1 ended before t and is forgotten; job 2 ends exactly at t and
     # stays, like the jobs still running or yet to start.

@@ -31,7 +31,7 @@ def expand(strategy, oar):
             candidates = oar.grow_candidates(job)
             if not candidates:
                 continue
-            oar.grow(job, candidates[:1])
+            oar.grow(job, candidates & -candidates)  # the first candidate
             granted = True
         if not granted:
             return
@@ -74,8 +74,11 @@ def negotiate(strategy, oar, queued):
                 break
         if offered < deficit:
             continue
-        freed = set()
+        freed = 0
         for donor, uids in offers:
-            freed.update(oar.shrink(donor, len(uids), prefer=set(uids),
-                                    replan=False))
+            gone = oar.shrink(donor, len(uids), prefer=usable, replan=False)
+            # Shrink's tail-first walk restricted to ``usable`` frees
+            # exactly the newest-first givable uids.
+            assert gone == gantt.mask_for(uids), (donor.job_id, uids)
+            freed |= gone
         oar.replan_now(freed)

@@ -20,8 +20,6 @@ _MONTHS = 0.02
 
 
 def _arg(value):
-    if isinstance(value, set):
-        return tuple(sorted(value))
     return getattr(value, "job_id", value)
 
 

@@ -27,12 +27,12 @@ def test_every_node_has_exactly_one_switch(testbed, topology):
 
 def test_same_cluster_small_is_same_switch(topology):
     # orion has 4 nodes -> single switch
-    assert topology.same_switch("orion-1", "orion-4")
+    assert topology.switch_of("orion-1") == topology.switch_of("orion-4")
 
 
 def test_large_cluster_spans_switches(topology):
     # graphene has 90 nodes -> 2 switches
-    assert not topology.same_switch("graphene-1", "graphene-90")
+    assert topology.switch_of("graphene-1") != topology.switch_of("graphene-90")
 
 
 def test_nodes_on_switch_partition_cluster(testbed, topology):
@@ -40,12 +40,13 @@ def test_nodes_on_switch_partition_cluster(testbed, topology):
     switches = {topology.switch_of(n.uid) for n in cluster.nodes}
     members = []
     for sw in switches:
-        members.extend(topology.nodes_on_switch(sw))
+        members.extend(n for n in topology.graph.neighbors(sw)
+                       if topology.kind(n) == "node")
     assert sorted(members) == sorted(n.uid for n in cluster.nodes)
 
 
 def test_intra_switch_path_is_two_hops(topology):
-    assert topology.hop_count("orion-1", "orion-2") == 2
+    assert len(topology.path("orion-1", "orion-2")) - 1 == 2
 
 
 def test_cross_site_path_traverses_routers(topology):
