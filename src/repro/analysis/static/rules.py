@@ -481,10 +481,13 @@ _TICK_PATH_FUNCS = {
     "_reclaim", "_negotiate", "grow_candidates", "_free_alive",
     "resources_available", "availability", "earliest_start",
     "_try_start", "grow", "evict_dead_nodes", "utilization",
-    "cluster_states", "_counts",
+    "cluster_states", "_counts", "due_cells",
 }
 #: Attributes holding the whole park (node lists, per-node maps).
 _PARK_ATTRS = {"nodes", "machines", "timelines"}
+#: What a tick must not iterate whole: the park, and every test cell of
+#: a scheduler (a tick reads its due cells from the due index).
+_SCAN_ATTRS = _PARK_ATTRS | {"cells"}
 #: Methods returning the whole park.
 _PARK_CALLS = {"node_uids", "alive_nodes", "iter_nodes"}
 _PARK_WRAPPERS = {"sorted", "list", "tuple", "reversed", "enumerate"}
@@ -497,7 +500,7 @@ _TICK_INVARIANT_CALLS = {"running_jobs", "_running_malleable",
 
 def _is_park_iterable(node: ast.AST) -> bool:
     if isinstance(node, ast.Attribute):
-        return node.attr in _PARK_ATTRS
+        return node.attr in _SCAN_ATTRS
     if isinstance(node, ast.Call):
         func = node.func
         if isinstance(func, ast.Attribute):
@@ -567,7 +570,9 @@ class TickPathParkScan(Rule):
                  "per-node state query inside a loop, reintroduces the "
                  "O(nodes)-per-tick rescans the masks removed.  Likewise "
                  "the running-job list and a donor's feasibility floor "
-                 "hold still inside a tick's loops: ask once per tick.")
+                 "hold still inside a tick's loops: ask once per tick.  "
+                 "A loop over every test cell of a scheduler is the same "
+                 "rescan: due cells come from the due index.")
     scope = ("scheduling/", "oar/")
 
     def check(self, tree: ast.Module, ctx: RuleContext) -> Iterator[Finding]:
@@ -587,7 +592,8 @@ class TickPathParkScan(Rule):
                             self, site,
                             f"O(park) iteration inside {fn.name}() — ask "
                             "the availability profile (Gantt.profile_* / "
-                            "free_uids) instead of rescanning the park")
+                            "free_uids) or the scheduler's due index "
+                            "instead of rescanning the park or its cells")
             seen: Set[int] = set()
             for node in _per_iteration(fn):
                 for read in _liveness_reads(node):

@@ -125,11 +125,3 @@ class JenkinsServer:
         build.status = status
         build.log_line(self.sim.now, f"finished: {status.value}")
         build.done_event.succeed(build)
-
-    # -- introspection ----------------------------------------------------------
-
-    def queue_length(self) -> int:
-        return self.executors.queue_length
-
-    def busy_executors(self) -> int:
-        return self.executors.in_use

@@ -116,6 +116,8 @@ class WorkloadGenerator(WorkloadSource):
         self._total_nodes = int(self._cluster_sizes.sum())
         self._sizes = np.array([s for s, _ in _SIZE_MIX])
         self._size_probs = np.array([p for _, p in _SIZE_MIX])
+        self._cluster_cdf = _cdf(self._cluster_weights)
+        self._size_cdf = _cdf(self._size_probs)
         self._mean_interarrival_s = self._calibrate()
 
     def _calibrate(self) -> float:
@@ -150,21 +152,37 @@ class WorkloadGenerator(WorkloadSource):
 
     def submit_one(self):
         """Draw and submit one synthetic user job."""
-        cluster_idx = int(self._rng.choice(len(self._clusters), p=self._cluster_weights))
+        rng = self._rng
+        cluster_idx = _draw(rng, self._cluster_cdf)
         cluster = self._clusters[cluster_idx]
-        size = int(self._rng.choice(self._sizes, p=self._size_probs))
+        size = int(self._sizes[_draw(rng, self._size_cdf)])
         size = min(size, int(self._cluster_sizes[cluster_idx]))
         walltime = float(np.clip(
-            self._rng.lognormal(mean=np.log(self.config.mean_walltime_s), sigma=0.6),
+            rng.lognormal(mean=np.log(self.config.mean_walltime_s), sigma=0.6),
             0.25 * HOUR, 24 * HOUR,
         ))
-        duration = walltime * float(self._rng.uniform(0.3, 1.0))
+        duration = walltime * float(rng.uniform(0.3, 1.0))
         request = f"cluster='{cluster}'/nodes={size},walltime={_fmt(walltime)}"
         self.submitted += 1
         job = self.oar.submit(request, user=f"user{self.submitted % 550}",
                               auto_duration=duration)
         self._notify_submitted(job)
         return job
+
+
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """The CDF ``Generator.choice(n, p=p)`` draws against (built once)."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw(rng: np.random.Generator, cdf: np.ndarray) -> int:
+    """One index drawn like ``rng.choice(len(cdf), p=p)`` with
+    ``cdf = _cdf(p)``: one ``random()`` looked up in the CDF is numpy's own
+    algorithm, so the variate and the generator's state afterwards are
+    those of ``choice``, without its per-call checks and CDF build."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def _fmt(seconds: float) -> str:

@@ -24,7 +24,10 @@ in :mod:`repro.scheduling.pernode`.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
+from itertools import chain
 from typing import Any, Callable, Optional
 
 from ..checksuite.base import CheckFamily
@@ -75,10 +78,22 @@ class TickView:
         self.now = scheduler.sim.now
 
     def due_cells(self) -> list[TestCell]:
-        """Cells eligible for an attempt right now, in cell order."""
-        now = self.now
-        return [c for c in self.scheduler.cells
-                if not c.in_flight and c.next_attempt_at <= now]
+        """Cells eligible for an attempt right now, in cell order: those
+        not in flight whose ``next_attempt_at`` has come.  Read from the
+        scheduler's due index (one C-level sort of its ascending per-site
+        runs), so it costs O(due cells), not O(cells)."""
+        scheduler = self.scheduler
+        scheduler._drain(self.now)
+        return list(map(scheduler.cells.__getitem__,
+                        sorted(chain.from_iterable(scheduler._runs))))
+
+    def due_runs(self) -> dict[str, dict[str, list[int]]]:
+        """The due index: site -> family kind -> ascending ids of that
+        site's due cells of that kind.  Together the runs hold exactly the
+        cells of :meth:`due_cells`.  The lists are live: ``launch`` and
+        ``defer`` take a cell out of its run at once."""
+        self.scheduler._drain(self.now)
+        return self.scheduler._due
 
     def cell_id(self, cell: TestCell) -> int:
         """Stable identifier of a cell (its index in construction order)."""
@@ -106,10 +121,29 @@ class TickView:
         """Blocked attempt: grow the cell's exponential backoff."""
         cell.blocked_attempts += 1
         cell.next_attempt_at = self.now + cell.backoff.next_delay()
+        self.scheduler._reindex(cell)
 
 
 class ExternalScheduler:
-    """Availability-aware build launcher over Jenkins + OAR."""
+    """Availability-aware build launcher over Jenkins + OAR.
+
+    The scheduler keeps a *due index* so a tick never rescans every cell.
+    Each cell not in flight is in exactly one of two places:
+
+    * a *due run* — per (site, family kind), the ascending ids of the
+      cells whose ``next_attempt_at`` has come;
+    * the *future heap* of ``(next_attempt_at, cell id, version)``.
+
+    A cell in flight is in neither.  ``_launch``, ``_on_done`` and
+    ``TickView.defer`` are the only writers of ``in_flight`` and
+    ``next_attempt_at``, and each ends with :meth:`_reindex`, which takes
+    the cell out of its run and, unless it is in flight, pushes it on the
+    heap under a new version; heap entries of an older version are stale
+    and skipped.  :meth:`_drain` moves the heap entries whose time has
+    come into their runs; the tick view calls it before every read, so
+    the runs always hold exactly the cells a scan of ``cells`` would call
+    due.
+    """
 
     def __init__(
         self,
@@ -153,6 +187,17 @@ class ExternalScheduler:
                 ))
         #: id(cell) -> stable cell index (the wire protocol's cell id).
         self.cell_ids = {id(c): i for i, c in enumerate(self.cells)}
+        #: The due index (see the class docstring): ``_due[site][kind]``
+        #: is a run, ``_runs`` all runs, ``_run_of[cell id]`` a cell's run.
+        self._due: dict[str, dict[str, list[int]]] = {}
+        self._run_of = [self._due.setdefault(c.site, {})
+                        .setdefault(c.family.kind, []) for c in self.cells]
+        self._runs = [run for runs in self._due.values()
+                      for run in runs.values()]
+        self._version = [0] * len(self.cells)
+        self._future = [(c.next_attempt_at, i, 0)
+                        for i, c in enumerate(self.cells)]
+        heapify(self._future)
         self.strategy = strategy if strategy is not None \
             else DefaultStrategy(policy)
         self.strategy.bind(self)
@@ -217,11 +262,39 @@ class ExternalScheduler:
     def _tick(self) -> None:
         self.strategy.on_tick(TickView(self))
 
+    # -- the due index ---------------------------------------------------------
+
+    def _reindex(self, cell: TestCell) -> None:
+        """File ``cell`` where its state puts it, after a write to its
+        ``in_flight`` or ``next_attempt_at``: out of its due run, and on
+        the future heap unless in flight.  The heap entry waits for
+        :meth:`_drain` even when its time has already come, so a cell
+        deferred during a tick is not offered again in the same pass."""
+        cid = self.cell_ids[id(cell)]
+        run = self._run_of[cid]
+        i = bisect_left(run, cid)
+        if i < len(run) and run[i] == cid:
+            del run[i]
+        version = self._version[cid] = self._version[cid] + 1
+        if not cell.in_flight:
+            heappush(self._future, (cell.next_attempt_at, cid, version))
+
+    def _drain(self, now: float) -> None:
+        """Move every cell whose ``next_attempt_at`` is at or before
+        ``now`` from the future heap into its due run."""
+        future = self._future
+        version = self._version
+        while future and future[0][0] <= now:
+            _, cid, v = heappop(future)
+            if v == version[cid]:
+                insort(self._run_of[cid], cid)
+
     def _launch(self, cell: TestCell) -> None:
         cell.in_flight = True
         cell.runs += 1
         self._in_flight_per_site[cell.site] = \
             self._in_flight_per_site.get(cell.site, 0) + 1
+        self._reindex(cell)
         build = self.jenkins.trigger(cell.job_name, parameters=cell.config,
                                      cause="external-scheduler")
         build.done_event.add_callback(lambda ev, c=cell: self._on_done(c, ev.value))
@@ -238,6 +311,7 @@ class ExternalScheduler:
                       if cell.family.kind == "hardware"
                       else self.policy.software_period_s)
             cell.next_attempt_at = self.sim.now + period
+        self._reindex(cell)
         self.strategy.on_build_done(cell, build)
         if self.on_build_done is not None:
             self.on_build_done(cell, build)

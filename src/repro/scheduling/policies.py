@@ -23,6 +23,7 @@ Two layers live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heapreplace
 from typing import TYPE_CHECKING, Type
 
 from ..util.simclock import DAY, HOUR, is_peak_hours
@@ -124,9 +125,26 @@ class DefaultStrategy(SchedulingStrategy):
     For each due cell, in cell order: skip during peak hours (hardware
     tests, calendar gate — no backoff growth), skip when the per-site
     concurrency cap is reached, defer with exponential backoff when the
-    resources are not available right now, otherwise launch.  The
-    calendar gate depends only on the family kind and the tick's instant,
-    so it is asked once per kind per tick.
+    resources are not available right now, otherwise launch.
+
+    The tick visits only the cells it decides.  It merges, in cell order,
+    the due runs of the scheduler's index (``view.due_runs()``) whose kind
+    the gate allows on sites below the cap, and a site leaves the merge as
+    soon as a launch brings it to the cap.  The cells it skips are exactly
+    those the per-cell loop (kept in ``tests/scheduling/
+    policies_reference.py``) passes over, so the ``launch``/``defer``
+    calls and their order are the loop's:
+
+    * the gate depends only on the family kind and the tick's instant, so
+      its answer per kind is fixed within the tick (and asked once);
+    * a site's in-flight count only rises within the tick: builds finish
+      through kernel callbacks, never inside ``on_tick``, so a site at
+      the cap stays there and one below it decides every due cell it
+      reaches;
+    * every decision takes the cell out of its run, and a ``defer`` moves
+      it into the future, so no cell is visited twice.
+
+    Each tick costs O(decisions + runs) rather than O(cells).
     """
 
     name = "default"
@@ -138,22 +156,38 @@ class DefaultStrategy(SchedulingStrategy):
         policy = self.policy
         now = view.now
         cap = policy.max_concurrent_per_site
+        check = policy.check_resources_first
         in_flight = view.in_flight
+        cells = view.scheduler.cells
         allowed: dict[str, bool] = {}
-        for cell in view.due_cells():
-            kind = cell.family.kind
-            gate = allowed.get(kind)
-            if gate is None:
-                gate = allowed[kind] = policy.allows_now(kind, now)
-            if not gate:
-                continue  # retry next tick; no backoff growth for calendar
-            if in_flight(cell.site) >= cap:
+        heads: list[tuple[int, list[int], str]] = []
+        for site, runs in view.due_runs().items():
+            if in_flight(site) >= cap:
                 continue
-            if policy.check_resources_first \
-                    and not view.resources_available(cell):
+            for kind, run in runs.items():
+                if not run:
+                    continue
+                gate = allowed.get(kind)
+                if gate is None:
+                    gate = allowed[kind] = policy.allows_now(kind, now)
+                if gate:  # else retry next tick; no backoff growth
+                    heads.append((run[0], run, site))
+        heapify(heads)
+        while heads:
+            cid, run, site = heads[0]
+            if in_flight(site) >= cap:
+                heappop(heads)  # a launch capped the site: it leaves
+                continue
+            cell = cells[cid]
+            if check and not view.resources_available(cell):
                 view.defer(cell)
-                continue
-            view.launch(cell)
+            else:
+                view.launch(cell)
+            # the decision took ``cid`` out of ``run``: next head is run[0]
+            if run:
+                heapreplace(heads, (run[0], run, site))
+            else:
+                heappop(heads)
 
 
 _STRATEGIES: dict[str, Type[SchedulingStrategy]] = {}

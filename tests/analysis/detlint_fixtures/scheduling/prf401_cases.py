@@ -125,3 +125,34 @@ class OncePerTickScheduler:
     def utilization(self):
         # OK: the running list is asked for once.
         return sum(len(j.assignment) for j in self.oar.running_jobs())
+
+
+class ScanningTickView:
+    def due_cells(self):
+        now = self.now
+        return [c for c in self.scheduler.cells  # EXPECT(PRF401)
+                if not c.in_flight and c.next_attempt_at <= now]
+
+    def on_tick(self, view):
+        for cell in view.scheduler.cells:  # EXPECT(PRF401)
+            if cell.next_attempt_at <= view.now:
+                view.launch(cell)
+
+
+class IndexedTickView:
+    def due_cells(self):
+        # OK: the due index's runs, merged by one sort; no cell scan.
+        scheduler = self.scheduler
+        scheduler._drain(self.now)
+        return list(map(scheduler.cells.__getitem__,
+                        sorted(chain.from_iterable(scheduler._runs))))
+
+    def on_tick(self, view):
+        # OK: indexing one cell by id is not a scan.
+        cells = view.scheduler.cells
+        for run in view.due_runs()["nancy"].values():
+            view.launch(cells[run[0]])
+
+    def stats(self):
+        # OK: not a tick-path function.
+        return sum(1 for c in self.cells if c.in_flight)

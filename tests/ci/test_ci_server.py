@@ -57,8 +57,8 @@ def test_executor_pool_limits_parallelism(jenkins):
     server.register_job("j", quick_runner(sim, duration=100.0))
     builds = [server.trigger("j") for _ in range(4)]
     sim.run(until=1.0)
-    assert server.busy_executors() == 2
-    assert server.queue_length() == 2
+    assert server.executors.in_use == 2
+    assert server.executors.queue_length == 2
     sim.run()
     starts = sorted(b.started_at for b in builds)
     assert starts == [0.0, 0.0, 100.0, 100.0]
@@ -119,7 +119,7 @@ def test_abort_queued_build_does_not_leak_executor(jenkins):
     more = [server.trigger("j") for _ in range(2)]
     sim.run()
     assert all(b.status == BuildStatus.SUCCESS for b in more)
-    assert server.busy_executors() == 0
+    assert server.executors.in_use == 0
 
 
 def test_abort_finished_build_raises(jenkins):

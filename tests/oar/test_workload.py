@@ -105,3 +105,25 @@ def test_most_small_jobs_start_quickly():
     assert waits, "no single-node jobs completed"
     quick = sum(1 for w in waits if w < 60.0)
     assert quick / len(waits) > 0.6
+
+
+def test_cdf_draw_reproduces_generator_choice():
+    """``submit_one``'s CDF draw gives ``Generator.choice(..., p=...)``'s
+    variates and leaves the generator in the same state, so the workload
+    (and every report built on it) is unchanged."""
+    import numpy as np
+
+    from repro.oar.workload import _cdf, _draw
+
+    shapes = np.random.default_rng(2024)
+    for seed in range(300):
+        n = int(shapes.integers(2, 41))
+        p = shapes.random(n)
+        p[shapes.random(n) < 0.2] = 0.0  # some impossible outcomes
+        p[int(shapes.integers(n))] += 0.01
+        p /= p.sum()
+        cdf = _cdf(p)
+        mine, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = [_draw(mine, cdf) for _ in range(200)]
+        assert drawn == [int(ref.choice(n, p=p)) for _ in range(200)]
+        assert mine.bit_generator.state == ref.bit_generator.state
