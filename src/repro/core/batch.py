@@ -165,9 +165,14 @@ def _worker_main(conn: Connection) -> None:
 # every batch.  The fleet below survives between calls and is resized to
 # the requested worker count.  Each worker owns a pipe and holds at most
 # one cell, so a worker that hangs or dies costs exactly itself: it is
-# terminated and replaced while the rest of the fleet stays warm.  Workers
-# are stateless (cells travel as JSON specs and come back as reports), so
-# reuse cannot leak simulation state across batches.
+# terminated and replaced while the rest of the fleet stays warm.  Cells
+# travel as JSON specs and come back as reports, and the only state a
+# worker keeps between cells is the seed-independent world cache: each
+# cluster-spec set's testbed description and initial Reference API import
+# (core/builder.py) and each trace file read (oar/traces.py).  Reuse
+# cannot leak simulation state across cells or batches: the shared
+# objects are frozen or read-only, and every cell gets its own
+# description containers, machines and history.
 
 
 class _Worker:

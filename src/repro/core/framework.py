@@ -105,10 +105,17 @@ class TestingFramework:
     # -- background operations ----------------------------------------------------
 
     def _janitor(self):
-        """Operators' phoenix: reboot crashed nodes not held by a job."""
+        """Operators' phoenix: reboot crashed nodes not held by a job.
+
+        A period with no crashed node (the park's crashed mask is 0) looks
+        at neither the running jobs nor the park; otherwise the nodes are
+        visited in testbed order, so boots start in that order.
+        """
         rng = self.rngs.stream("janitor")
         while True:
             yield self.sim.timeout(_JANITOR_PERIOD_S * float(rng.uniform(0.9, 1.1)))
+            if not self.machines.crashed_mask:
+                continue
             busy = {u for j in self.oar.running_jobs() for u in j.assigned_nodes}
             for machine in self.machines.machines.values():
                 if machine.state == PowerState.CRASHED and machine.uid not in busy:

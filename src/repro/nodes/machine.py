@@ -254,14 +254,20 @@ class SimulatedNode:
 
     @state.setter
     def state(self, value: PowerState) -> None:
-        """Every power-state write keeps the park's alive mask current."""
+        """Every power-state write keeps the park's alive and crashed masks
+        current."""
         self._state = value
         park = self._park
         if park is not None:
+            bit = self._bit
             if value is PowerState.ON:
-                park.alive_mask |= self._bit
+                park.alive_mask |= bit
             else:
-                park.alive_mask &= ~self._bit
+                park.alive_mask &= ~bit
+            if value is PowerState.CRASHED:
+                park.crashed_mask |= bit
+            else:
+                park.crashed_mask &= ~bit
 
     @property
     def available(self) -> bool:
@@ -357,8 +363,9 @@ class MachinePark:
     ``OarDatabase.node_uids()`` and of the Gantt's availability profile,
     so ``alive_mask`` composes with the scheduler's masks by plain ``&``.
     Bit ``b`` of ``alive_mask`` is set iff the node holding it is
-    :attr:`PowerState.ON`; the node's ``state`` setter flips it on every
-    change, so no reader ever rescans the park.
+    :attr:`PowerState.ON`, and bit ``b`` of ``crashed_mask`` iff it is
+    :attr:`PowerState.CRASHED`; the node's ``state`` setter flips both on
+    every change, so no reader ever rescans the park.
     """
 
     def __init__(self, machines: Iterable[SimulatedNode]) -> None:
@@ -367,12 +374,15 @@ class MachinePark:
         #: Node uids in bit order.
         self.uids: list[str] = sorted(self.machines)
         self.alive_mask = 0
+        self.crashed_mask = 0
         for i, uid in enumerate(self.uids):
             node = self.machines[uid]
             node._park = self
             node._bit = 1 << i
             if node.available:
                 self.alive_mask |= node._bit
+            elif node.state is PowerState.CRASHED:
+                self.crashed_mask |= node._bit
 
     @classmethod
     def from_testbed(cls, sim: Simulator, testbed, rng_streams: RngStreams) -> "MachinePark":

@@ -139,10 +139,10 @@ class ResourceProfile:
 
         Walks candidate starts (``after`` plus every later step boundary —
         a superset of the reservation-end release points, so no earlier
-        feasible start can be skipped); each candidate costs one bisect
-        plus a mask intersection over the steps its window covers.  The
-        final step's mask is always the full park (reservations are
-        finite), so the walk terminates whenever ``k <=
+        feasible start can be skipped); each candidate costs a search for
+        its window end plus a mask intersection over the steps the window
+        covers.  The final step's mask is always the full park
+        (reservations are finite), so the walk terminates whenever ``k <=
         mask.bit_count()``.
 
         Float compatibility with the retired per-node searches, candidate
@@ -156,6 +156,14 @@ class ResourceProfile:
         mask.bit_count()``) reproduces the per-node next-fit walk, whose
         window-end test is ``fl(end - t) >= duration`` at every
         candidate.
+
+        After ``after``, the window end is a pointer that only moves
+        forward, not a bisect per candidate, and it is exact: rounding is
+        monotone, so ``fl(b - duration)`` grows and ``fl(b - t)`` shrinks
+        as ``t`` grows, each test is monotone in the boundary ``b``, and
+        the first boundary that passes never moves back as the candidate
+        advances.  The whole walk thus costs O(steps after ``after``)
+        pointer moves plus the window intersections.
         """
         if k < 1:
             return None
@@ -175,6 +183,7 @@ class ResourceProfile:
                                        key=lambda b: b - duration)
                 if self._window_hits(avail, i, j, k):
                     return after
+        j = i + 1
         while True:
             i += 1
             if i >= n:
@@ -182,12 +191,14 @@ class ResourceProfile:
             t = times[i]
             avail = masks[i] & mask
             if avail.bit_count() >= k:
+                if j <= i:
+                    j = i + 1
                 if whole:
-                    j = bisect.bisect_left(times, duration, i + 1, n,
-                                           key=lambda b: b - t)
+                    while j < n and times[j] - t < duration:
+                        j += 1
                 else:
-                    j = bisect.bisect_left(times, t, i + 1, n,
-                                           key=lambda b: b - duration)
+                    while j < n and times[j] - duration < t:
+                        j += 1
                 if self._window_hits(avail, i, j, k):
                     return t
 

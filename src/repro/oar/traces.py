@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -61,6 +62,16 @@ _FORMAT_TAG = "repro-trace-v1"
 #: Bundled traces live next to this module; referencing one by bare name
 #: (e.g. ``"tiny-g5k"``) keeps presets machine-independent.
 _BUILTIN_DIR = os.path.join(os.path.dirname(__file__), "builtin_traces")
+
+#: Most trace-file versions :meth:`TraceReplayConfig.load` keeps; past it
+#: the oldest entry goes.
+_TRACE_MEMO_MAX = 8
+
+#: ``(absolute path, st_mtime_ns, st_size)`` -> the trace read from that
+#: file version.  Traces are frozen, so runs share them.
+_trace_memo: dict[tuple[str, int, int], WorkloadTrace] = {}
+#: Serialises inserts and evictions: service sessions build in threads.
+_trace_memo_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -247,7 +258,23 @@ class TraceReplayConfig:
                 f"elastic_max_scale must be >= 1, got {self.elastic_max_scale}")
 
     def load(self) -> WorkloadTrace:
-        return load_trace(self.path)
+        """The trace at ``path``, read once per version of its file.
+
+        Presets replay the same file in every run, so the frozen trace is
+        kept under the file's absolute path, ``st_mtime_ns`` and
+        ``st_size``; a file rewritten since is read again.
+        """
+        resolved = os.path.abspath(_resolve_trace_path(self.path))
+        st = os.stat(resolved)
+        key = (resolved, st.st_mtime_ns, st.st_size)
+        trace = _trace_memo.get(key)
+        if trace is None:
+            trace = load_trace(resolved)
+            with _trace_memo_lock:
+                if len(_trace_memo) >= _TRACE_MEMO_MAX:
+                    del _trace_memo[next(iter(_trace_memo))]
+                _trace_memo[key] = trace
+        return trace
 
 
 # -- parsing / persistence -----------------------------------------------------

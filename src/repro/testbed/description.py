@@ -432,6 +432,20 @@ class TestbedDescription:
                 return n
         raise KeyError(f"unknown node: {uid}")
 
+    def copy(self) -> "TestbedDescription":
+        """A copy with its own site and cluster objects and ``nodes`` lists.
+
+        The frozen :class:`NodeDescription` objects are shared: every
+        field of one is a frozen dataclass or a tuple, so the only way to
+        change a node is :meth:`replace_node`, which writes to this copy's
+        list alone.
+        """
+        return replace(self, sites=[
+            replace(site, clusters=[
+                replace(cluster, nodes=list(cluster.nodes))
+                for cluster in site.clusters])
+            for site in self.sites])
+
     def replace_node(self, node: NodeDescription) -> None:
         """Swap in an updated description for an existing node."""
         cluster = self.cluster(node.cluster)

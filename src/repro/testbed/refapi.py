@@ -28,7 +28,11 @@ __all__ = ["RefApiVersion", "ReferenceApi"]
 
 @dataclass(frozen=True)
 class RefApiVersion:
-    """One committed snapshot of the testbed description."""
+    """One committed snapshot of the testbed description.
+
+    ``doc`` is read-only: a version may be shared by the stores of many
+    runs (see :meth:`ReferenceApi.from_head`).
+    """
 
     version: str  # content hash
     timestamp: float
@@ -43,6 +47,23 @@ class ReferenceApi:
         self._testbed = testbed
         self._history: list[RefApiVersion] = []
         self.commit(timestamp, "initial import")
+
+    @classmethod
+    def from_head(cls, testbed: TestbedDescription,
+                  head: RefApiVersion) -> "ReferenceApi":
+        """A store whose history starts at ``head``, an already-committed
+        snapshot of ``testbed``'s current document.
+
+        This is the ``__init__`` import without serialising and hashing
+        the document again: the builder imports each testbed once per
+        process and starts every run's store from that version.  ``head``
+        is then shared between stores, so its ``doc`` must stay read-only;
+        in this package :meth:`diff` is its only reader.
+        """
+        api = cls.__new__(cls)
+        api._testbed = testbed
+        api._history = [head]
+        return api
 
     # -- current state ---------------------------------------------------------
 

@@ -1,11 +1,13 @@
-"""The park's alive bitmask always equals a fresh scan of node power states.
+"""The park's alive and crashed bitmasks always equal a fresh scan of node
+power states.
 
 Every liveness reader (OAR placement, grow candidates, the launcher's
 availability counts, the steal negotiation) ANDs with
 ``MachinePark.alive_mask`` instead of asking each node, so the mask must
 follow every way a node's power state can change: spontaneous crashes,
 power cycles, Kadeploy deployments, direct ``state`` writes and fault
-injection/repair.
+injection/repair.  The janitor skips its sweep when ``crashed_mask`` is 0,
+so that mask must follow the same changes.
 """
 
 import dataclasses
@@ -42,13 +44,19 @@ _OPS = st.lists(st.one_of(
 ), max_size=40)
 
 
-def _scanned_mask(park):
-    """The alive mask rebuilt from scratch, one node at a time."""
+def _scanned_mask(park, state=PowerState.ON):
+    """The mask of nodes in ``state`` rebuilt from scratch, one node at a
+    time."""
     mask = 0
     for i, uid in enumerate(park.uids):
-        if park[uid].state is PowerState.ON:
+        if park[uid].state is state:
             mask |= 1 << i
     return mask
+
+
+def _assert_masks_fresh(park):
+    assert park.alive_mask == _scanned_mask(park)
+    assert park.crashed_mask == _scanned_mask(park, PowerState.CRASHED)
 
 
 def test_bits_follow_sorted_uid_order():
@@ -56,6 +64,7 @@ def test_bits_follow_sorted_uid_order():
     assert park.uids == sorted(park.machines)
     assert list(park.machines) != park.uids  # testbed order is kept apart
     assert park.alive_mask == (1 << _N) - 1 == _scanned_mask(park)
+    assert park.crashed_mask == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -89,9 +98,20 @@ def test_alive_mask_equals_fresh_scan(ops, seed):
                 revert_fault(faults[op[1] % len(faults)], ctx)
         else:
             sim.run(until=sim.now + op[1])
-        assert park.alive_mask == _scanned_mask(park)
+        _assert_masks_fresh(park)
     sim.run()
-    assert park.alive_mask == _scanned_mask(park)
+    _assert_masks_fresh(park)
+
+
+def test_park_built_from_crashed_nodes_starts_with_their_bits():
+    sim = Simulator()
+    nodes = list(MachinePark.from_testbed(sim, _TESTBED,
+                                          RngStreams(seed=0)).machines.values())
+    nodes[0].crash()
+    nodes[1].state = PowerState.BOOTING
+    park = MachinePark(nodes)
+    _assert_masks_fresh(park)
+    assert park.crashed_mask.bit_count() == 1
 
 
 def test_oar_server_rejects_a_park_of_other_nodes():

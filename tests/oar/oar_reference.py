@@ -10,6 +10,9 @@
 * :func:`profile_steps` — the step function a from-scratch build over a
   set of busy intervals gives; the incrementally kept profile must equal
   it.
+* :func:`bisect_earliest` — :meth:`ResourceProfile.earliest` with one
+  bisect per candidate for the window end, the form the forward pointer
+  replaced; the two must agree on every profile.
 * :func:`assert_plans_tight` — after a *full* replanning pass no scheduled
   job may be placeable earlier than its reservation.
 """
@@ -312,6 +315,48 @@ def profile_steps(busy: Iterable[tuple[float, float, int]],
             masks.append(nxt)
             current = nxt
     return times, masks
+
+
+def bisect_earliest(profile, mask: int, after: float, duration: float,
+                    k: int) -> Optional[float]:
+    """:meth:`ResourceProfile.earliest`, bisecting each candidate's window
+    end with the same float form (the fits-now and event forms at
+    ``after``, then the event form for k of n and the window-end form for
+    the whole set)."""
+    if k < 1:
+        return None
+    times = profile._times
+    masks = profile._masks
+    hits = profile._window_hits
+    n = len(times)
+    whole = k == mask.bit_count()
+    i = bisect.bisect_right(times, after) - 1
+    avail = masks[i] & mask
+    if avail.bit_count() >= k:
+        j = bisect.bisect_left(times, duration, i + 1, n,
+                               key=lambda b: b - after)
+        if hits(avail, i, j, k):
+            return after
+        if not whole:
+            j = bisect.bisect_left(times, after, i + 1, n,
+                                   key=lambda b: b - duration)
+            if hits(avail, i, j, k):
+                return after
+    while True:
+        i += 1
+        if i >= n:
+            return None
+        t = times[i]
+        avail = masks[i] & mask
+        if avail.bit_count() >= k:
+            if whole:
+                j = bisect.bisect_left(times, duration, i + 1, n,
+                                       key=lambda b: b - t)
+            else:
+                j = bisect.bisect_left(times, t, i + 1, n,
+                                       key=lambda b: b - duration)
+            if hits(avail, i, j, k):
+                return t
 
 
 def assert_plans_tight(oar) -> None:
