@@ -496,6 +496,10 @@ _PARK_WRAPPERS = {"sorted", "list", "tuple", "reversed", "enumerate"}
 #: per iteration they repeat O(jobs) work the tick can do once.
 _TICK_INVARIANT_CALLS = {"running_jobs", "_running_malleable",
                          "_feasible_floor"}
+#: Calls a tick makes at most once: a replan pass re-places the whole
+#: touched queue, so the tick ORs what it freed into one mask and replans
+#: after its loops.
+_ONCE_PER_TICK_CALLS = {"replan_now"}
 
 
 def _is_park_iterable(node: ast.AST) -> bool:
@@ -572,7 +576,10 @@ class TickPathParkScan(Rule):
                  "the running-job list and a donor's feasibility floor "
                  "hold still inside a tick's loops: ask once per tick.  "
                  "A loop over every test cell of a scheduler is the same "
-                 "rescan: due cells come from the due index.")
+                 "rescan: due cells come from the due index.  A replan "
+                 "pass re-places the whole touched queue, so a tick "
+                 "replans once, after its loops, over everything it "
+                 "freed.")
     scope = ("scheduling/", "oar/")
 
     def check(self, tree: ast.Module, ctx: RuleContext) -> Iterator[Finding]:
@@ -614,6 +621,13 @@ class TickPathParkScan(Rule):
                             f"{name}() evaluated per loop iteration inside "
                             f"{fn.name}() — compute it once per tick (a "
                             "table rebuilt only when a resize changes it)")
+                    elif name in _ONCE_PER_TICK_CALLS:
+                        seen.add(id(node))
+                        yield ctx.finding(
+                            self, node,
+                            f"{name}() evaluated per loop iteration inside "
+                            f"{fn.name}() — OR the freed masks together "
+                            "and replan once per tick, after the loop")
 
 
 # --------------------------------------------------------------------------

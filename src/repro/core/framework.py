@@ -123,15 +123,19 @@ class TestingFramework:
 
     def _gremlin(self):
         """Spontaneous crashes on machines with an active random-reboot
-        fault (crash_mtbf_s set)."""
+        fault (crash_mtbf_s set).
+
+        The park indexes those machines, so a period visits only them, in
+        testbed order: one draw per powered-on machine, as a full scan
+        would make."""
         rng = self.rngs.stream("gremlin")
         while True:
             yield self.sim.timeout(_GREMLIN_PERIOD_S)
-            for machine in self.machines.machines.values():
-                mtbf = machine.crash_mtbf_s
-                if mtbf is None or machine.state != PowerState.ON:
+            for machine in self.machines.crash_prone_nodes():
+                if machine.state != PowerState.ON:
                     continue
-                p_crash = 1.0 - math.exp(-_GREMLIN_PERIOD_S / mtbf)
+                p_crash = 1.0 - math.exp(-_GREMLIN_PERIOD_S
+                                         / machine.crash_mtbf_s)
                 if float(rng.random()) < p_crash:
                     machine.crash()
 

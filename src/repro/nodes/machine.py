@@ -189,10 +189,12 @@ class SimulatedNode:
         self.cluster_uid = cluster.uid
         self.site_uid = desc.site
         self.actual = HardwareState.from_description(desc)
-        #: The park that owns this node and the node's bit in the park's
-        #: alive mask (set when the park is built).
+        #: The park that owns this node, the node's bit in the park's
+        #: alive mask and its position in testbed order (set when the park
+        #: is built).
         self._park: Optional[MachinePark] = None
         self._bit = 0
+        self._order = 0
         self.state = PowerState.ON
         self._mean_boot_s = cluster.boot_time_s
         self._rng = rng_streams.fork("node-timing", index)
@@ -204,8 +206,7 @@ class SimulatedNode:
         #: The small baseline models ordinary flakiness; the random-reboots
         #: fault raises it dramatically.
         self.boot_failure_prob = 0.001
-        #: Mean time between spontaneous crashes (None = stable machine).
-        self.crash_mtbf_s: Optional[float] = None
+        self._crash_mtbf_s: Optional[float] = None
         #: CPU load factor in [0,1] (set by workload/monitoring consumers).
         self.cpu_load = 0.0
 
@@ -272,6 +273,23 @@ class SimulatedNode:
     @property
     def available(self) -> bool:
         return self._state is PowerState.ON
+
+    @property
+    def crash_mtbf_s(self) -> Optional[float]:
+        """Mean time between spontaneous crashes (None = stable machine)."""
+        return self._crash_mtbf_s
+
+    @crash_mtbf_s.setter
+    def crash_mtbf_s(self, value: Optional[float]) -> None:
+        """Every write keeps the park's index of crash-prone nodes
+        current."""
+        self._crash_mtbf_s = value
+        park = self._park
+        if park is not None:
+            if value is None:
+                park.crash_prone.pop(self._order, None)
+            else:
+                park.crash_prone[self._order] = self
 
     # -- performance model ------------------------------------------------------
 
@@ -365,7 +383,9 @@ class MachinePark:
     Bit ``b`` of ``alive_mask`` is set iff the node holding it is
     :attr:`PowerState.ON`, and bit ``b`` of ``crashed_mask`` iff it is
     :attr:`PowerState.CRASHED`; the node's ``state`` setter flips both on
-    every change, so no reader ever rescans the park.
+    every change, so no reader ever rescans the park.  Likewise
+    :attr:`crash_prone` holds the nodes whose ``crash_mtbf_s`` is set,
+    kept by that attribute's setter.
     """
 
     def __init__(self, machines: Iterable[SimulatedNode]) -> None:
@@ -375,6 +395,13 @@ class MachinePark:
         self.uids: list[str] = sorted(self.machines)
         self.alive_mask = 0
         self.crashed_mask = 0
+        #: Position in testbed order -> node, for every node with a crash
+        #: MTBF set (:meth:`crash_prone_nodes` lists them in that order).
+        self.crash_prone: dict[int, SimulatedNode] = {}
+        for order, node in enumerate(self.machines.values()):
+            node._order = order
+            if node.crash_mtbf_s is not None:
+                self.crash_prone[order] = node
         for i, uid in enumerate(self.uids):
             node = self.machines[uid]
             node._park = self
@@ -401,3 +428,8 @@ class MachinePark:
 
     def __len__(self) -> int:
         return len(self.machines)
+
+    def crash_prone_nodes(self) -> list[SimulatedNode]:
+        """The nodes with a crash MTBF set, in testbed order."""
+        prone = self.crash_prone
+        return [prone[order] for order in sorted(prone)]

@@ -25,11 +25,15 @@ strategy registry so a scenario selects one by name
   agreement is all-or-nothing — donors only shrink when their combined
   cedeable width covers the deficit — and each donor keeps enough width
   to still finish inside its walltime (the feasibility floor), so a steal
-  never converts a finishing job into a walltime kill.
+  never converts a finishing job into a walltime kill.  A tick's
+  agreements are settled FCFS against a ledger of the nodes already
+  promised to earlier queued jobs, and the queue is re-placed once, after
+  the whole round.
 
 Every decision runs inside the scheduler tick (the simulated clock is
 frozen), iterates jobs in job-id order, and picks nodes in deterministic
 database order — two runs of the same scenario make byte-identical calls.
+A tick makes at most one ``replan_now`` pass, over every node it freed.
 
 Test-cell decisions are inherited from :class:`DefaultStrategy` unchanged:
 elastic policies govern *user* jobs and leave the framework's own
@@ -41,6 +45,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
+from ..oar.server import _lowest_bits
 from .policies import DefaultStrategy, register_strategy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -85,10 +90,17 @@ class CommonPoolStrategy(DefaultStrategy):
         self.elastic_tick(view.scheduler.oar)
 
     def elastic_tick(self, oar: "OarServer") -> None:
+        """One elastic round: evict dead nodes, on queue pressure reclaim
+        and negotiate width, re-place the queue once, then expand.
+
+        Every node freed in the tick goes into one mask, so the queue is
+        re-placed by a single ``replan_now`` pass per tick."""
         self._evict_dead(oar)
         pressure = oar.queued_jobs(self.queue_slack_s)
         if pressure:
-            self._reclaim(oar, pressure)
+            freed = self._reclaim(oar) | self._negotiate(oar, pressure)
+            if freed:
+                oar.replan_now(freed)
         # Expanding is safe even under pressure: grow only claims nodes
         # free through the job's whole walltime window, so no reservation
         # (queued job) is ever displaced — only capacity nothing else
@@ -105,16 +117,21 @@ class CommonPoolStrategy(DefaultStrategy):
         for job in _running_malleable(oar):
             oar.evict_dead_nodes(job)
 
-    def _reclaim(self, oar: "OarServer", pressure: list["Job"]) -> None:
-        """Clip every malleable job back to its preferred width and re-plan
-        the queue onto the freed nodes at once."""
+    def _reclaim(self, oar: "OarServer") -> int:
+        """Clip every malleable job back to its preferred width; returns
+        the freed mask for the tick's replan."""
         freed = 0
         for job in _running_malleable(oar):
             extra = job.width - job.request.parts[0].count
             if extra > 0:
                 freed |= oar.shrink(job, extra, replan=False)
-        if freed:
-            oar.replan_now(freed)
+        return freed
+
+    def _negotiate(self, oar: "OarServer", queued: list["Job"]) -> int:
+        """Hook for policies that bargain width away from running jobs on
+        behalf of the queue; returns the freed mask.  Common-pool only
+        reclaims."""
+        return 0
 
     def _expand(self, oar: "OarServer") -> None:
         """Round-robin grow: one node per job per round until the pool or
@@ -150,31 +167,31 @@ class StealAgreementStrategy(CommonPoolStrategy):
 
     name = "steal-agreement"
 
-    def elastic_tick(self, oar: "OarServer") -> None:
-        self._evict_dead(oar)
-        pressure = oar.queued_jobs(self.queue_slack_s)
-        if pressure:
-            self._reclaim(oar, pressure)
-            self._negotiate(oar, oar.queued_jobs(self.queue_slack_s))
-        self._expand(oar)
+    def _negotiate(self, oar: "OarServer", queued: list["Job"]) -> int:
+        """One steal round, FCFS over the queued jobs, settled against a
+        running ledger; returns the freed mask.
 
-    def _negotiate(self, oar: "OarServer", queued: list["Job"]) -> None:
-        """One steal round, FCFS over the queued jobs.
+        ``claimed`` holds the nodes the round has already promised to an
+        earlier queued job: free nodes a job can start on, and nodes its
+        donors ceded.  For each queued single-part job, the matching nodes
+        free right now and not yet claimed either cover its count (it
+        claims its lowest ones) or leave a deficit it asks the running
+        malleable jobs (again FCFS) to cede from nodes it can use.
+        All-or-nothing: donors only shrink when the combined offer covers
+        the deficit, so a failed negotiation leaves every allocation
+        untouched.
 
-        For each queued single-part job, count the matching nodes free
-        right now; if short, ask the running malleable jobs (again FCFS)
-        to cede width from nodes the queued job can use.  All-or-nothing:
-        donors only shrink when the combined offer covers the deficit, so
-        a failed negotiation leaves every allocation untouched.
-
-        The donor table is built once, on the first deficit, and again
-        only after an agreement: its shrinks are the only thing in the
-        loop that changes a donor.  A failed negotiation is therefore
-        integer work on the table's masks.
+        Nothing is re-placed here: the tick's single replan hands the
+        freed nodes to the queue in FCFS order.  The donor table is built
+        once, on the first deficit, and each agreement updates its donors'
+        entries in place — ``now`` is frozen and a shrink only settles
+        mass, so a donor's feasibility floor holds for the whole round.
         """
         now = oar.sim.now
         gantt = oar.gantt
         donors = None
+        claimed = 0
+        freed = 0
         for job in queued:
             if len(job.request.parts) != 1:
                 continue
@@ -186,10 +203,13 @@ class StealAgreementStrategy(CommonPoolStrategy):
             if not usable:
                 continue
             window = max(job.walltime_s, 1.0)
-            have = gantt.profile_free_mask(usable, now, now + window).bit_count()
-            deficit = part.count - have
+            free = gantt.profile_free_mask(usable, now,
+                                           now + window) & ~claimed
+            deficit = part.count - free.bit_count()
             if deficit <= 0:
-                continue  # the ordinary replan can already place it
+                # The replan can place it: its lowest free nodes are taken.
+                claimed |= _lowest_bits(free, part.count)
+                continue
             if donors is None:
                 donors = self._donor_table(oar, now)
             offered = 0
@@ -199,9 +219,9 @@ class StealAgreementStrategy(CommonPoolStrategy):
                     break
             else:
                 continue  # no agreement: nobody cedes anything
-            freed = 0
             offered = 0
-            for donor, room, dmask in donors:
+            for entry in donors:
+                donor, room, dmask = entry
                 # Only nodes the queued job can actually use: shrink's
                 # tail-first walk restricted to ``usable`` picks them
                 # newest first.
@@ -209,23 +229,25 @@ class StealAgreementStrategy(CommonPoolStrategy):
                            (dmask & usable).bit_count())
                 if not give:
                     continue
-                freed |= oar.shrink(donor, give, prefer=usable, replan=False)
+                gone = oar.shrink(donor, give, prefer=usable, replan=False)
+                entry[1:] = room - give, dmask & ~gone
+                freed |= gone
+                claimed |= gone
                 offered += give
                 if offered >= deficit:
                     break
-            oar.replan_now(freed)
-            donors = None  # the donors just shrank
+            claimed |= free
+        return freed
 
-    def _donor_table(self, oar: "OarServer",
-                     now: float) -> list[tuple["Job", int, int]]:
-        """``(donor, cedeable width, allocation mask)`` for every running
+    def _donor_table(self, oar: "OarServer", now: float) -> list[list]:
+        """``[donor, cedeable width, allocation mask]`` for every running
         malleable job above its feasibility floor, FCFS."""
         table = []
         for donor in _running_malleable(oar):
             room = donor.width - self._feasible_floor(donor, now)
             if room > 0:
                 table.append(
-                    (donor, room, oar.gantt.mask_for(donor.assignment[0])))
+                    [donor, room, oar.gantt.mask_for(donor.assignment[0])])
         return table
 
     @staticmethod

@@ -3,7 +3,8 @@
 # Gantt's ResourceProfile; a loop over the park's node/timeline
 # collections in these functions reintroduces the O(nodes) rescans, and
 # so does asking each node for its liveness inside a loop instead of
-# ANDing with the park's alive mask.
+# ANDing with the park's alive mask.  A replan pass inside a tick-path
+# loop re-places the queue once per iteration instead of once per tick.
 
 
 class FakeScheduler:
@@ -156,3 +157,46 @@ class IndexedTickView:
     def stats(self):
         # OK: not a tick-path function.
         return sum(1 for c in self.cells if c.in_flight)
+
+
+class ReplanPerAgreementScheduler:
+    def _negotiate(self, oar, queued):
+        donors = self._donor_table(oar, 0.0)
+        for job in queued:
+            freed = 0
+            for donor, room, dmask in donors:
+                freed |= oar.shrink(donor, room, replan=False)
+            oar.replan_now(freed)  # EXPECT(PRF401)
+
+    def _reclaim(self, oar, running):
+        for job in running:
+            oar.replan_now(oar.shrink(job, 1, replan=False))  # EXPECT(PRF401)
+
+    def elastic_tick(self, oar):
+        while self.pressure(oar):
+            self.settle(oar)
+            oar.replan_now()  # EXPECT(PRF401)
+
+
+class ReplanOncePerTickScheduler:
+    def _negotiate(self, oar, queued):
+        # OK: the round returns what it freed; nothing is re-placed here.
+        donors = self._donor_table(oar, 0.0)
+        freed = 0
+        for job in queued:
+            for entry in donors:
+                freed |= oar.shrink(entry[0], entry[1], replan=False)
+        return freed
+
+    def elastic_tick(self, oar):
+        # OK: one replan pass, after the loops, over everything freed.
+        freed = self._reclaim(oar) | self._negotiate(oar, self.queue)
+        if freed:
+            oar.replan_now(freed)
+        for job in self.growers:
+            self.grow(job)
+
+    def rebalance(self, oar):
+        # OK: not a tick-path function.
+        for mask in self.masks:
+            oar.replan_now(mask)

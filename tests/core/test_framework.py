@@ -1,7 +1,12 @@
 """Integration tests: the fully-wired framework closes the loop."""
 
+import math
+
 from repro.core import FrameworkBuilder
+from repro.core import framework as framework_mod
 from repro.faults import FaultKind
+from repro.nodes import PowerState
+from repro.nodes.machine import SimulatedNode
 from repro.oar import WorkloadConfig
 from repro.scenarios import ScenarioSpec
 from repro.util import DAY, HOUR
@@ -73,6 +78,52 @@ def test_gremlin_crashes_faulty_machines():
     node.boot_failure_prob = 1.0  # janitor cannot revive it
     fw.run_until(DAY)
     assert not node.available
+
+
+def _scanning_gremlin(self):
+    """The gremlin as a full park scan in testbed order (the oracle)."""
+    rng = self.rngs.stream("gremlin")
+    period = framework_mod._GREMLIN_PERIOD_S
+    while True:
+        yield self.sim.timeout(period)
+        for machine in self.machines.machines.values():
+            mtbf = machine.crash_mtbf_s
+            if mtbf is None or machine.state != PowerState.ON:
+                continue
+            if float(rng.random()) < 1.0 - math.exp(-period / mtbf):
+                machine.crash()
+
+
+def _gremlin_crashes(monkeypatch, gremlin=None):
+    """(time, uid) of every crash over three days with MTBFs set, cleared
+    and re-set out of testbed order."""
+    crashes = []
+    crash = SimulatedNode.crash
+
+    def recording(node):
+        crashes.append((node.sim.now, node.uid))
+        crash(node)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SimulatedNode, "crash", recording)
+        if gremlin is not None:
+            patch.setattr(framework_mod.TestingFramework, "_gremlin", gremlin)
+        fw = make_world(families=("oarstate",))
+        fw.start(workload=False, faults=False, testing=False)
+        for uid in ("graoully-3", "grimoire-2", "grisou-10", "grisou-2"):
+            fw.machines[uid].crash_mtbf_s = 3 * HOUR
+        fw.run_until(DAY)
+        fw.machines["grimoire-2"].crash_mtbf_s = None
+        fw.run_until(2 * DAY)
+        fw.machines["grimoire-2"].crash_mtbf_s = HOUR
+        fw.run_until(3 * DAY)
+    return crashes
+
+
+def test_gremlin_index_draws_like_a_park_scan(monkeypatch):
+    indexed = _gremlin_crashes(monkeypatch)
+    assert len({uid for _, uid in indexed}) >= 3
+    assert indexed == _gremlin_crashes(monkeypatch, _scanning_gremlin)
 
 
 def test_build_logs_carry_findings():

@@ -7,7 +7,10 @@ availability counts, the steal negotiation) ANDs with
 follow every way a node's power state can change: spontaneous crashes,
 power cycles, Kadeploy deployments, direct ``state`` writes and fault
 injection/repair.  The janitor skips its sweep when ``crashed_mask`` is 0,
-so that mask must follow the same changes.
+so that mask must follow the same changes.  The gremlin visits only the
+park's crash-prone index, so that index must equal a fresh scan of
+``crash_mtbf_s`` in testbed order after every way the MTBF is set or
+cleared.
 """
 
 import dataclasses
@@ -54,9 +57,16 @@ def _scanned_mask(park, state=PowerState.ON):
     return mask
 
 
+def _scanned_crash_prone(park):
+    """The nodes with an MTBF set, found by scanning the park in testbed
+    order."""
+    return [n for n in park.machines.values() if n.crash_mtbf_s is not None]
+
+
 def _assert_masks_fresh(park):
     assert park.alive_mask == _scanned_mask(park)
     assert park.crashed_mask == _scanned_mask(park, PowerState.CRASHED)
+    assert park.crash_prone_nodes() == _scanned_crash_prone(park)
 
 
 def test_bits_follow_sorted_uid_order():
@@ -112,6 +122,33 @@ def test_park_built_from_crashed_nodes_starts_with_their_bits():
     park = MachinePark(nodes)
     _assert_masks_fresh(park)
     assert park.crashed_mask.bit_count() == 1
+
+
+def test_crash_prone_index_follows_set_clear_and_reset():
+    park = MachinePark.from_testbed(Simulator(), _TESTBED, RngStreams(seed=0))
+    assert park.crash_prone_nodes() == []
+    # Set out of testbed order: a paravance node, then grisou-10 before
+    # grisou-2 (bit order), then grisou-2.
+    order = ["paravance-3", "grisou-10", "grisou-2"]
+    for i, uid in enumerate(order):
+        park[uid].crash_mtbf_s = 3600.0 * (i + 1)
+        _assert_masks_fresh(park)
+    assert [n.uid for n in park.crash_prone_nodes()] \
+        == ["grisou-2", "grisou-10", "paravance-3"]
+    park["grisou-10"].crash_mtbf_s = None
+    _assert_masks_fresh(park)
+    park["grisou-10"].crash_mtbf_s = None  # clearing twice is harmless
+    _assert_masks_fresh(park)
+    park["grisou-10"].crash_mtbf_s = 7200.0  # re-set
+    park["paravance-3"].crash_mtbf_s = 900.0  # a new value, same entry
+    _assert_masks_fresh(park)
+    assert [(n.uid, n.crash_mtbf_s) for n in park.crash_prone_nodes()] \
+        == [("grisou-2", 10800.0), ("grisou-10", 7200.0),
+            ("paravance-3", 900.0)]
+    # A park built over nodes that already carry an MTBF indexes them.
+    rebuilt = MachinePark(list(park.machines.values()))
+    _assert_masks_fresh(rebuilt)
+    assert rebuilt.crash_prone_nodes() == park.crash_prone_nodes()
 
 
 def test_oar_server_rejects_a_park_of_other_nodes():

@@ -1,9 +1,10 @@
 """Reference elastic decisions the oracle test compares production against.
 
-* :func:`negotiate` — the steal round as it ran before the per-tick donor
-  table: for every queued job short of nodes it re-lists the running
-  malleable jobs and recomputes each donor's feasibility floor, width and
-  newest-first givable uids.
+* :func:`negotiate` — the steal round without the per-tick donor table:
+  for every queued job short of nodes it re-lists the running malleable
+  jobs and recomputes each donor's feasibility floor, width and
+  newest-first givable uids, and it keeps the round's ledger of claimed
+  nodes as a plain set of bit positions.
 * :func:`expand` — the round-robin grow as it ran before the candidate
   masks: every round re-lists the running malleable jobs and asks
   ``grow_candidates`` again for each job with headroom.
@@ -38,10 +39,14 @@ def expand(strategy, oar):
 
 
 def negotiate(strategy, oar, queued):
-    """One steal round, FCFS over the queued jobs, all-or-nothing."""
+    """One steal round, FCFS over the queued jobs, all-or-nothing, settled
+    against a ledger of claimed nodes; returns the freed mask (the tick
+    replans once, after the round)."""
     now = oar.sim.now
     gantt = oar.gantt
     bit = gantt.bit
+    claimed = set()  # node bits promised to an earlier queued job
+    freed = 0
     for job in queued:
         if len(job.request.parts) != 1:
             continue
@@ -52,9 +57,12 @@ def negotiate(strategy, oar, queued):
         if not usable:
             continue
         window = max(job.walltime_s, 1.0)
-        have = gantt.profile_free_mask(usable, now, now + window).bit_count()
-        deficit = part.count - have
+        free_mask = gantt.profile_free_mask(usable, now, now + window)
+        free = [b for b in range(free_mask.bit_length())
+                if free_mask >> b & 1 and b not in claimed]
+        deficit = part.count - len(free)
         if deficit <= 0:
+            claimed.update(free[:part.count])  # its lowest free nodes
             continue
         offers = []
         offered = 0
@@ -74,11 +82,12 @@ def negotiate(strategy, oar, queued):
                 break
         if offered < deficit:
             continue
-        freed = 0
         for donor, uids in offers:
             gone = oar.shrink(donor, len(uids), prefer=usable, replan=False)
             # Shrink's tail-first walk restricted to ``usable`` frees
             # exactly the newest-first givable uids.
             assert gone == gantt.mask_for(uids), (donor.job_id, uids)
             freed |= gone
-        oar.replan_now(freed)
+            claimed.update(bit(u) for u in uids)
+        claimed.update(free)
+    return freed

@@ -14,12 +14,18 @@ import json
 import pytest
 
 from repro import run_scenario, scenarios
+from repro.faults import ServiceHealth
+from repro.nodes import MachinePark
+from repro.oar import JobState, OarDatabase, OarServer
 from repro.scheduling import get_strategy, strategy_names
+from repro.scheduling.policies import SchedulerPolicy
 from repro.scheduling.elastic import (
     CommonPoolStrategy,
     EasyBackfillStrategy,
     StealAgreementStrategy,
 )
+from repro.testbed import CLUSTER_SPECS, ReferenceApi, build_grid5000
+from repro.util import HOUR, RngStreams, Simulator
 
 
 def report_hash(report) -> str:
@@ -83,6 +89,38 @@ def test_common_pool_expands_and_reclaims():
     assert report.strategy == "common-pool"
     assert report.grow_events > 0
     assert report.shrink_events > 0
+
+
+def test_steal_round_settles_later_jobs_against_earlier_agreements():
+    """Two queued grisou jobs negotiate with one donor holding 4 grisou
+    nodes.  The first agreement takes 2 of them and claims them; the
+    second job (deficit 3) then sees the donor's 2 remaining grisou
+    nodes, not the 4 it held at the start of the round, so it gets
+    nothing — and the donor never cedes a node the job cannot use."""
+    specs = [s for s in CLUSTER_SPECS if s.name in ("grisou", "grimoire")]
+    testbed = build_grid5000(specs)
+    sim = Simulator()
+    park = MachinePark.from_testbed(sim, testbed, RngStreams(seed=5))
+    oar = OarServer(sim, OarDatabase(ReferenceApi(testbed), ServiceHealth()),
+                    park)
+    oar.submit("cluster='grisou'/nodes=44,walltime=10", auto_duration=9 * HOUR)
+    oar.submit("cluster='grimoire'/nodes=4,walltime=10",
+               auto_duration=9 * HOUR)
+    donor = oar.submit("cluster='grimoire' or cluster='grisou'/"
+                       "nodes=2..8..8,walltime=10", auto_duration=HOUR)
+    sim.run(until=1.0)
+    assert donor.state == JobState.RUNNING
+    grisou = oar.matching_mask(oar.submit(
+        "cluster='grisou'/nodes=2,walltime=1").request.parts[0].expr)
+    oar.submit("cluster='grisou'/nodes=3,walltime=1")
+    assert (oar.gantt.mask_for(donor.assigned_nodes) & grisou).bit_count() == 4
+    queued = oar.queued_jobs(StealAgreementStrategy.queue_slack_s)
+    assert [j.request.parts[0].count for j in queued] == [2, 3]
+
+    freed = StealAgreementStrategy(SchedulerPolicy())._negotiate(oar, queued)
+    assert freed.bit_count() == 2 and freed & ~grisou == 0
+    assert donor.width == 6 and donor.shrink_count == 1
+    assert CommonPoolStrategy(SchedulerPolicy())._negotiate(oar, queued) == 0
 
 
 def test_malleable_policies_beat_rigid_turnaround():

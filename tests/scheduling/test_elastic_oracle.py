@@ -1,11 +1,12 @@
 """The one-pass elastic tick makes exactly the reference's resize calls.
 
-``StealAgreementStrategy._negotiate`` keeps a per-tick donor table and
-``CommonPoolStrategy._expand`` keeps one candidate mask per job; the
-per-queued-job and per-round loops they replaced live in
-``elastic_reference``.  Both run ``elastic-burst`` here while every
-``OarServer.grow``/``shrink``/``replan_now`` call is recorded with its
-arguments: the two call sequences must be equal.
+``StealAgreementStrategy._negotiate`` keeps a per-tick donor table,
+updated in place by each agreement, and ``CommonPoolStrategy._expand``
+keeps one candidate mask per job; the per-queued-job and per-round loops
+they replaced live in ``elastic_reference``.  Both run ``elastic-burst``
+here while every ``OarServer.grow``/``shrink``/``replan_now`` call is
+recorded with its arguments: the two call sequences must be equal, and
+no tick may replan more than once.
 """
 
 import pytest
@@ -51,15 +52,22 @@ def _use_reference(monkeypatch):
 
 
 def _agreements_per_tick(calls):
-    """Steal agreements (prefer-shrinks closed by a replan) per tick."""
+    """Steal agreements per tick: the prefer-shrinks of one queued job
+    share its ``prefer`` mask, so a tick's distinct masks count its
+    agreements (two queued jobs with the same usable mask count once)."""
     per_tick = {}
-    steal = False
     for now, name, _, kwargs in calls:
-        if name == "shrink" and dict(kwargs).get("prefer"):
-            steal = True
-        elif name == "replan_now" and steal:
+        prefer = dict(kwargs).get("prefer")
+        if name == "shrink" and prefer:
+            per_tick.setdefault(now, set()).add(prefer)
+    return {now: len(masks) for now, masks in per_tick.items()}
+
+
+def _replans_per_tick(calls):
+    per_tick = {}
+    for now, name, _, _ in calls:
+        if name == "replan_now":
             per_tick[now] = per_tick.get(now, 0) + 1
-            steal = False
     return per_tick
 
 
@@ -73,7 +81,9 @@ def test_elastic_tick_matches_reference_calls(monkeypatch, strategy, seed):
     assert production == reference
     names = {name for _, name, _, _ in production}
     assert {"grow", "shrink", "replan_now"} <= names
+    # One replan pass per tick, whatever the tick freed.
+    assert max(_replans_per_tick(production).values()) == 1
     if strategy == "steal-agreement":
-        # Several agreements inside one tick: the donor table must be
-        # rebuilt between them for the sequences to agree.
+        # Several agreements inside one tick: the donor table and the
+        # ledger must carry the earlier ones for the sequences to agree.
         assert max(_agreements_per_tick(production).values()) >= 2
