@@ -2,11 +2,13 @@
 
 Regenerates the testbed description and reprints the inventory table; the
 benchmark measures full description generation + topology derivation.
+The asserted figures land in ``benchmarks/results/BENCH_e1_inventory.json``.
 """
 
 from repro.testbed import build_grid5000, build_topology
 
 from conftest import paper_row, print_table
+from perf import write_results
 
 
 def bench_e1_inventory(benchmark):
@@ -26,6 +28,13 @@ def bench_e1_inventory(benchmark):
         paper_row("network: site routers", 8, topology.router_count),
     ]
     print_table("E1: testbed inventory (slide 6)", rows)
+    write_results("e1_inventory", {
+        "sites": testbed.site_count,
+        "clusters": testbed.cluster_count,
+        "nodes": testbed.node_count,
+        "cores": testbed.total_cores,
+        "site_routers": topology.router_count,
+    })
     assert testbed.site_count == 8
     assert testbed.cluster_count == 32
     assert testbed.node_count == 894

@@ -1,13 +1,15 @@
 """E4 — slide 21: coverage, 751 test configurations over 16 families.
 
 Regenerates the coverage table from the family registry against the
-synthetic testbed and checks the exact per-family counts.
+synthetic testbed and checks the exact per-family counts, which land in
+``benchmarks/results/BENCH_e4_coverage.json``.
 """
 
 from repro.checksuite import ALL_FAMILIES, coverage_table, total_configurations
 from repro.testbed import build_grid5000
 
 from conftest import paper_row, print_table
+from perf import write_results
 
 _PAPER_COUNTS = {
     "environments": 448,
@@ -24,8 +26,13 @@ def bench_e4_coverage(benchmark):
     rows = [paper_row(f"{name} configurations",
                       _PAPER_COUNTS.get(name, "-"), count)
             for name, count in sorted(table.items(), key=lambda kv: -kv[1])]
-    rows.append(paper_row("TOTAL", 751, total_configurations(testbed)))
+    total = total_configurations(testbed)
+    rows.append(paper_row("TOTAL", 751, total))
     print_table("E4: test coverage (slide 21)", rows)
+    write_results("e4_coverage", {
+        **{f"{name}_configurations": count for name, count in table.items()},
+        "total_configurations": total,
+    })
     assert len(ALL_FAMILIES) == 16
-    assert table["environments"] == 448
-    assert total_configurations(testbed) == 751
+    assert table == _PAPER_COUNTS
+    assert total == 751

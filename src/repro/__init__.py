@@ -32,7 +32,7 @@ backends via the registry)::
 
     from repro import FrameworkBuilder, scenarios
 
-    fw = FrameworkBuilder(scenarios.get("pernode")).with_seed(7).build()
+    fw = FrameworkBuilder(scenarios.get("pernode").derive(seed=7)).build()
     fw.start()
     fw.run_until(7 * 86400)                   # one simulated week
     print(fw.tracker.filed_count, "bugs filed")

@@ -6,9 +6,9 @@ API."*
 
 The comparison works in three steps:
 
-1. :func:`expected_facts` renders the node's *description* into the same
-   tool-shaped document that :func:`repro.nodes.acquisition.acquire_all`
-   produces from the *actual* hardware;
+1. :func:`repro.nodes.acquisition.acquire_all` renders the node's *actual*
+   hardware into tool-shaped facts, and :func:`expected_facts` runs the
+   same emulators on the hardware state its *description* claims;
 2. a deep structural diff pinpoints every divergence;
 3. each divergence is classified into a root-cause hint
    (:class:`~repro.faults.catalog.FaultKind`) so reports are actionable —
@@ -23,7 +23,7 @@ from typing import Any, Optional
 
 from ..faults.catalog import FaultKind
 from ..nodes.acquisition import acquire_all
-from ..nodes.machine import SimulatedNode
+from ..nodes.machine import HardwareState, SimulatedNode
 from ..testbed.description import NodeDescription
 from ..testbed.refapi import ReferenceApi
 from ..util.serialization import deep_diff
@@ -71,84 +71,9 @@ class NodeCheckReport:
 
 def expected_facts(desc: NodeDescription) -> dict[str, Any]:
     """What acquisition *should* return if the hardware matches its
-    description exactly (the g5k-checks 'golden' document)."""
-    threads = desc.cpu.threads_per_core if desc.bios.hyperthreading else 1
-    facts: dict[str, Any] = {
-        "ohai": {
-            "hostname": desc.uid,
-            "cpu": {
-                "model_name": desc.cpu.model,
-                "real": desc.cpu_count,
-                "cores": desc.cpu_count * desc.cpu.cores,
-                "total": desc.cpu_count * desc.cpu.cores * threads,
-                "mhz": round(desc.cpu.clock_ghz * 1000),
-            },
-            "memory": {"total_kb": desc.ram_gb * 1024 * 1024},
-            "block_device": {
-                d.device: {
-                    "vendor": d.vendor,
-                    "model": d.model,
-                    "size_gb": d.size_gb,
-                    "rotational": d.storage_type == "HDD",
-                }
-                for d in desc.disks
-            },
-        },
-        "cpupower": {
-            "c_states": "enabled" if desc.bios.c_states else "disabled",
-            "turbo_boost": "active" if desc.bios.turbo_boost else "inactive",
-            "governor": {"performance": "performance", "balanced": "ondemand",
-                         "powersave": "powersave"}[desc.bios.power_profile],
-            "smt_active": 1 if desc.bios.hyperthreading else 0,
-        },
-        "dmidecode": {
-            "bios": {"version": desc.bios.version},
-            "system": {"serial_number": desc.serial, "product_name": desc.cluster},
-            "processor_count": desc.cpu_count,
-        },
-        "ethtool": {
-            n.device: {
-                "interface": n.device,
-                "speed": f"{int(n.rate_gbps * 1000)}Mb/s",
-                "duplex": "Full",
-                "link_detected": "yes",
-                "driver": n.driver,
-                "mac": n.mac,
-            }
-            for n in desc.nics
-        },
-        "hdparm": {
-            d.device: {
-                "device": d.device,
-                "model": d.model,
-                "firmware": d.firmware,
-                "write_cache": "enabled" if d.write_cache else "disabled",
-                "read_ahead": "on" if d.read_ahead else "off",
-            }
-            for d in desc.disks
-        },
-        "smartctl": {
-            d.device: {
-                "device": d.device,
-                "model_family": d.vendor,
-                "device_model": d.model,
-                "firmware_version": d.firmware,
-                "smart_status": "PASSED",
-                "user_capacity_gb": d.size_gb,
-            }
-            for d in desc.disks
-        },
-    }
-    if desc.infiniband is not None:
-        facts["ibstat"] = {
-            "ca_name": "mlx4_0",
-            "model": desc.infiniband.model,
-            "node_guid": desc.infiniband.guid,
-            "rate_gbps": desc.infiniband.rate_gbps,
-            "state": "Active",
-            "physical_state": "LinkUp",
-        }
-    return facts
+    description exactly (the g5k-checks 'golden' document): the same
+    emulators, run on the hardware state the description claims."""
+    return acquire_all(HardwareState.from_description(desc))
 
 
 #: Ordered (prefix/suffix pattern, fault-kind) classification rules.  The
@@ -197,7 +122,7 @@ def run_g5k_checks(node: SimulatedNode, refapi: ReferenceApi,
     """
     desc = refapi.node(node.uid)
     expected = expected_facts(desc)
-    acquired = acquire_all(node)
+    acquired = acquire_all(node.actual)
     report = NodeCheckReport(node_uid=node.uid, timestamp=now)
     for entry in deep_diff(expected, acquired):
         report.mismatches.append(

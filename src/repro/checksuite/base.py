@@ -22,14 +22,13 @@ from ..faults.catalog import FaultKind
 from ..faults.services import ServiceHealth
 from ..kadeploy.deployment import Kadeploy
 from ..kavlan.manager import KavlanManager
-from ..monitoring.probes import Ganglia, Kwapi
+from ..monitoring.probes import Kwapi
 from ..nodes.machine import MachinePark
 from ..oar.database import OarDatabase
 from ..oar.jobs import Job, JobState
 from ..oar.server import OarServer
 from ..testbed.description import TestbedDescription
 from ..testbed.refapi import ReferenceApi
-from ..testbed.topology import NetworkTopology
 from ..util.events import Simulator
 from ..util.rng import RngStreams
 
@@ -80,8 +79,6 @@ class CheckContext:
     kadeploy: Kadeploy
     kavlan: KavlanManager
     kwapi: Kwapi
-    ganglia: Ganglia
-    topology: NetworkTopology
     rngs: RngStreams
 
     def rng(self, family: str):

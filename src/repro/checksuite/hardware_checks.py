@@ -129,12 +129,12 @@ class DiskCheck(CheckFamily):
         """Compare the drive's configuration with its description (the real
         bug classes: cache settings, firmware skew, dead drive)."""
         device = disk_desc.device
-        health = smartctl(machine, device)
+        health = smartctl(machine.actual, device)
         if health["smart_status"] != "PASSED" or measured == 0.0:
             return [Finding(FaultKind.DISK_DEAD, uid,
                             f"{device}: drive failed (SMART "
                             f"{health['smart_status']}, {measured:.0f} MB/s)")]
-        drive = hdparm(machine, device)
+        drive = hdparm(machine.actual, device)
         findings = []
         if disk_desc.write_cache and drive["write_cache"] == "disabled":
             findings.append(Finding(

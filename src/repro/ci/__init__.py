@@ -1,10 +1,8 @@
-"""Jenkins-shaped CI server: jobs, builds, queue, matrix projects, API."""
+"""Jenkins-shaped CI server: jobs, builds, queue, matrix projects."""
 
-from .api import JenkinsApi
 from .job import Build, BuildStatus, JobDefinition
 from .matrix import MatrixProject, matrix_reloaded
 from .server import JenkinsServer
-from .triggers import PeriodicTrigger
 
 __all__ = [
     "BuildStatus",
@@ -13,6 +11,4 @@ __all__ = [
     "JenkinsServer",
     "MatrixProject",
     "matrix_reloaded",
-    "JenkinsApi",
-    "PeriodicTrigger",
 ]

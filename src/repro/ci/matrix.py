@@ -52,17 +52,6 @@ class MatrixProject:
         return [server.trigger(self.job_name, parameters=cell, cause=cause)
                 for cell in (cells if cells is not None else self.cells())]
 
-    def latest_results(self, server: JenkinsServer) -> dict[tuple, Optional[BuildStatus]]:
-        """Last finished status per cell (None = never completed)."""
-        job = server.job(self.job_name)
-        names = sorted(self.axes)
-        results: dict[tuple, Optional[BuildStatus]] = {}
-        for cell in self.cells():
-            key = tuple(cell[n] for n in names)
-            last = job.last_build(parameters=cell)
-            results[key] = last.status if last else None
-        return results
-
 
 def matrix_reloaded(project: MatrixProject, server: JenkinsServer,
                     statuses: tuple[BuildStatus, ...] = (BuildStatus.FAILURE,

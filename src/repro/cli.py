@@ -31,7 +31,7 @@ import json
 import os
 import sys
 import time
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from . import scenarios
 from .analysis.compare import (
@@ -230,6 +230,46 @@ def _runs_json(runs: Sequence[CampaignRun]) -> str:
     return json.dumps(docs, sort_keys=True, indent=2)
 
 
+def _run_matrix(args: argparse.Namespace, specs: list,
+                **supervision: Any) -> Optional[list[CampaignRun]]:
+    """``specs`` x ``args.seeds`` through :func:`run_campaigns`, with the
+    store, resume and progress handling ``run`` and ``scoreboard`` share.
+
+    Returns None after printing the error when the store cannot be loaded
+    or a spec is rejected (exit code 2).
+    """
+    store = None
+    if args.store:
+        if os.path.exists(args.store):
+            store = _load_store(args.store)  # surface corrupt stores up front
+            if store is None:
+                return None
+        else:
+            store = args.store  # fresh store: run_campaigns creates it
+    total = len(specs) * len(args.seeds)
+    done = [0]
+    # Host-side progress timing: printed to stderr, never in a report.
+    t0 = time.perf_counter()  # detlint: disable=DET002 — wall-clock UX only
+
+    def progress(run: CampaignRun, cached: bool) -> None:
+        done[0] += 1
+        if args.quiet or args.json:
+            return
+        status = "cached" if cached else "ok" if run.ok else "FAILED"
+        print(f"[{done[0]}/{total}] {run.scenario} @ seed {run.seed}: "
+              f"{status} ({time.perf_counter() - t0:.1f}s)",  # detlint: disable=DET002
+              file=sys.stderr)
+
+    try:
+        return run_campaigns(specs, seeds=args.seeds, workers=args.workers,
+                             months=args.months, store=store,
+                             resume=args.resume, on_cell=progress,
+                             **supervision)
+    except (KeyError, ValueError) as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return None
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.resume and not args.store:
         print("error: --resume requires --store", file=sys.stderr)
@@ -259,38 +299,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         except KeyError as exc:
             print(f"error: {exc.args[0]}", file=sys.stderr)
             return 2
-    store = None
-    if args.store:
-        if os.path.exists(args.store):
-            store = _load_store(args.store)  # surface corrupt stores up front
-            if store is None:
-                return 2
-        else:
-            store = args.store  # fresh store: run_campaigns creates it
-    total = len(specs) * len(args.seeds)
-    done = [0]
-    # Host-side progress timing: printed to stderr, never in a report.
-    t0 = time.perf_counter()  # detlint: disable=DET002 — wall-clock UX only
-
-    def progress(run: CampaignRun, cached: bool) -> None:
-        done[0] += 1
-        if args.quiet or args.json:
-            return
-        status = ("cached" if cached else
-                  "ok" if run.ok else "FAILED")
-        print(f"[{done[0]}/{total}] {run.scenario} @ seed {run.seed}: "
-              f"{status} ({time.perf_counter() - t0:.1f}s)",  # detlint: disable=DET002
-              file=sys.stderr)
-
-    try:
-        runs = run_campaigns(specs, seeds=args.seeds,
-                             workers=args.workers, months=args.months,
-                             store=store, resume=args.resume,
-                             on_cell=progress,
-                             cell_timeout_s=args.cell_timeout,
-                             max_cell_attempts=args.cell_attempts)
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
+    runs = _run_matrix(args, specs, cell_timeout_s=args.cell_timeout,
+                       max_cell_attempts=args.cell_attempts)
+    if runs is None:
         return 2
     if args.json:
         print(_runs_json(runs))
@@ -385,34 +396,8 @@ def _cmd_scoreboard(args: argparse.Namespace) -> int:
     # One variant per strategy; the +suffix keys the aggregate and store.
     specs = [base.derive(name=f"{base.name}+{name}", strategy=name)
              for name in names]
-    store = None
-    if args.store:
-        if os.path.exists(args.store):
-            store = _load_store(args.store)
-            if store is None:
-                return 2
-        else:
-            store = args.store
-    total = len(specs) * len(args.seeds)
-    done = [0]
-    # Host-side progress timing: printed to stderr, never in a report.
-    t0 = time.perf_counter()  # detlint: disable=DET002 — wall-clock UX only
-
-    def progress(run: CampaignRun, cached: bool) -> None:
-        done[0] += 1
-        if args.quiet or args.json:
-            return
-        status = "cached" if cached else "ok" if run.ok else "FAILED"
-        print(f"[{done[0]}/{total}] {run.scenario} @ seed {run.seed}: "
-              f"{status} ({time.perf_counter() - t0:.1f}s)",  # detlint: disable=DET002
-              file=sys.stderr)
-
-    try:
-        runs = run_campaigns(specs, seeds=args.seeds, workers=args.workers,
-                             months=args.months, store=store,
-                             resume=args.resume, on_cell=progress)
-    except ValueError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
+    runs = _run_matrix(args, specs)
+    if runs is None:
         return 2
     failed = [r for r in runs if not r.ok]
     for run in failed:

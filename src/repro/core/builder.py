@@ -26,7 +26,6 @@ from typing import Callable, Optional, Sequence
 
 from ..analysis.history import BuildHistory
 from ..checksuite.base import CheckContext, CheckFamily
-from ..ci.api import JenkinsApi
 from ..ci.server import JenkinsServer
 from ..faults.catalog import FaultContext
 from ..faults.injector import FaultInjector
@@ -93,7 +92,6 @@ class FrameworkBuild:
     fault_ctx: object = None
     injector: object = None
     jenkins: object = None
-    api: object = None
     tracker: object = None
     operators: object = None
     history: object = None
@@ -220,9 +218,8 @@ def _build_faults(b: FrameworkBuild) -> None:
 
 
 def _build_ci(b: FrameworkBuild) -> None:
-    """Jenkins, its API, and the bug-filing/fixing loop behind it."""
+    """Jenkins and the bug-filing/fixing loop behind it."""
     b.jenkins = JenkinsServer(b.sim, executors=b.spec.executors)
-    b.api = JenkinsApi(b.jenkins)
     b.tracker = BugTracker(b.sim, b.injector.ground_truth, b.fault_ctx)
     b.operators = OperatorTeam(b.sim, b.tracker, b.injector, b.rngs,
                                speedup=b.spec.operator_speedup)
@@ -234,8 +231,7 @@ def _build_scheduling(b: FrameworkBuild) -> None:
     b.checkctx = CheckContext(
         sim=b.sim, testbed=b.testbed, refapi=b.refapi, machines=b.machines,
         services=b.services, oar=b.oar, oardb=b.oardb, kadeploy=b.kadeploy,
-        kavlan=b.kavlan, kwapi=b.kwapi, ganglia=b.ganglia,
-        topology=b.topology, rngs=b.rngs,
+        kavlan=b.kavlan, kwapi=b.kwapi, rngs=b.rngs,
     )
     history = b.history
     strategy_factory = b.extras.get("scheduling_strategy")
@@ -289,12 +285,13 @@ class FrameworkBuilder:
     >>> fw.scheduler is not None
     True
 
-    Fluent overrides cover the non-declarative escape hatches::
+    Fluent overrides cover the non-declarative escape hatches, and a
+    registry swaps subsystem backends for one builder::
 
-        fw = (FrameworkBuilder(spec)
-              .with_seed(7)
+        registry = default_registry()
+        registry.register("monitoring", my_recording_monitoring)
+        fw = (FrameworkBuilder(spec.derive(seed=7), registry=registry)
               .with_families([family_by_name("refapi")])
-              .with_subsystem("monitoring", my_recording_monitoring)
               .build())
     """
 
@@ -309,10 +306,6 @@ class FrameworkBuilder:
 
     # -- fluent configuration --------------------------------------------------
 
-    def with_seed(self, seed: int) -> "FrameworkBuilder":
-        self._spec = self._spec.derive(seed=seed)
-        return self
-
     def with_cluster_specs(
             self, specs: Sequence[ClusterSpec]) -> "FrameworkBuilder":
         """Explicit cluster recipes (bypasses the spec's name-based selection)."""
@@ -323,12 +316,6 @@ class FrameworkBuilder:
             self, families: Sequence[CheckFamily]) -> "FrameworkBuilder":
         """Pre-built family instances (bypasses the spec's name list)."""
         self._families = families
-        return self
-
-    def with_subsystem(self, name: str,
-                       factory: SubsystemFactory) -> "FrameworkBuilder":
-        """Swap one subsystem backend for this builder only."""
-        self._registry.register(name, factory)
         return self
 
     def with_extra(self, name: str, value) -> "FrameworkBuilder":
@@ -363,7 +350,7 @@ class FrameworkBuilder:
             oardb=build.oardb, oar=build.oar, workload=build.workload,
             kadeploy=build.kadeploy, kavlan=build.kavlan, kwapi=build.kwapi,
             ganglia=build.ganglia, fault_ctx=build.fault_ctx,
-            injector=build.injector, jenkins=build.jenkins, api=build.api,
+            injector=build.injector, jenkins=build.jenkins,
             tracker=build.tracker, operators=build.operators,
             scheduler=build.scheduler, checkctx=build.checkctx,
             families=build.families, history=build.history,

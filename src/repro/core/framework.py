@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 from ..checksuite.base import CheckContext, CheckFamily, TestOutcome
-from ..ci.api import JenkinsApi
 from ..ci.job import BuildStatus
 from ..ci.server import JenkinsServer
 from ..faults.catalog import FaultContext
@@ -67,7 +66,6 @@ class TestingFramework:
     fault_ctx: FaultContext
     injector: FaultInjector
     jenkins: JenkinsServer
-    api: JenkinsApi
     tracker: BugTracker
     operators: OperatorTeam
     scheduler: ExternalScheduler
@@ -143,7 +141,6 @@ class TestingFramework:
         while True:
             yield self.sim.timeout(_HOUSEKEEPING_PERIOD_S)
             self.oar.housekeeping()
-            self.refapi.commit(self.sim.now, "daily archive snapshot")
 
     # -- Jenkins wiring ------------------------------------------------------------
 

@@ -292,9 +292,6 @@ class CampaignStore:
         """All indexed cells (deduplicated, file order of last write)."""
         return iter(self._cells.values())
 
-    def successes(self) -> list[StoredCell]:
-        return [c for c in self._cells.values() if c.ok]
-
     def failures(self) -> list[StoredCell]:
         return [c for c in self._cells.values() if not c.ok]
 

@@ -9,7 +9,6 @@ from .catalog import (
     Severity,
     apply_fault,
     revert_fault,
-    spec_for,
 )
 from .injector import FaultInjector, GroundTruth
 from .services import ServiceHealth
@@ -21,7 +20,6 @@ __all__ = [
     "FaultInstance",
     "FaultContext",
     "FAULT_SPECS",
-    "spec_for",
     "apply_fault",
     "revert_fault",
     "FaultInjector",

@@ -43,7 +43,6 @@ __all__ = [
     "FaultContext",
     "FAULT_SPECS",
     "TRANSPORT_FAULT_SPECS",
-    "spec_for",
     "apply_fault",
     "revert_fault",
 ]
@@ -216,12 +215,6 @@ TRANSPORT_FAULT_SPECS: dict[FaultKind, FaultSpec] = {
 }
 
 
-def spec_for(kind: FaultKind) -> FaultSpec:
-    if kind in TRANSPORT_FAULT_SPECS:
-        return TRANSPORT_FAULT_SPECS[kind]
-    return FAULT_SPECS[kind]
-
-
 @dataclass(eq=False)  # identity semantics: two injections are never "equal"
 class FaultInstance:
     """One injected fault: the ground truth a campaign scores against."""
@@ -382,7 +375,7 @@ def _apply_disk_firmware_skew(ctx: FaultContext, rng: np.random.Generator):
     chosen = [uids[int(i)] for i in rng.choice(len(uids), size=count, replace=False)]
     old = {}
     for uid in chosen:
-        disk = ctx.machines[uid].find_disk(device)
+        disk = ctx.machines[uid].actual.find_disk(device)
         lineage = disk_model(disk.model).firmware_versions
         old[uid] = disk.firmware
         disk.firmware = lineage[0]  # oldest release
@@ -608,16 +601,16 @@ def revert_fault(instance: FaultInstance, ctx: FaultContext) -> None:
         for uid, version in details["old_versions"].items():
             machines[uid].actual.bios.version = version
     elif kind in (FaultKind.DISK_WRITE_CACHE, FaultKind.DISK_READ_AHEAD):
-        setattr(machines[target].find_disk(details["device"]), details["attr"], True)
+        setattr(machines[target].actual.find_disk(details["device"]), details["attr"], True)
     elif kind == FaultKind.DISK_FIRMWARE_SKEW:
         for uid, fw in details["old_firmware"].items():
-            machines[uid].find_disk(details["device"]).firmware = fw
+            machines[uid].actual.find_disk(details["device"]).firmware = fw
     elif kind == FaultKind.DISK_DEAD:
-        machines[target].find_disk(details["device"]).healthy = True
+        machines[target].actual.find_disk(details["device"]).healthy = True
     elif kind == FaultKind.RAM_DIMM_FAILED:
         machines[target].actual.ram_gb = details["old_ram_gb"]
     elif kind == FaultKind.NIC_DOWNGRADE:
-        machines[target].find_nic(details["device"]).rate_gbps = details["old_gbps"]
+        machines[target].actual.find_nic(details["device"]).rate_gbps = details["old_gbps"]
     elif kind == FaultKind.PDU_CABLE_SWAP:
         a, b = (machines[u] for u in details["nodes"])
         a.actual.pdu_uid, a.actual.pdu_port = a.description.pdu.pdu_uid, a.description.pdu.port

@@ -4,15 +4,12 @@ The paper's matrix job tests **14 reference images** on 32 clusters
 (slide 15: "test_environments: 14 images x 32 clusters = 448
 configurations").  Images are built with Kameleon for traceability
 (slide 8); here each image carries the attributes the deployment timing
-model needs (size) plus a content hash standing in for the Kameleon recipe
-provenance.
+model needs (size).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from ..util.serialization import content_hash
 
 __all__ = ["EnvironmentImage", "REFERENCE_IMAGES", "STD_ENV", "image_by_name"]
 
@@ -27,12 +24,6 @@ class EnvironmentImage:
     variant: str  # "min" (bare), "std" (tools), "big" (full), "nfs", "xen"
     size_mb: int
     kernel: str
-
-    @property
-    def recipe_hash(self) -> str:
-        """Stands in for the Kameleon recipe provenance hash."""
-        return content_hash({"name": self.name, "kernel": self.kernel,
-                             "size": self.size_mb})
 
 
 #: The std environment every node runs by default (stdenv test family).

@@ -69,18 +69,6 @@ class Ganglia:
         self._block = self.store.add_block(
             [f"{uid}.{metric}" for metric in _GANGLIA_METRICS for uid in uids])
 
-    def sample_node(self, uid: str) -> dict[str, float]:
-        """One on-demand sample of a node's system metrics."""
-        machine = self.machines[uid]
-        col, n, now = self._col[uid], self._n, self.sim.now
-        cpu = machine.cpu_load
-        mem = float(machine.actual.ram_gb)
-        up = 1.0 if machine.available else 0.0
-        self._block.append(col, now, cpu)
-        self._block.append(col + n, now, mem)
-        self._block.append(col + 2 * n, now, up)
-        return {"cpu_load": cpu, "mem_total_gb": mem, "up": up}
-
     def sample_park(self, uids: Iterable[str]) -> int:
         """Sample every node in one sweep; returns the number sampled.
 
@@ -208,8 +196,3 @@ class Kwapi:
         self._block.append_rows(np.asarray(cols, dtype=np.intp), self.sim.now,
                                 np.asarray(watts, dtype=np.float64))
         return len(cols)
-
-    def true_power_watts(self, node_uid: str) -> float:
-        """Ground truth (not available to the real service; used by tests
-        to quantify the reporting error a cable swap introduces)."""
-        return self.machines[node_uid].power_draw_watts()

@@ -2,9 +2,11 @@
 
 g5k-checks on the real testbed shells out to these tools at node boot and
 parses their output (slide 7: "Acquires info using OHAI, ethtool, etc.").
-Here each emulator renders a tool-shaped document from a node's *actual*
-hardware state, so a BIOS flip or firmware swap that a fault injected is
-faithfully visible in the acquired facts — and a description-vs-actual
+Here each emulator renders a tool-shaped document from a
+:class:`~repro.nodes.machine.HardwareState`.  On a node's *actual* state a
+BIOS flip or firmware swap that a fault injected is faithfully visible in
+the acquired facts; on the state built from the node's description they
+give what the hardware *should* report, so a description-vs-actual
 mismatch becomes detectable.
 
 All emulators return plain dicts (the structured equivalent of the parsed
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from .machine import SimulatedNode
+from .machine import HardwareState
 
 __all__ = [
     "ohai",
@@ -29,11 +31,10 @@ __all__ = [
 ]
 
 
-def ohai(node: SimulatedNode) -> dict[str, Any]:
+def ohai(hw: HardwareState) -> dict[str, Any]:
     """System inventory: CPU, memory, block devices (chef/ohai-shaped)."""
-    hw = node.actual
     return {
-        "hostname": node.uid,
+        "hostname": hw.hostname,
         "cpu": {
             "model_name": hw.cpu_model,
             "real": hw.cpu_count,
@@ -55,9 +56,9 @@ def ohai(node: SimulatedNode) -> dict[str, Any]:
     }
 
 
-def ethtool(node: SimulatedNode, device: str) -> dict[str, Any]:
+def ethtool(hw: HardwareState, device: str) -> dict[str, Any]:
     """Link settings for one interface (``ethtool ethX`` shaped)."""
-    nic = node.find_nic(device)
+    nic = hw.find_nic(device)
     return {
         "interface": nic.device,
         "speed": f"{int(nic.rate_gbps * 1000)}Mb/s" if nic.link_up else "Unknown!",
@@ -68,22 +69,21 @@ def ethtool(node: SimulatedNode, device: str) -> dict[str, Any]:
     }
 
 
-def dmidecode(node: SimulatedNode) -> dict[str, Any]:
+def dmidecode(hw: HardwareState) -> dict[str, Any]:
     """SMBIOS info: BIOS version, serial, product."""
-    hw = node.actual
     return {
         "bios": {"version": hw.bios.version},
         "system": {
             "serial_number": hw.serial,
-            "product_name": node.description.cluster,
+            "product_name": hw.product_name,
         },
         "processor_count": hw.cpu_count,
     }
 
 
-def hdparm(node: SimulatedNode, device: str) -> dict[str, Any]:
+def hdparm(hw: HardwareState, device: str) -> dict[str, Any]:
     """Drive configuration (``hdparm -I /dev/sdX`` shaped)."""
-    disk = node.find_disk(device)
+    disk = hw.find_disk(device)
     return {
         "device": disk.device,
         "model": disk.model,
@@ -93,9 +93,9 @@ def hdparm(node: SimulatedNode, device: str) -> dict[str, Any]:
     }
 
 
-def smartctl(node: SimulatedNode, device: str) -> dict[str, Any]:
+def smartctl(hw: HardwareState, device: str) -> dict[str, Any]:
     """SMART health summary for one drive."""
-    disk = node.find_disk(device)
+    disk = hw.find_disk(device)
     return {
         "device": disk.device,
         "model_family": disk.vendor,
@@ -106,13 +106,13 @@ def smartctl(node: SimulatedNode, device: str) -> dict[str, Any]:
     }
 
 
-def cpupower(node: SimulatedNode) -> dict[str, Any]:
+def cpupower(hw: HardwareState) -> dict[str, Any]:
     """CPU power-management state (``cpupower idle-info`` / sysfs shaped).
 
     This is how the real g5k-checks observes the C-state / turbo / governor
     drift of slide 13 — the BIOS setting surfaces through the kernel.
     """
-    bios = node.actual.bios
+    bios = hw.bios
     return {
         "c_states": "enabled" if bios.c_states else "disabled",
         "turbo_boost": "active" if bios.turbo_boost else "inactive",
@@ -122,9 +122,9 @@ def cpupower(node: SimulatedNode) -> dict[str, Any]:
     }
 
 
-def ibstat(node: SimulatedNode) -> dict[str, Any]:
+def ibstat(hw: HardwareState) -> dict[str, Any]:
     """Infiniband HCA status (``ibstat`` shaped); empty dict if no HCA."""
-    ib = node.actual.infiniband
+    ib = hw.infiniband
     if ib is None:
         return {}
     return {
@@ -137,17 +137,17 @@ def ibstat(node: SimulatedNode) -> dict[str, Any]:
     }
 
 
-def acquire_all(node: SimulatedNode) -> dict[str, Any]:
+def acquire_all(hw: HardwareState) -> dict[str, Any]:
     """Everything g5k-checks gathers in one boot-time pass."""
     facts: dict[str, Any] = {
-        "ohai": ohai(node),
-        "cpupower": cpupower(node),
-        "dmidecode": dmidecode(node),
-        "ethtool": {nic.device: ethtool(node, nic.device) for nic in node.actual.nics},
-        "hdparm": {d.device: hdparm(node, d.device) for d in node.actual.disks if d.healthy},
-        "smartctl": {d.device: smartctl(node, d.device) for d in node.actual.disks},
+        "ohai": ohai(hw),
+        "cpupower": cpupower(hw),
+        "dmidecode": dmidecode(hw),
+        "ethtool": {nic.device: ethtool(hw, nic.device) for nic in hw.nics},
+        "hdparm": {d.device: hdparm(hw, d.device) for d in hw.disks if d.healthy},
+        "smartctl": {d.device: smartctl(hw, d.device) for d in hw.disks},
     }
-    ib = ibstat(node)
+    ib = ibstat(hw)
     if ib:
         facts["ibstat"] = ib
     return facts

@@ -7,9 +7,10 @@ the actual state — a BIOS option flips during a maintenance, a disk gets
 replaced with one running older firmware, a cable gets swapped — and the
 whole point of the paper's framework is to detect those divergences.
 
-The mutable state also drives a small performance model: effective CPU
-throughput and disk bandwidth depend on the BIOS/cache/firmware state, so
-performance-measuring checks (disk, mpigraph) observe realistic signal.
+The mutable state also drives a small performance model: disk bandwidth
+depends on the cache/firmware state and network rate on the negotiated
+link, so performance-measuring checks (disk, mpigraph) observe realistic
+signal.
 """
 
 from __future__ import annotations
@@ -106,6 +107,10 @@ class HardwareState:
     nics: list[ActualNic]
     infiniband: Optional[ActualInfiniband]
     serial: str
+    #: What the node reports as its name (OHAI) and its product
+    #: (dmidecode): its uid and its cluster.
+    hostname: str
+    product_name: str
     #: PDU outlet this node is *actually* cabled to (cabling faults swap it).
     pdu_uid: str = ""
     pdu_port: int = 0
@@ -162,6 +167,8 @@ class HardwareState:
                 else None
             ),
             serial=desc.serial,
+            hostname=desc.uid,
+            product_name=desc.cluster,
             pdu_uid=desc.pdu.pdu_uid,
             pdu_port=desc.pdu.port,
         )
@@ -170,6 +177,18 @@ class HardwareState:
         """What /proc/cpuinfo would show, given the current HT setting."""
         threads = self.threads_per_core if self.bios.hyperthreading else 1
         return self.cpu_count * self.cores_per_cpu * threads
+
+    def find_disk(self, device: str) -> ActualDisk:
+        for d in self.disks:
+            if d.device == device:
+                return d
+        raise KeyError(f"{self.hostname}: no disk {device}")
+
+    def find_nic(self, device: str) -> ActualNic:
+        for n in self.nics:
+            if n.device == device:
+                return n
+        raise KeyError(f"{self.hostname}: no NIC {device}")
 
 
 class SimulatedNode:
@@ -293,31 +312,9 @@ class SimulatedNode:
 
     # -- performance model ------------------------------------------------------
 
-    def cpu_performance_factor(self) -> float:
-        """Relative compute throughput vs the reference configuration.
-
-        The paper's motivating observation (slide 13): a ~5 % performance
-        change from BIOS drift is enough to invalidate conclusions.  The
-        penalties below create exactly that kind of subtle signal.
-        """
-        factor = 1.0
-        bios = self.actual.bios
-        ref = self.description.bios
-        if bios.c_states and not ref.c_states:
-            factor *= 0.95  # wake-up latency on tight loops
-        if bios.turbo_boost and not ref.turbo_boost:
-            factor *= 1.06  # faster, but no longer reproducible
-        if not bios.turbo_boost and ref.turbo_boost:
-            factor *= 0.94
-        if bios.power_profile != ref.power_profile:
-            factor *= 0.93
-        if bios.hyperthreading != ref.hyperthreading:
-            factor *= 0.97  # scheduling noise on HPC workloads
-        return factor
-
     def disk_bandwidth_mbps(self, device: str) -> float:
         """Measured sequential write bandwidth for one disk."""
-        disk = self.find_disk(device)
+        disk = self.actual.find_disk(device)
         if not disk.healthy:
             return 0.0
         bw = _DISK_BASE_MBPS[disk.storage_type]
@@ -342,7 +339,7 @@ class SimulatedNode:
         return (disk.firmware,)
 
     def network_rate_gbps(self, device: str = "eth0") -> float:
-        nic = self.find_nic(device)
+        nic = self.actual.find_nic(device)
         return nic.rate_gbps if nic.link_up else 0.0
 
     def power_draw_watts(self) -> float:
@@ -354,20 +351,6 @@ class SimulatedNode:
         if self.actual.bios.turbo_boost and self.cpu_load > 0.5:
             draw *= 1.12
         return draw
-
-    # -- lookup helpers -----------------------------------------------------------
-
-    def find_disk(self, device: str) -> ActualDisk:
-        for d in self.actual.disks:
-            if d.device == device:
-                return d
-        raise KeyError(f"{self.uid}: no disk {device}")
-
-    def find_nic(self, device: str) -> ActualNic:
-        for n in self.actual.nics:
-            if n.device == device:
-                return n
-        raise KeyError(f"{self.uid}: no NIC {device}")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<SimulatedNode {self.uid} {self.state.value}>"

@@ -97,10 +97,6 @@ class OarDatabase:
         drifted = self.services.oar_property_drift.get(uid)
         return _corrupt(row, drifted) if drifted else dict(row)
 
-    def clean_properties(self, uid: str) -> dict[str, Any]:
-        """The row as it *should* be (refapi-derived, no corruption)."""
-        return dict(self._rows[uid])
-
     def matching(self, expr: Optional[PropExpr],
                  candidates: Optional[Iterable[str]] = None) -> list[str]:
         """Node uids whose (possibly corrupted) properties satisfy ``expr``.

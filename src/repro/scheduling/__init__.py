@@ -6,7 +6,7 @@ from .elastic import (
     StealAgreementStrategy,
 )
 from .launcher import ExternalScheduler, TestCell, TickView
-from .pernode import PerNodeVariant, make_pernode_scheduler
+from .pernode import PerNodeVariant
 from .policies import (
     Backoff,
     DefaultStrategy,
@@ -32,5 +32,4 @@ __all__ = [
     "CommonPoolStrategy",
     "StealAgreementStrategy",
     "PerNodeVariant",
-    "make_pernode_scheduler",
 ]

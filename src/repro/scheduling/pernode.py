@@ -26,9 +26,8 @@ from ..checksuite.base import CheckContext, CheckFamily, Finding
 from ..checksuite.deploy_checks import _deploy_findings
 from ..faults.catalog import FaultKind
 from ..kadeploy.images import STD_ENV
-from .launcher import ExternalScheduler
 
-__all__ = ["PerNodeVariant", "make_pernode_scheduler"]
+__all__ = ["PerNodeVariant"]
 
 
 class PerNodeVariant(CheckFamily):
@@ -113,13 +112,3 @@ class PerNodeVariant(CheckFamily):
                 seen.add(key)
                 unique.append(f)
         outcome.findings = unique
-
-
-def make_pernode_scheduler(sim, jenkins, oar, testbed, families, policy,
-                           **kwargs) -> ExternalScheduler:
-    """Build an ExternalScheduler where hardware families are replaced by
-    their per-node variants (the slide-23 alternative design)."""
-    replaced = [PerNodeVariant(f) if f.kind == "hardware" else f
-                for f in families]
-    return ExternalScheduler(sim, jenkins, oar, testbed, replaced,
-                             policy=policy, **kwargs)

@@ -39,7 +39,8 @@ import socket
 import time
 from typing import Callable, Optional
 
-from .protocol import PROTOCOL_VERSION, Message, ProtocolError, decode, encode
+from .protocol import (PROTOCOL_VERSION, Message, ProtocolError, decode, encode,
+                       parse_time_arg)
 from .session import SessionClosed, SocketTransport, Transport
 
 __all__ = ["ReferenceClient", "ClientError", "ServerError", "ConnectionLost"]
@@ -299,7 +300,7 @@ class ReferenceClient:
                     raise
             self._run_loop(state)
         try:
-            sha, report = self._fetch_report_verified(state.token)
+            sha, report = self.fetch_report(state.token)
         except ServerError as exc:
             if exc.code == "run":
                 state.reset()  # corrupted token: re-run from scratch
@@ -327,7 +328,7 @@ class ReferenceClient:
                 raise ClientError(f"unexpected {msg.verb} during run")
 
     def _round(self, tick: Message) -> int:
-        now = float(tick.args[0])
+        now = parse_time_arg(tick.args[0])
         n_jcpl, n_jobn = int(tick.args[1]), int(tick.args[2])
         for _ in range(n_jcpl):
             self._expect("JCPL")
@@ -367,10 +368,6 @@ class ReferenceClient:
 
     def fetch_report(self, token: Optional[str] = None) -> tuple[str, dict]:
         """RPRT: the last (or ``token``'s) report, hash-verified."""
-        return self._fetch_report_verified(token)
-
-    def _fetch_report_verified(
-            self, token: Optional[str]) -> tuple[str, dict]:
         if token is not None:
             self._send("RPRT", token)
         else:

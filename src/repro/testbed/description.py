@@ -3,8 +3,9 @@
 The paper (slide 7) stresses that Grid'5000 describes all its resources —
 nodes, network equipment, topology — in a *machine-parsable format (JSON)*
 so that scripts (and OAR, and g5k-checks) can consume them.  This module
-defines the dataclasses for those descriptions plus lossless ``to_doc`` /
-``from_doc`` JSON conversion.
+defines the dataclasses for those descriptions plus their ``to_doc`` JSON
+rendering; :func:`repro.util.serialization.decode_dataclass` rebuilds an
+equal object from a document.
 
 A *description* is what the testbed claims about a resource.  The *actual*
 hardware state of a simulated machine lives in :mod:`repro.nodes` and may
@@ -56,10 +57,6 @@ class BiosSettings:
             "power_profile": self.power_profile,
         }
 
-    @classmethod
-    def from_doc(cls, doc: dict[str, Any]) -> "BiosSettings":
-        return cls(**doc)
-
 
 @dataclass(frozen=True)
 class CpuSpec:
@@ -85,10 +82,6 @@ class CpuSpec:
             "ht_capable": self.ht_capable,
             "turbo_capable": self.turbo_capable,
         }
-
-    @classmethod
-    def from_doc(cls, doc: dict[str, Any]) -> "CpuSpec":
-        return cls(**doc)
 
 
 @dataclass(frozen=True)
@@ -123,10 +116,6 @@ class DiskSpec:
             "read_ahead": self.read_ahead,
         }
 
-    @classmethod
-    def from_doc(cls, doc: dict[str, Any]) -> "DiskSpec":
-        return cls(**doc)
-
 
 @dataclass(frozen=True)
 class NicSpec:
@@ -151,10 +140,6 @@ class NicSpec:
             "interface": self.interface,
         }
 
-    @classmethod
-    def from_doc(cls, doc: dict[str, Any]) -> "NicSpec":
-        return cls(**doc)
-
 
 @dataclass(frozen=True)
 class InfinibandSpec:
@@ -167,10 +152,6 @@ class InfinibandSpec:
     def to_doc(self) -> dict[str, Any]:
         return {"model": self.model, "rate_gbps": self.rate_gbps, "guid": self.guid}
 
-    @classmethod
-    def from_doc(cls, doc: dict[str, Any]) -> "InfinibandSpec":
-        return cls(**doc)
-
 
 @dataclass(frozen=True)
 class GpuSpec:
@@ -182,10 +163,6 @@ class GpuSpec:
 
     def to_doc(self) -> dict[str, Any]:
         return {"model": self.model, "count": self.count, "memory_gb": self.memory_gb}
-
-    @classmethod
-    def from_doc(cls, doc: dict[str, Any]) -> "GpuSpec":
-        return cls(**doc)
 
 
 @dataclass(frozen=True)
@@ -202,10 +179,6 @@ class PduPort:
 
     def to_doc(self) -> dict[str, Any]:
         return {"pdu_uid": self.pdu_uid, "port": self.port}
-
-    @classmethod
-    def from_doc(cls, doc: dict[str, Any]) -> "PduPort":
-        return cls(**doc)
 
 
 @dataclass(frozen=True)
@@ -239,9 +212,6 @@ class NodeDescription:
     def has_10g(self) -> bool:
         return any(n.rate_gbps >= 10 for n in self.nics)
 
-    def with_bios(self, bios: BiosSettings) -> "NodeDescription":
-        return replace(self, bios=bios)
-
     def to_doc(self) -> dict[str, Any]:
         doc: dict[str, Any] = {
             "uid": self.uid,
@@ -260,27 +230,6 @@ class NodeDescription:
             "gpu": self.gpu.to_doc() if self.gpu else None,
         }
         return doc
-
-    @classmethod
-    def from_doc(cls, doc: dict[str, Any]) -> "NodeDescription":
-        return cls(
-            uid=doc["uid"],
-            cluster=doc["cluster"],
-            site=doc["site"],
-            cpu=CpuSpec.from_doc(doc["cpu"]),
-            cpu_count=doc["cpu_count"],
-            ram_gb=doc["ram_gb"],
-            disks=tuple(DiskSpec.from_doc(d) for d in doc["disks"]),
-            nics=tuple(NicSpec.from_doc(n) for n in doc["nics"]),
-            bios=BiosSettings.from_doc(doc["bios"]),
-            pdu=PduPort.from_doc(doc["pdu"]),
-            serial=doc.get("serial", ""),
-            console_enabled=doc.get("console_enabled", True),
-            infiniband=(
-                InfinibandSpec.from_doc(doc["infiniband"]) if doc.get("infiniband") else None
-            ),
-            gpu=GpuSpec.from_doc(doc["gpu"]) if doc.get("gpu") else None,
-        )
 
 
 @dataclass
@@ -309,10 +258,6 @@ class ClusterDescription:
         return bool(self.nodes) and self.nodes[0].infiniband is not None
 
     @property
-    def has_gpu(self) -> bool:
-        return bool(self.nodes) and self.nodes[0].gpu is not None
-
-    @property
     def is_dell(self) -> bool:
         return self.vendor == "dell"
 
@@ -333,19 +278,6 @@ class ClusterDescription:
             "nodes": [n.to_doc() for n in self.nodes],
         }
 
-    @classmethod
-    def from_doc(cls, doc: dict[str, Any]) -> "ClusterDescription":
-        return cls(
-            uid=doc["uid"],
-            site=doc["site"],
-            vendor=doc["vendor"],
-            chassis_model=doc["chassis_model"],
-            vintage_year=doc["vintage_year"],
-            boot_time_s=doc.get("boot_time_s", 180.0),
-            queue=doc.get("queue", "default"),
-            nodes=[NodeDescription.from_doc(n) for n in doc["nodes"]],
-        )
-
 
 @dataclass
 class SiteDescription:
@@ -364,13 +296,6 @@ class SiteDescription:
 
     def to_doc(self) -> dict[str, Any]:
         return {"uid": self.uid, "clusters": [c.to_doc() for c in self.clusters]}
-
-    @classmethod
-    def from_doc(cls, doc: dict[str, Any]) -> "SiteDescription":
-        return cls(
-            uid=doc["uid"],
-            clusters=[ClusterDescription.from_doc(c) for c in doc["clusters"]],
-        )
 
 
 @dataclass
@@ -461,11 +386,3 @@ class TestbedDescription:
             "backbone_gbps": self.backbone_gbps,
             "sites": [s.to_doc() for s in self.sites],
         }
-
-    @classmethod
-    def from_doc(cls, doc: dict[str, Any]) -> "TestbedDescription":
-        return cls(
-            name=doc["name"],
-            backbone_gbps=doc["backbone_gbps"],
-            sites=[SiteDescription.from_doc(s) for s in doc["sites"]],
-        )

@@ -7,12 +7,8 @@ Structure (matching the paper's slide-6/8 sketch):
 * ToR switches uplink to the **site router**;
 * site routers form a full-mesh **10 Gbps dedicated backbone**.
 
-The topology serves two consumers:
-
-* KaVLAN (:mod:`repro.kavlan`) reconfigures switch ports to move nodes
-  between VLANs;
-* the network-oriented checks compute expected end-to-end bandwidth as the
-  min edge capacity along the shortest path.
+KaVLAN (:mod:`repro.kavlan`) reads it to reconfigure switch ports when
+it moves nodes between VLANs.
 """
 
 from __future__ import annotations
@@ -64,19 +60,6 @@ class NetworkTopology:
             if self.graph.nodes[neighbor]["kind"] == "switch":
                 return neighbor
         raise KeyError(f"{node_uid} has no switch link")
-
-    # -- path queries --------------------------------------------------------
-
-    def path(self, a: str, b: str) -> list[str]:
-        """Shortest path between two graph nodes."""
-        return nx.shortest_path(self.graph, a, b)
-
-    def path_bandwidth_gbps(self, a: str, b: str) -> float:
-        """Min edge capacity along the shortest path (the bottleneck)."""
-        path = self.path(a, b)
-        return min(
-            self.graph.edges[u, v]["gbps"] for u, v in zip(path, path[1:])
-        )
 
 
 def build_topology(testbed: TestbedDescription) -> NetworkTopology:

@@ -50,9 +50,5 @@ class CiError(ReproError):
     """Invalid Jenkins-server operation (unknown job, bad state, ...)."""
 
 
-class CheckError(ReproError):
-    """A check script was invoked with an invalid context."""
-
-
 class FaultError(ReproError):
     """Invalid fault-injection request (unknown kind, bad target, ...)."""

@@ -35,7 +35,7 @@ def test_healthy_node_passes(world):
 def test_expected_facts_equal_acquired_on_healthy_node(world):
     park, refapi, _ = world
     node = park["parasilo-7"]
-    assert expected_facts(refapi.node(node.uid)) == acquire_all(node)
+    assert expected_facts(refapi.node(node.uid)) == acquire_all(node.actual)
 
 
 def test_every_testbed_node_passes_when_pristine(world):
@@ -143,7 +143,7 @@ def test_multiple_faults_all_reported(world):
     park, refapi, ctx = world
     node = park["grimoire-2"]
     node.actual.bios.c_states = True
-    node.find_disk("sdb").write_cache = False
+    node.actual.find_disk("sdb").write_cache = False
     report = run_g5k_checks(node, refapi)
     assert {FaultKind.CPU_CSTATES, FaultKind.DISK_WRITE_CACHE} <= report.hints()
     assert len(report.mismatches) >= 2

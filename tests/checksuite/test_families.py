@@ -149,21 +149,21 @@ def test_mpigraph_catches_ofed_failure(world, run_family):
 
 
 def test_disk_catches_write_cache(world, run_family):
-    world.machines["grimoire-1"].find_disk("sdb").write_cache = False
+    world.machines["grimoire-1"].actual.find_disk("sdb").write_cache = False
     outcome = run_family(world, family_by_name("disk"), {"cluster": "grimoire"})
     assert not outcome.passed
     assert any(f.kind_hint == FaultKind.DISK_WRITE_CACHE for f in outcome.findings)
 
 
 def test_disk_catches_firmware_skew(world, run_family):
-    world.machines["grimoire-1"].find_disk("sdb").firmware = "FL1A"
+    world.machines["grimoire-1"].actual.find_disk("sdb").firmware = "FL1A"
     outcome = run_family(world, family_by_name("disk"), {"cluster": "grimoire"})
     assert not outcome.passed
     assert any(f.kind_hint == FaultKind.DISK_FIRMWARE_SKEW for f in outcome.findings)
 
 
 def test_disk_catches_dead_disk(world, run_family):
-    world.machines["grimoire-1"].find_disk("sdc").healthy = False
+    world.machines["grimoire-1"].actual.find_disk("sdc").healthy = False
     outcome = run_family(world, family_by_name("disk"), {"cluster": "grimoire"})
     assert not outcome.passed
     assert any(f.kind_hint == FaultKind.DISK_DEAD for f in outcome.findings)

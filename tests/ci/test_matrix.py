@@ -62,30 +62,6 @@ def test_trigger_all_builds_every_cell(jenkins):
     assert len(params) == 4
 
 
-def test_latest_results_by_cell(jenkins):
-    sim, server = jenkins
-
-    def runner(build):
-        yield sim.timeout(1.0)
-        return (BuildStatus.FAILURE if build.parameters["cluster"] == "bad"
-                else BuildStatus.SUCCESS)
-
-    server.register_job("m", runner)
-    project = MatrixProject("m", axes={"cluster": ["good", "bad"]})
-    project.trigger_all(server)
-    sim.run()
-    results = project.latest_results(server)
-    assert results[("good",)] == BuildStatus.SUCCESS
-    assert results[("bad",)] == BuildStatus.FAILURE
-
-
-def test_latest_results_none_for_never_built(jenkins):
-    _, server = jenkins
-    server.register_job("m", lambda b: iter(()))
-    project = MatrixProject("m", axes={"cluster": ["a"]})
-    assert project.latest_results(server) == {("a",): None}
-
-
 def test_matrix_reloaded_retries_only_failed(jenkins):
     sim, server = jenkins
     flaky_state = {"bad_fixed": False}
@@ -105,7 +81,8 @@ def test_matrix_reloaded_retries_only_failed(jenkins):
     sim.run()
     assert len(retries) == 1
     assert retries[0].parameters == {"cluster": "bad"}
-    assert project.latest_results(server)[("bad",)] == BuildStatus.SUCCESS
+    last = server.job("m").last_build(parameters={"cluster": "bad"})
+    assert last.status == BuildStatus.SUCCESS
 
 
 def test_matrix_reloaded_includes_unstable_by_default(jenkins):

@@ -128,7 +128,7 @@ def test_operator_fixes_explained_bug(world):
     assert bug.status == BugStatus.FIXED
     assert not inst.active  # fault actually reverted
     assert inst.fixed_at is not None
-    disk = ctx.machines[inst.target].find_disk(inst.details["device"])
+    disk = ctx.machines[inst.target].actual.find_disk(inst.details["device"])
     assert disk.write_cache
 
 

@@ -57,9 +57,9 @@ def test_subsystem_override_swaps_backend():
         from repro.core.builder import _build_monitoring
         _build_monitoring(build)
 
-    fw = (FrameworkBuilder(small_spec())
-          .with_subsystem("monitoring", recording_monitoring)
-          .build())
+    registry = default_registry()
+    registry.register("monitoring", recording_monitoring)
+    fw = FrameworkBuilder(small_spec(), registry=registry).build()
     assert calls == ["monitoring"]
     assert fw.kwapi is not None and fw.ganglia is not None
 

@@ -9,6 +9,7 @@ from repro.nodes import PowerState
 from repro.nodes.machine import SimulatedNode
 from repro.oar import WorkloadConfig
 from repro.scenarios import ScenarioSpec
+from repro.testbed import ReferenceApi
 from repro.util import DAY, HOUR
 
 SMALL = ("grisou", "grimoire", "graoully")
@@ -139,12 +140,23 @@ def test_build_logs_carry_findings():
     assert any("console" in line for line in failed[0].log)
 
 
-def test_refapi_daily_archive_committed():
+def test_refapi_archive_keeps_only_the_initial_import(monkeypatch):
+    """Nothing in a run edits a description, so the run commits nothing
+    to the Reference API: the archive holds the initial import alone and
+    answers for any later time with it."""
     fw = make_world(families=("oarstate",))
+    commits = []
+    real_commit = ReferenceApi.commit
+
+    def spy(self, timestamp, message):
+        commits.append((timestamp, message))
+        return real_commit(self, timestamp, message)
+
+    monkeypatch.setattr(ReferenceApi, "commit", spy)
     fw.start(workload=False, faults=False, testing=False)
     fw.run_until(3 * DAY + HOUR)
-    # daily snapshots are content-addressed: unchanged description -> one
-    # version; the archive query still answers for any time
+    assert commits == []
+    assert [v.message for v in fw.refapi.history] == ["initial import"]
     assert fw.refapi.at_time(2 * DAY).version == fw.refapi.head.version
 
 

@@ -55,7 +55,8 @@ def test_description_edits_stay_in_their_run():
     uid = "grisou-3"
     node = first.refapi.node(uid)
     first.refapi.update_node(
-        node.with_bios(dataclasses.replace(node.bios, c_states=True)),
+        dataclasses.replace(
+            node, bios=dataclasses.replace(node.bios, c_states=True)),
         timestamp=10.0, message="operator fix")
     first.testbed.cluster("grisou").queue = "besteffort"
     assert first.refapi.node(uid).bios.c_states
@@ -111,7 +112,7 @@ def test_second_build_of_the_same_specs_builds_no_testbed(monkeypatch):
     FrameworkBuilder(spec).build()
     # The miss hands over the original object: the inventory guard runs.
     assert len(calls) == 1 and calls[0] is CLUSTER_SPECS
-    FrameworkBuilder(spec).with_seed(11).build()
+    FrameworkBuilder(spec.derive(seed=11)).build()
     FrameworkBuilder(spec).with_cluster_specs(list(CLUSTER_SPECS)).build()
     assert len(calls) == 1
 

@@ -100,7 +100,7 @@ def test_firmware_skew_hits_subset_of_cluster(ctx, rng):
     affected = inst.details["nodes"]
     assert 1 <= len(affected) <= len(cluster_nodes) // 2
     device = inst.details["device"]
-    firmwares = {ctx.machines[u].find_disk(device).firmware for u in cluster_nodes}
+    firmwares = {ctx.machines[u].actual.find_disk(device).firmware for u in cluster_nodes}
     assert len(firmwares) == 2  # skew: two versions coexist
 
 

@@ -71,7 +71,7 @@ def test_fix_reverts_and_timestamps(world):
     injector.fix(inst)
     assert not inst.active
     assert inst.fixed_at == 5000.0
-    disk = ctx.machines[inst.target].find_disk(inst.details["device"])
+    disk = ctx.machines[inst.target].actual.find_disk(inst.details["device"])
     assert disk.write_cache
 
 

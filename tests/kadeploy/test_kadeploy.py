@@ -58,11 +58,6 @@ def test_unknown_image_raises():
         image_by_name("windows315")
 
 
-def test_recipe_hash_stable():
-    img = image_by_name("debian9-min")
-    assert img.recipe_hash == image_by_name("debian9-min").recipe_hash
-
-
 # -- broadcast model ---------------------------------------------------------
 
 

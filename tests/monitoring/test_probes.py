@@ -21,17 +21,17 @@ def test_ganglia_on_demand_sample(world):
     sim, _, park, _ = world
     ganglia = Ganglia(sim, park)
     park["grisou-1"].cpu_load = 0.5
-    sample = ganglia.sample_node("grisou-1")
-    assert sample["cpu_load"] == 0.5
-    assert sample["up"] == 1.0
+    assert ganglia.sample_park(["grisou-1"]) == 1
     assert ganglia.store.last("grisou-1.cpu_load") == (0.0, 0.5)
+    assert ganglia.store.last("grisou-1.up") == (0.0, 1.0)
 
 
 def test_ganglia_sees_crash(world):
     sim, _, park, _ = world
     ganglia = Ganglia(sim, park)
     park["grisou-1"].crash()
-    assert ganglia.sample_node("grisou-1")["up"] == 0.0
+    ganglia.sample_park(["grisou-1"])
+    assert ganglia.store.last("grisou-1.up")[1] == 0.0
 
 
 def test_ganglia_periodic_sampling(world):
@@ -60,9 +60,9 @@ def test_kwapi_cable_swap_reports_wrong_node(world):
     a, b = inst.details["nodes"]
     park[a].cpu_load = 1.0  # distinct loads so the swap is observable
     park[b].cpu_load = 0.0
-    assert kwapi.node_power_watts(a) == pytest.approx(kwapi.true_power_watts(b))
-    assert kwapi.node_power_watts(b) == pytest.approx(kwapi.true_power_watts(a))
-    assert kwapi.node_power_watts(a) != pytest.approx(kwapi.true_power_watts(a))
+    assert kwapi.node_power_watts(a) == pytest.approx(park[b].power_draw_watts())
+    assert kwapi.node_power_watts(b) == pytest.approx(park[a].power_draw_watts())
+    assert kwapi.node_power_watts(a) != pytest.approx(park[a].power_draw_watts())
 
 
 def test_kwapi_down_site_returns_none(world):
@@ -108,7 +108,7 @@ def test_ganglia_sample_park_matches_per_node_samples(world):
 
     assert ganglia.sample_park(uids) == len(uids)
     for uid in uids:
-        reference.sample_node(uid)
+        reference.sample_park([uid])
     for uid in uids:
         for metric in ("cpu_load", "mem_total_gb", "up"):
             key = f"{uid}.{metric}"
@@ -120,12 +120,12 @@ def test_ganglia_handles_survive_machine_state_changes(world):
     # a later crash/load change must show up in the next sample.
     sim, _, park, _ = world
     ganglia = Ganglia(sim, park)
-    ganglia.sample_node("grisou-1")
+    ganglia.sample_park(["grisou-1"])
     park["grisou-1"].cpu_load = 0.9
     park["grisou-1"].crash()
-    sample = ganglia.sample_node("grisou-1")
-    assert sample["cpu_load"] == 0.9
-    assert sample["up"] == 0.0
+    ganglia.sample_park(["grisou-1"])
+    assert ganglia.store.last("grisou-1.cpu_load")[1] == 0.9
+    assert ganglia.store.last("grisou-1.up")[1] == 0.0
 
 
 def test_kwapi_sample_park_matches_per_node_reads(world, fresh_testbed):
@@ -156,8 +156,8 @@ def test_kwapi_sample_park_reports_swapped_cables(world):
     kwapi = Kwapi(sim, park, testbed, services)
     kwapi.sample_park(sorted(park.machines))
     reported_a = kwapi.store.last(f"{a}.power_w")[1]
-    assert reported_a == pytest.approx(kwapi.true_power_watts(b))
-    assert reported_a != pytest.approx(kwapi.true_power_watts(a))
+    assert reported_a == pytest.approx(park[b].power_draw_watts())
+    assert reported_a != pytest.approx(park[a].power_draw_watts())
 
 
 def test_kwapi_sample_park_skips_down_sites(world):
@@ -176,14 +176,14 @@ def test_kwapi_sample_park_skips_down_sites(world):
 #
 # sample_park lands a whole sweep with one numpy scatter per metric into
 # the probe's column block; a loop of per-node reads on a second probe
-# (sample_node, node_power_watts) is the oracle.  Both must record
+# (one-node sweeps, node_power_watts) is the oracle.  Both must record
 # byte-identical samples.
 
 
 def test_ganglia_vectorized_sweep_equals_scalar_sweep(world):
     sim, _, park, _ = world
     vector = Ganglia(sim, park)  # one scatter per metric per sweep
-    scalar = Ganglia(sim, park)  # oracle: one sample_node per node
+    scalar = Ganglia(sim, park)  # oracle: one one-node sweep per node
     uids = sorted(park.machines)
     park[uids[0]].cpu_load = 0.7
     park[uids[2]].crash()
@@ -191,7 +191,7 @@ def test_ganglia_vectorized_sweep_equals_scalar_sweep(world):
         sim.run(until=float(step))
         assert vector.sample_park(uids) == len(uids)
         for uid in uids:
-            scalar.sample_node(uid)
+            scalar.sample_park([uid])
     for uid in uids:
         for metric in ("cpu_load", "mem_total_gb", "up"):
             key = f"{uid}.{metric}"
@@ -223,11 +223,11 @@ def test_kwapi_vectorized_sweep_equals_scalar_sweep(world):
 
 
 def test_ganglia_on_demand_sample_lands_in_column_block(world):
-    # sample_node appends to the same column the sweep scatters into:
-    # mixed single and swept samples stay one chronological series.
+    # A one-node sweep appends to the same column a park sweep scatters
+    # into: mixed single and swept samples stay one chronological series.
     sim, _, park, _ = world
     ganglia = Ganglia(sim, park)
-    ganglia.sample_node("grisou-1")
+    ganglia.sample_park(["grisou-1"])
     ganglia.sample_park(sorted(park.machines))
     t, _ = ganglia.store.window("grisou-1.cpu_load", 0.0, 1e9)
     assert len(t) == 2

@@ -79,25 +79,6 @@ def test_crash_makes_unavailable(park):
     assert not node.available
 
 
-def test_cpu_performance_reference_is_unity(park):
-    _, p = park
-    assert p["paravance-1"].cpu_performance_factor() == 1.0
-
-
-def test_c_states_drift_costs_five_percent(park):
-    _, p = park
-    node = p["paravance-1"]
-    node.actual.bios.c_states = True
-    assert node.cpu_performance_factor() == pytest.approx(0.95)
-
-
-def test_power_profile_drift_costs_seven_percent(park):
-    _, p = park
-    node = p["paravance-1"]
-    node.actual.bios.power_profile = "balanced"
-    assert node.cpu_performance_factor() == pytest.approx(0.93)
-
-
 def test_disk_bandwidth_reference(park):
     _, p = park
     node = p["grimoire-1"]
@@ -111,7 +92,7 @@ def test_disk_write_cache_off_halves_bandwidth(park):
     _, p = park
     node = p["grimoire-1"]
     ref = node.disk_bandwidth_mbps("sdb")
-    node.find_disk("sdb").write_cache = False
+    node.actual.find_disk("sdb").write_cache = False
     assert node.disk_bandwidth_mbps("sdb") == pytest.approx(ref * 0.45)
 
 
@@ -119,14 +100,14 @@ def test_old_firmware_slows_disk(park):
     _, p = park
     node = p["grimoire-1"]
     ref = node.disk_bandwidth_mbps("sdb")
-    node.find_disk("sdb").firmware = "FL1A"  # one version behind FL1D
+    node.actual.find_disk("sdb").firmware = "FL1A"  # one version behind FL1D
     assert node.disk_bandwidth_mbps("sdb") == pytest.approx(ref * 0.95)
 
 
 def test_dead_disk_has_zero_bandwidth(park):
     _, p = park
     node = p["grimoire-1"]
-    node.find_disk("sdb").healthy = False
+    node.actual.find_disk("sdb").healthy = False
     assert node.disk_bandwidth_mbps("sdb") == 0.0
 
 
@@ -134,7 +115,7 @@ def test_network_rate_and_link_down(park):
     _, p = park
     node = p["grisou-1"]
     assert node.network_rate_gbps("eth0") == 10.0
-    node.find_nic("eth0").link_up = False
+    node.actual.find_nic("eth0").link_up = False
     assert node.network_rate_gbps("eth0") == 0.0
 
 
@@ -157,9 +138,9 @@ def test_power_draw_when_off(park):
 def test_find_disk_unknown_raises(park):
     _, p = park
     with pytest.raises(KeyError):
-        p["azur-1"].find_disk("sdz")
+        p["azur-1"].actual.find_disk("sdz")
     with pytest.raises(KeyError):
-        p["azur-1"].find_nic("eth9")
+        p["azur-1"].actual.find_nic("eth9")
 
 
 def test_cluster_and_site_selectors(park, fresh_testbed):

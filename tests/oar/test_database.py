@@ -42,7 +42,7 @@ def test_matching_by_cluster(db, fresh_testbed):
 
 def test_matching_gpu_nodes(db, fresh_testbed):
     uids = db.matching(parse_expression("gpu='YES'"))
-    expected = sum(c.node_count for c in fresh_testbed.iter_clusters() if c.has_gpu)
+    expected = sum(n.gpu is not None for n in fresh_testbed.iter_nodes())
     assert len(uids) == expected
 
 
@@ -63,8 +63,8 @@ def test_matching_with_candidates(db):
 
 
 def test_drift_corrupts_served_row(db):
+    clean = db.properties("grisou-5")
     db.services.oar_property_drift["grisou-5"] = {"memnode"}
-    clean = db.clean_properties("grisou-5")
     served = db.properties("grisou-5")
     assert served["memnode"] == clean["memnode"] // 2
     assert served["cluster"] == clean["cluster"]  # untouched fields intact
@@ -89,9 +89,9 @@ def test_drift_affects_matching(db):
 
 
 def test_sync_keeps_drift_until_fault_fixed(db):
+    clean = db.properties("grisou-5")
     db.services.oar_property_drift["grisou-5"] = {"memnode"}
     db.sync_from_refapi()
-    clean = db.clean_properties("grisou-5")
     assert db.properties("grisou-5")["memnode"] == clean["memnode"] // 2
     # once the fault is reverted (drift removed), serving is clean again
     db.services.oar_property_drift.clear()

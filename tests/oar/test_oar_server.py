@@ -297,11 +297,12 @@ def test_matching_cache_follows_property_drift(world, seed):
              for u in db.node_uids() for p in props}
     for expr in exprs:  # warm the cache before anything drifts
         oar.matching_mask(parse_expression(expr))
+    clean = {u: db.properties(u) for u in db.node_uids()}
     ctx = FaultContext.build(park, db.services, ())
     fault = apply_fault(FaultKind.OAR_PROPERTY_DRIFT, ctx,
                         np.random.default_rng(seed), fault_id=1, now=0.0)
     prop, node = fault.details["property"], fault.details["nodes"][0]
-    expr = f"{prop}={db.clean_properties(node)[prop]!r}"
+    expr = f"{prop}={clean[node][prop]!r}"
     want = db.matching(parse_expression(expr))
     assert node not in want
     assert oar.gantt.uids_from_mask(

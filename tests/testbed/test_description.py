@@ -1,5 +1,7 @@
 """Round-trip and semantics tests for the description schema."""
 
+import dataclasses
+
 import pytest
 
 from repro.testbed import (
@@ -7,23 +9,25 @@ from repro.testbed import (
     NodeDescription,
     TestbedDescription,
 )
+from repro.util.serialization import decode_dataclass
 
 
 def test_node_doc_round_trip(testbed):
     node = testbed.node("grimoire-3")
     doc = node.to_doc()
-    assert NodeDescription.from_doc(doc) == node
+    assert decode_dataclass(NodeDescription, doc) == node
 
 
 def test_node_doc_round_trip_without_optionals(testbed):
     node = testbed.node("sagittaire-1")  # no IB, no GPU
     assert node.infiniband is None and node.gpu is None
-    assert NodeDescription.from_doc(node.to_doc()) == node
+    assert decode_dataclass(NodeDescription, node.to_doc()) == node
 
 
 def test_testbed_doc_round_trip(testbed):
     doc = testbed.to_doc()
-    rebuilt = TestbedDescription.from_doc(doc)
+    rebuilt = decode_dataclass(TestbedDescription, doc)
+    assert rebuilt == testbed
     assert rebuilt.to_doc() == doc
     assert rebuilt.node_count == testbed.node_count
     assert rebuilt.total_cores == testbed.total_cores
@@ -36,9 +40,11 @@ def test_doc_is_json_serializable(testbed):
     assert "paravance-1" in text
 
 
-def test_with_bios_returns_new_object(testbed):
+def test_node_description_is_frozen(testbed):
     node = testbed.node("grisou-1")
-    changed = node.with_bios(BiosSettings(hyperthreading=True))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        node.bios = BiosSettings(hyperthreading=True)
+    changed = dataclasses.replace(node, bios=BiosSettings(hyperthreading=True))
     assert changed is not node
     assert changed.bios.hyperthreading
     assert not node.bios.hyperthreading  # original untouched
@@ -54,15 +60,13 @@ def test_primary_nic_and_10g(testbed):
 
 def test_replace_node_updates_in_place(fresh_testbed):
     node = fresh_testbed.node("grisou-5")
-    updated = node.with_bios(BiosSettings(turbo_boost=True))
+    updated = dataclasses.replace(node, bios=BiosSettings(turbo_boost=True))
     fresh_testbed.replace_node(updated)
     assert fresh_testbed.node("grisou-5").bios.turbo_boost
 
 
 def test_replace_unknown_node_raises(fresh_testbed):
     node = fresh_testbed.node("grisou-5")
-    import dataclasses
-
     ghost = dataclasses.replace(node, uid="grisou-999")
     with pytest.raises(KeyError):
         fresh_testbed.replace_node(ghost)
@@ -73,7 +77,7 @@ def test_cluster_aggregates(testbed):
     assert cluster.node_count == 90
     assert cluster.total_cores == 90 * 4
     assert cluster.has_infiniband
-    assert not cluster.has_gpu
+    assert all(n.gpu is None for n in cluster.nodes)
     assert not cluster.is_dell
 
 

@@ -94,7 +94,8 @@ def test_pdu_ports_within_range_and_unique_per_pdu(testbed):
 
 
 def test_gpu_clusters_have_gpu_spec(testbed):
-    gpu_clusters = [c for c in testbed.iter_clusters() if c.has_gpu]
+    gpu_clusters = [c for c in testbed.iter_clusters()
+                    if c.nodes[0].gpu is not None]
     assert {c.uid for c in gpu_clusters} == {"adonis", "orion", "grele"}
     for c in gpu_clusters:
         for n in c.nodes:

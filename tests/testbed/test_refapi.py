@@ -1,5 +1,7 @@
 """Tests for the versioned Reference API store."""
 
+import dataclasses
+
 import pytest
 
 from repro.testbed import BiosSettings, ReferenceApi
@@ -21,7 +23,7 @@ def test_node_lookup_unknown_raises(refapi):
 
 
 def test_update_node_creates_version(refapi):
-    node = refapi.node("grisou-1").with_bios(BiosSettings(c_states=True))
+    node = dataclasses.replace(refapi.node("grisou-1"), bios=BiosSettings(c_states=True))
     v2 = refapi.update_node(node, timestamp=HOUR, message="enable c-states (wrong!)")
     assert len(refapi.history) == 2
     assert refapi.head.version == v2
@@ -36,7 +38,7 @@ def test_commit_unchanged_is_noop(refapi):
 
 
 def test_commit_in_past_raises(refapi):
-    node = refapi.node("grisou-1").with_bios(BiosSettings(turbo_boost=True))
+    node = dataclasses.replace(refapi.node("grisou-1"), bios=BiosSettings(turbo_boost=True))
     refapi.update_node(node, timestamp=10 * HOUR, message="later change")
     with pytest.raises(ReferenceApiError):
         refapi.commit(5 * HOUR, "time travel")
@@ -44,7 +46,7 @@ def test_commit_in_past_raises(refapi):
 
 def test_at_time_returns_archived_snapshot(refapi):
     v1 = refapi.head.version
-    node = refapi.node("grisou-1").with_bios(BiosSettings(turbo_boost=True))
+    node = dataclasses.replace(refapi.node("grisou-1"), bios=BiosSettings(turbo_boost=True))
     v2 = refapi.update_node(node, timestamp=6 * HOUR, message="change")
     assert refapi.at_time(3 * HOUR).version == v1
     assert refapi.at_time(6 * HOUR).version == v2
@@ -58,11 +60,10 @@ def test_at_time_before_history_raises(fresh_testbed):
 
 
 def test_diff_between_versions_pinpoints_change(refapi):
-    import dataclasses
-
     v1 = refapi.head.version
     node = refapi.node("grisou-1")
-    node = node.with_bios(dataclasses.replace(node.bios, hyperthreading=True))
+    node = dataclasses.replace(
+        node, bios=dataclasses.replace(node.bios, hyperthreading=True))
     v2 = refapi.update_node(node, timestamp=HOUR, message="HT flipped")
     entries = refapi.diff(v1, v2)
     assert len(entries) == 1
@@ -81,8 +82,6 @@ def test_get_version(refapi):
 
 
 def test_update_unknown_node_raises(refapi):
-    import dataclasses
-
     ghost = dataclasses.replace(refapi.node("grisou-1"), uid="grisou-999")
     with pytest.raises(ReferenceApiError):
         refapi.update_node(ghost, timestamp=HOUR, message="ghost")
@@ -92,7 +91,7 @@ def test_archived_docs_are_snapshots_not_views(refapi):
     """Mutating the live testbed after commit must not alter history."""
     v1_doc_nodes = refapi.head.doc["sites"][0]["clusters"][0]["nodes"]
     first_uid = v1_doc_nodes[0]["uid"]
-    node = refapi.node(first_uid).with_bios(BiosSettings(c_states=True))
+    node = dataclasses.replace(refapi.node(first_uid), bios=BiosSettings(c_states=True))
     refapi.update_node(node, timestamp=HOUR, message="drift")
     old = refapi.history[0]
     assert old.doc["sites"][0]["clusters"][0]["nodes"][0]["bios"]["c_states"] is False

