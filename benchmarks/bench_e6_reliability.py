@@ -28,6 +28,7 @@ def bench_e6_reliability(benchmark, five_month_campaign):
         print(f"    week {int(week_start // (7 * 86400)) + 1:>2}  {rate:6.1%} {bar}")
     # shape: the trend is upward (our simulated faults each hit fewer of
     # the 751 configurations than the real bug mix did, so absolute rates
-    # sit higher than the paper's 85/93 — see EXPERIMENTS.md)
+    # sit higher than the paper's 85/93 — ROADMAP.md item 11 records the
+    # gap measured over two 5-month seeds)
     assert report.last_month_success > report.first_month_success
     assert report.first_month_success < 0.985  # starts visibly unhealthy

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from ..util.errors import CiError
-from ..util.events import Interrupt, Process, Simulator
+from ..util.events import Simulator
 from .job import Build, BuildStatus, JobDefinition, Runner
 
 __all__ = ["JenkinsServer"]
@@ -31,7 +31,6 @@ class JenkinsServer:
         self.sim = sim
         self.jobs: dict[str, JobDefinition] = {}
         self.executors = sim.resource(executors)
-        self._build_procs: dict[Build, Process] = {}
 
     # -- job management -----------------------------------------------------
 
@@ -65,31 +64,15 @@ class JenkinsServer:
             done_event=self.sim.event(),
         )
         job.builds.append(build)
-        proc = self.sim.process(self._execute(job, build),
-                                name=f"build-{job_name}-{build.number}")
-        self._build_procs[build] = proc
+        self.sim.process(self._execute(job, build),
+                         name=f"build-{job_name}-{build.number}")
         return build
-
-    def abort(self, build: Build) -> None:
-        """Abort a queued or running build."""
-        if build.finished:
-            raise CiError(f"build already finished: {build}")
-        proc = self._build_procs.get(build)
-        if proc is not None and proc.alive:
-            proc.interrupt("aborted")
 
     # -- execution -------------------------------------------------------------
 
     def _execute(self, job: JobDefinition, build: Build):
         request = self.executors.request()
-        try:
-            yield request
-        except Interrupt:
-            self.executors.cancel(request)  # still queued: just withdraw
-            build.log_line(self.sim.now, "aborted while queued")
-            self._finish(build, BuildStatus.ABORTED)
-            self._build_procs.pop(build, None)
-            return
+        yield request
         build.started_at = self.sim.now
         build.log_line(self.sim.now, f"started on executor (cause: {build.cause})")
         runner_proc = self.sim.process(job.runner(build))
@@ -110,15 +93,8 @@ class JenkinsServer:
                 build.log_line(self.sim.now, f"timed out after {job.timeout_s}s")
                 status = BuildStatus.ABORTED
             self._finish(build, status)
-        except Interrupt:
-            watchdog.cancel()  # no-op if it already fired
-            if runner_proc.alive:
-                runner_proc.interrupt("aborted")
-            build.log_line(self.sim.now, "aborted")
-            self._finish(build, BuildStatus.ABORTED)
         finally:
             self.executors.release(request)
-            self._build_procs.pop(build, None)
 
     def _finish(self, build: Build, status: BuildStatus) -> None:
         build.finished_at = self.sim.now

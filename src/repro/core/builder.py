@@ -33,7 +33,7 @@ from ..faults.services import ServiceHealth
 from ..kadeploy.deployment import Kadeploy
 from ..kadeploy.images import REFERENCE_IMAGES
 from ..kavlan.manager import KavlanManager
-from ..monitoring.probes import Ganglia, Kwapi
+from ..monitoring.probes import Kwapi
 from ..nodes.machine import MachinePark
 from ..oar.database import OarDatabase
 from ..oar.server import OarServer
@@ -88,7 +88,6 @@ class FrameworkBuild:
     kadeploy: object = None
     kavlan: object = None
     kwapi: object = None
-    ganglia: object = None
     fault_ctx: object = None
     injector: object = None
     jenkins: object = None
@@ -205,8 +204,7 @@ def _build_kavlan(b: FrameworkBuild) -> None:
 
 
 def _build_monitoring(b: FrameworkBuild) -> None:
-    b.kwapi = Kwapi(b.sim, b.machines, b.testbed, b.services)
-    b.ganglia = Ganglia(b.sim, b.machines)
+    b.kwapi = Kwapi(b.machines, b.testbed, b.services)
 
 
 def _build_faults(b: FrameworkBuild) -> None:
@@ -349,9 +347,9 @@ class FrameworkBuilder:
             machines=build.machines, services=build.services,
             oardb=build.oardb, oar=build.oar, workload=build.workload,
             kadeploy=build.kadeploy, kavlan=build.kavlan, kwapi=build.kwapi,
-            ganglia=build.ganglia, fault_ctx=build.fault_ctx,
-            injector=build.injector, jenkins=build.jenkins,
-            tracker=build.tracker, operators=build.operators,
+            fault_ctx=build.fault_ctx, injector=build.injector,
+            jenkins=build.jenkins, tracker=build.tracker,
+            operators=build.operators,
             scheduler=build.scheduler, checkctx=build.checkctx,
             families=build.families, history=build.history,
         )

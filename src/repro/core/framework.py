@@ -23,7 +23,7 @@ from ..faults.injector import FaultInjector
 from ..faults.services import ServiceHealth
 from ..kadeploy.deployment import Kadeploy
 from ..kavlan.manager import KavlanManager
-from ..monitoring.probes import Ganglia, Kwapi
+from ..monitoring.probes import Kwapi
 from ..nodes.machine import MachinePark, PowerState
 from ..oar.database import OarDatabase
 from ..oar.server import OarServer
@@ -62,7 +62,6 @@ class TestingFramework:
     kadeploy: Kadeploy
     kavlan: KavlanManager
     kwapi: Kwapi
-    ganglia: Ganglia
     fault_ctx: FaultContext
     injector: FaultInjector
     jenkins: JenkinsServer

@@ -121,7 +121,7 @@ class KavlanManager:
         broken = self.services.kavlan_broken
         actually_applied = set()
         for uid in moved:
-            site = self.topology.graph.nodes[uid]["site"]
+            site = self.topology.site_of(uid)
             if site in broken:
                 continue  # silently lost: node stays where it was
             if uid in target:

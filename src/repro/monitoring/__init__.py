@@ -1,7 +1,5 @@
-"""Monitoring: metric ring columns, Ganglia system probes, kwapi power."""
+"""Monitoring: kwapi power per PDU outlet, Ganglia system probes."""
 
-from .metrics import MetricStore, RingColumnBlock, SeriesStats
 from .probes import Ganglia, Kwapi
 
-__all__ = ["MetricStore", "RingColumnBlock", "SeriesStats", "Ganglia",
-           "Kwapi"]
+__all__ = ["Ganglia", "Kwapi"]

@@ -6,7 +6,7 @@ Public entry point::
 
     testbed = build_grid5000()           # 8 sites / 32 clusters / 894 nodes
     refapi = ReferenceApi(testbed)       # versioned description store
-    topo = build_topology(testbed)       # networkx physical topology
+    topo = build_topology(testbed)       # node -> ToR switch and site
 """
 
 from .catalog import (

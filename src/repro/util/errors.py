@@ -42,10 +42,6 @@ class ReferenceApiError(ReproError):
     """Lookup or version error in the Reference API store."""
 
 
-class MonitoringError(ReproError):
-    """Invalid probe registration or metric query."""
-
-
 class CiError(ReproError):
     """Invalid Jenkins-server operation (unknown job, bad state, ...)."""
 

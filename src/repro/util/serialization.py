@@ -23,7 +23,6 @@ __all__ = [
     "content_hash",
     "DiffEntry",
     "deep_diff",
-    "deep_get",
     "encode_dataclass",
     "decode_dataclass",
     "append_jsonl",
@@ -305,32 +304,3 @@ def deep_diff(old: Any, new: Any) -> list[DiffEntry]:
     'changed'
     """
     return list(_walk(old, new, ""))
-
-
-def deep_get(doc: Any, path: str, default: Any = None) -> Any:
-    """Fetch a dotted/indexed path (as produced by :func:`deep_diff`).
-
-    >>> deep_get({"a": {"b": [10, 20]}}, "a.b[1]")
-    20
-    """
-    cur = doc
-    for part in path.split("."):
-        while part:
-            if "[" in part:
-                key, _, rest = part.partition("[")
-                idx_text, _, part = rest.partition("]")
-                if key:
-                    if not isinstance(cur, dict) or key not in cur:
-                        return default
-                    cur = cur[key]
-                idx = int(idx_text)
-                if not isinstance(cur, list) or idx >= len(cur):
-                    return default
-                cur = cur[idx]
-                part = part.lstrip(".") if part else part
-            else:
-                if not isinstance(cur, dict) or part not in cur:
-                    return default
-                cur = cur[part]
-                part = ""
-    return cur

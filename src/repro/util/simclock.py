@@ -23,7 +23,6 @@ __all__ = [
     "is_weekend",
     "is_peak_hours",
     "format_time",
-    "format_duration",
 ]
 
 MINUTE = 60.0
@@ -36,10 +35,9 @@ MONTH = 30 * DAY
 #: t=0 is a Wednesday (2017-02-01); day_of_week uses Monday=0.
 _EPOCH_WEEKDAY = 2
 
-#: Integer counterparts of the float durations, hoisted once: sim_date and
-#: format_duration run per formatted sample/log line, and the per-call
-#: ``int(DAY)``/``int(HOUR)``/``int(MINUTE)`` conversions showed up in
-#: campaign profiles.
+#: Integer counterparts of the float durations, hoisted once: sim_date runs
+#: per formatted log line, and the per-call ``int(DAY)``/``int(HOUR)``/
+#: ``int(MINUTE)`` conversions showed up in campaign profiles.
 _MINUTE_I = int(MINUTE)
 _HOUR_I = int(HOUR)
 _DAY_I = int(DAY)
@@ -110,20 +108,3 @@ def is_peak_hours(t: float) -> bool:
 def format_time(t: float) -> str:
     """Human-readable absolute timestamp, e.g. ``'Feb 03 14:05:00'``."""
     return str(sim_date(t))
-
-
-def format_duration(seconds: float) -> str:
-    """Compact duration rendering, e.g. ``'2d 03:15:00'`` or ``'45s'``."""
-    if seconds < 0:
-        rendered = format_duration(-seconds)
-        # avoid "-0s" when the magnitude rounds away to nothing
-        return rendered if rendered == "0s" else "-" + rendered
-    total = int(round(seconds))
-    if total < 60:
-        return f"{total}s"
-    days, rem = divmod(total, _DAY_I)
-    hours, rem = divmod(rem, _HOUR_I)
-    minutes, secs = divmod(rem, _MINUTE_I)
-    if days:
-        return f"{days}d {hours:02d}:{minutes:02d}:{secs:02d}"
-    return f"{hours:02d}:{minutes:02d}:{secs:02d}"

@@ -95,42 +95,6 @@ def test_timeout_aborts_build(jenkins):
     assert build.duration_s == 100.0
 
 
-def test_abort_running_build(jenkins):
-    sim, server = jenkins
-    server.register_job("j", quick_runner(sim, duration=1000.0))
-    build = server.trigger("j")
-    sim.call_in(50.0, server.abort, build)
-    sim.run()
-    assert build.status == BuildStatus.ABORTED
-    assert build.finished_at == 50.0
-
-
-def test_abort_queued_build_does_not_leak_executor(jenkins):
-    sim, server = jenkins
-    server.register_job("j", quick_runner(sim, duration=100.0))
-    running = [server.trigger("j") for _ in range(2)]
-    queued = server.trigger("j")
-    sim.call_in(10.0, server.abort, queued)
-    sim.run()
-    assert queued.status == BuildStatus.ABORTED
-    assert queued.started_at is None
-    assert all(b.status == BuildStatus.SUCCESS for b in running)
-    # pool healthy: a new build can use both executors
-    more = [server.trigger("j") for _ in range(2)]
-    sim.run()
-    assert all(b.status == BuildStatus.SUCCESS for b in more)
-    assert server.executors.in_use == 0
-
-
-def test_abort_finished_build_raises(jenkins):
-    sim, server = jenkins
-    server.register_job("j", quick_runner(sim, duration=1.0))
-    build = server.trigger("j")
-    sim.run()
-    with pytest.raises(CiError):
-        server.abort(build)
-
-
 def test_done_event_fires(jenkins):
     sim, server = jenkins
     server.register_job("j", quick_runner(sim))

@@ -37,6 +37,14 @@ SEARCH = ("src", "benchmarks", "examples", "perfbench", ".github", "README.md")
 ALLOWED: dict[str, str] = {
     "Gantt.free_uids":
         "perfbench's tracer wraps it by name and CI runs the traced workloads",
+    "Ganglia":
+        "perfbench's tracer imports it to wrap its sample_park; no run "
+        "builds one",
+    "Ganglia.sample_park":
+        "perfbench's tracer wraps it by name and counts its return",
+    "Kwapi.sample_park":
+        "perfbench's tracer wraps it by name and counts its return; runs "
+        "read kwapi one node at a time",
     "wait_until_ready":
         "CI's service-smoke job uses it as the server's readiness gate",
     "ChaosPlan.log_docs":
@@ -56,17 +64,7 @@ ALLOWED: dict[str, str] = {
         "before '/'), the input of evaluate and matching above",
     "MatrixProject": "bench_e3 builds its matrix project",
     "Resource.queue_length": "the only public view of a resource's wait queue",
-    "MetricStore.series_names": "the only listing of the series a store holds",
     "_Handler.handle": "socketserver calls it once per connection",
-    "JenkinsServer.abort":
-        "Jenkins' abort; deleting it also deletes the executor's two "
-        "interrupt paths and three tests, a cut of its own (ROADMAP item 7)",
-    "deep_get":
-        "resolves a deep_diff path in a document; deleting it also deletes "
-        "five tests, a cut of its own (ROADMAP item 7)",
-    "format_duration":
-        "simclock's duration formatter; deleting it also deletes seven "
-        "tests, a cut of its own (ROADMAP item 7)",
 }
 
 

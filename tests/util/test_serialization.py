@@ -5,7 +5,6 @@ from repro.util import (
     content_hash,
     decode_dataclass,
     deep_diff,
-    deep_get,
     encode_dataclass,
 )
 
@@ -62,31 +61,6 @@ def test_diff_str_rendering():
     entries = deep_diff({"a": 1, "b": 2}, {"a": 3, "c": 4})
     rendered = sorted(str(e)[0] for e in entries)
     assert rendered == ["+", "-", "~"]
-
-
-def test_deep_get_simple():
-    assert deep_get({"a": {"b": 5}}, "a.b") == 5
-
-
-def test_deep_get_list_index():
-    assert deep_get({"a": {"b": [10, 20]}}, "a.b[1]") == 20
-
-
-def test_deep_get_nested_lists():
-    assert deep_get({"m": [[1, 2], [3, 4]]}, "m[1][0]") == 3
-
-
-def test_deep_get_missing_returns_default():
-    assert deep_get({"a": 1}, "a.b.c", default="missing") == "missing"
-    assert deep_get({"a": [1]}, "a[5]", default=None) is None
-
-
-def test_deep_get_path_from_diff_round_trip():
-    old = {"node": {"disks": [{"firmware": "GA07"}], "ram_gb": 64}}
-    new = {"node": {"disks": [{"firmware": "GA09"}], "ram_gb": 64}}
-    (entry,) = deep_diff(old, new)
-    assert deep_get(old, entry.path) == "GA07"
-    assert deep_get(new, entry.path) == "GA09"
 
 
 # -- dataclass codec -----------------------------------------------------------

@@ -9,7 +9,6 @@ from repro.util import (
     MONTH,
     WEEK,
     day_of_week,
-    format_duration,
     format_time,
     hour_of_day,
     is_peak_hours,
@@ -87,29 +86,7 @@ def test_format_time():
     assert format_time(2 * DAY + 14 * HOUR + 5 * MINUTE) == "Feb 03 14:05:00"
 
 
-def test_format_duration_seconds():
-    assert format_duration(45) == "45s"
-    assert format_duration(0) == "0s"
-
-
-def test_format_duration_hms():
-    assert format_duration(2 * HOUR + 30 * MINUTE) == "02:30:00"
-
-
-def test_format_duration_days():
-    assert format_duration(2 * DAY + 3 * HOUR + 15 * MINUTE) == "2d 03:15:00"
-
-
-def test_format_duration_negative():
-    assert format_duration(-90) == "-" + format_duration(90)
-
-
-def test_format_duration_rounds():
-    assert format_duration(59.4) == "59s"
-    assert format_duration(59.6) == format_duration(60)
-
-
-# -- boundary behaviour (peak-hour/weekend edges, negative durations) ---------
+# -- boundary behaviour (peak-hour and weekend edges) -------------------------
 
 
 def test_peak_hours_edges_at_0900_and_1900():
@@ -138,14 +115,3 @@ def test_no_peak_hours_on_weekend():
     assert not is_peak_hours(saturday + 10 * HOUR)
     assert not is_peak_hours(saturday + DAY + 10 * HOUR)  # Sunday
     assert is_peak_hours(saturday + 2 * DAY + 10 * HOUR)  # Monday
-
-
-def test_format_duration_negative_days_and_hms():
-    assert format_duration(-(2 * DAY + 3 * HOUR + 15 * MINUTE)) == "-2d 03:15:00"
-    assert format_duration(-(2 * HOUR + 30 * MINUTE)) == "-02:30:00"
-    assert format_duration(-0.4) == "0s"  # rounds to zero, no "-0s"
-
-
-def test_format_duration_minute_boundary():
-    assert format_duration(60) == "00:01:00"
-    assert format_duration(DAY) == "1d 00:00:00"
