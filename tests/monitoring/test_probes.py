@@ -111,6 +111,22 @@ def test_kwapi_sample_park_matches_per_node_reads(world):
     assert kwapi.sample_park(uids) == sum(w is not None for w in reads)
 
 
+def test_kwapi_vectorized_sweep_equals_scalar_sweep(world):
+    # One sweep per state change: after a cable swap, a load change and a
+    # site going down, the sweep counts what per-node reads report.
+    _, services, park, testbed = world
+    kwapi = Kwapi(park, testbed, services)
+    uids = sorted(park.machines)
+    ctx = FaultContext.build(park, services, ("debian8-std",))
+    apply_fault(FaultKind.PDU_CABLE_SWAP, ctx, np.random.default_rng(3), 1, 0.0)
+    for step, site in enumerate(s.uid for s in testbed.sites[:2]):
+        park[uids[step]].cpu_load = 0.6
+        services.kwapi_down.add(site)
+        reads = [kwapi.node_power_watts(uid) for uid in uids]
+        assert kwapi.sample_park(uids) == sum(w is not None for w in reads)
+        assert kwapi.sample_park(uids) < len(uids)
+
+
 def test_kwapi_sample_park_reports_swapped_cables(world):
     # A swapped pair still reports through the sweep: each node's
     # documented outlet measures the neighbour instead of nothing.

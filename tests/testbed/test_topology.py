@@ -5,6 +5,16 @@ import pytest
 from repro.testbed import build_grid5000, build_topology
 
 
+def test_every_compute_node_in_graph(testbed, topology):
+    # Every described compute node is in the table, and every switch the
+    # inventory counts carries at least one node.
+    switches = set()
+    for node in testbed.iter_nodes():
+        switches.add(topology.switch_of(node.uid))
+        assert topology.site_of(node.uid) == node.site
+    assert len(switches) == topology.switch_count
+
+
 def test_one_router_per_site(testbed, topology):
     assert topology.router_count == testbed.site_count
 
