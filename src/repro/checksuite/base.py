@@ -2,11 +2,12 @@
 
 Design follows the paper's stated philosophy — *"Keep It Simple, Stupid"*:
 each family is a small class with a ``configurations`` list (its cells in
-the coverage matrix) and a ``run`` generator that exercises the testbed
+the coverage matrix), its reservation and a ``check`` body that exercises the testbed
 through exactly the interfaces a user would (OAR, Kadeploy, KaVLAN, the
 monitoring API, ...) and reports *actionable findings*: "exhibit issues,
 but also provide sufficient information to testbed operators to understand
 and fix the issue".
+:meth:`CheckFamily.run` owns the one reservation lifecycle they all share.
 
 A finding carries a root-cause hint (:class:`~repro.faults.FaultKind`) and
 a target; the bug tracker later matches findings against ground truth.
@@ -15,7 +16,9 @@ a target; the bug tracker later matches findings against ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Generator, Optional, Union
+
+import numpy as np
 
 from ..checks.g5kchecks import run_g5k_checks
 from ..faults.catalog import FaultKind
@@ -26,10 +29,11 @@ from ..monitoring.probes import Kwapi
 from ..nodes.machine import MachinePark
 from ..oar.database import OarDatabase
 from ..oar.jobs import Job, JobState
+from ..oar.request import format_walltime
 from ..oar.server import OarServer
 from ..testbed.description import TestbedDescription
 from ..testbed.refapi import ReferenceApi
-from ..util.events import Simulator
+from ..util.events import Event, Simulator
 from ..util.rng import RngStreams
 
 __all__ = ["Finding", "TestOutcome", "CheckContext", "CheckFamily"]
@@ -81,54 +85,79 @@ class CheckContext:
     kwapi: Kwapi
     rngs: RngStreams
 
-    def rng(self, family: str):
+    def rng(self, family: str) -> np.random.Generator:
         return self.rngs.stream(f"check-{family}")
 
 
 class CheckFamily:
-    """Base class for the sixteen test-script families."""
+    """Base class for the sixteen test-script families.
+
+    A family declares its cells (:meth:`configurations`), what it reserves
+    (``nodes_needed``, ``walltime_s``) and its :meth:`check` body;
+    :meth:`run` does the rest.
+    """
 
     #: slide-21 name, e.g. "environments".
     name: str = ""
     #: "software" tests take one node per cluster; "hardware" tests take
     #: all nodes of a cluster (slide 16) — the external scheduler uses this.
     kind: str = "software"
-    #: Walltime requested for the testbed job, seconds.
-    walltime_s: float = 1800.0
     #: Nodes the test reserves: 0 (out-of-band), an int, or "ALL" (whole
-    #: cluster) -- the external scheduler checks availability against this.
-    nodes_needed: object = 0
+    #: target) -- the external scheduler checks availability against this
+    #: and :meth:`run` asks OAR for exactly this.
+    nodes_needed: Union[int, str] = 0
+    #: Walltime of the testbed job, seconds (families that reserve only).
+    walltime_s: float
 
     def configurations(self, testbed: TestbedDescription) -> list[dict[str, Any]]:
         """The coverage cells of this family (slide-21 counts)."""
         raise NotImplementedError
 
-    def run(self, ctx: CheckContext, config: dict[str, Any]):
-        """Process generator returning a :class:`TestOutcome`."""
+    def check(self, ctx: CheckContext, outcome: TestOutcome,
+              job: Optional[Job]) -> Generator[Event, Any, None]:
+        """Process-generator body: exercise the testbed with the running
+        ``job`` (None for out-of-band families) and add findings to
+        ``outcome``."""
         raise NotImplementedError
 
-    # -- shared helpers --------------------------------------------------------
+    def target(self, ctx: CheckContext, outcome: TestOutcome) -> str:
+        """OAR property filter selecting the cell's candidate nodes."""
+        config = outcome.config
+        if "cluster" in config:
+            return f"cluster='{config['cluster']}'"
+        return f"site='{config['site']}'"
 
-    def _outcome(self, config: dict[str, Any]) -> TestOutcome:
-        return TestOutcome(family=self.name, config=config, passed=True)
+    def run(self, ctx: CheckContext,
+            config: dict[str, Any]) -> Generator[Event, Any, TestOutcome]:
+        """Process generator running one cell; returns its outcome.
 
-    def reserve(self, ctx: CheckContext, request: str):
-        """Immediate-or-cancel reservation (the paper's contract).
-
-        Returns the running job, or None when resources were not available
-        right now — the caller reports ``resources_blocked``.
+        The reservation contract of slide 17: ask OAR, immediate-or-cancel,
+        for ``nodes_needed`` nodes of the cell's target for ``walltime_s``.
+        A job that cannot start now gives the blocked outcome (the build
+        turns UNSTABLE); otherwise :meth:`check` runs with the job, which
+        is released whatever happens.  Out-of-band families
+        (``nodes_needed == 0``) run :meth:`check` with no job.
         """
-        job = ctx.oar.submit(request, user="testframework",
-                             immediate=True)
-        if job.state == JobState.CANCELLED:
-            return None
-        yield job.started_event
-        return job
-
-    @staticmethod
-    def release(ctx: CheckContext, job: Optional[Job]) -> None:
-        if job is not None and job.state == JobState.RUNNING:
-            ctx.oar.release(job)
+        outcome = TestOutcome(family=self.name, config=config, passed=False)
+        if not self.nodes_needed:
+            yield from self.check(ctx, outcome, None)
+        else:
+            request = (f"{self.target(ctx, outcome)}/nodes={self.nodes_needed}"
+                       f",walltime={format_walltime(self.walltime_s)}")
+            job = ctx.oar.submit(request, user="testframework", immediate=True)
+            if job.state == JobState.CANCELLED:
+                outcome.resources_blocked = True
+                return outcome
+            started = job.started_event
+            assert started is not None  # submit() gives every job one
+            yield started
+            try:
+                yield from self.check(ctx, outcome, job)
+            finally:
+                if job.state == JobState.RUNNING:
+                    ctx.oar.release(job)
+        outcome.passed = not outcome.findings
+        return outcome
 
     def g5k_checks_findings(self, ctx: CheckContext, node_uid: str) -> list[Finding]:
         """Run g5k-checks on one node, converting mismatches to findings."""

@@ -14,7 +14,7 @@ from typing import Any
 from ..faults.catalog import FaultKind
 from ..kadeploy.images import REFERENCE_IMAGES, STD_ENV, image_by_name
 from ..kadeploy.kascade import broadcast_time_s
-from .base import CheckContext, CheckFamily, Finding, TestOutcome
+from .base import CheckContext, CheckFamily, Finding
 
 __all__ = [
     "EnvironmentsCheck",
@@ -52,6 +52,14 @@ def _deploy_findings(result, cluster_uid: str, image: str,
     return findings
 
 
+def _dedupe(findings: list[Finding]) -> list[Finding]:
+    """The first finding of each (root-cause hint, target), in order."""
+    first: dict[tuple, Finding] = {}
+    for f in findings:
+        first.setdefault((f.kind_hint, f.target), f)
+    return list(first.values())
+
+
 class EnvironmentsCheck(CheckFamily):
     """Deploy one reference image on one node of one cluster — the 448-cell
     matrix of slide 15 (14 images x 32 clusters)."""
@@ -68,24 +76,12 @@ class EnvironmentsCheck(CheckFamily):
             for c in testbed.iter_clusters()
         ]
 
-    def run(self, ctx: CheckContext, config: dict[str, Any]):
-        outcome = self._outcome(config)
-        cluster, image = config["cluster"], config["image"]
-        job = yield from self.reserve(
-            ctx, f"cluster='{cluster}'/nodes=1,walltime=1")
-        if job is None:
-            outcome.resources_blocked = True
-            outcome.passed = False
-            return outcome
-        try:
-            result = yield ctx.sim.process(
-                ctx.kadeploy.deploy(job.assigned_nodes, image))
-            outcome.findings.extend(
-                _deploy_findings(result, cluster, image, degraded_threshold=1.0))
-        finally:
-            self.release(ctx, job)
-        outcome.passed = not outcome.findings
-        return outcome
+    def check(self, ctx: CheckContext, outcome, job):
+        cluster, image = outcome.config["cluster"], outcome.config["image"]
+        result = yield ctx.sim.process(
+            ctx.kadeploy.deploy(job.assigned_nodes, image))
+        outcome.findings.extend(
+            _deploy_findings(result, cluster, image, degraded_threshold=1.0))
 
 
 class StdenvCheck(CheckFamily):
@@ -100,28 +96,16 @@ class StdenvCheck(CheckFamily):
     def configurations(self, testbed) -> list[dict[str, Any]]:
         return [{"cluster": c.uid} for c in testbed.iter_clusters()]
 
-    def run(self, ctx: CheckContext, config: dict[str, Any]):
-        outcome = self._outcome(config)
-        cluster = config["cluster"]
-        job = yield from self.reserve(
-            ctx, f"cluster='{cluster}'/nodes=1,walltime=1")
-        if job is None:
-            outcome.resources_blocked = True
-            outcome.passed = False
-            return outcome
-        try:
-            result = yield ctx.sim.process(
-                ctx.kadeploy.deploy(job.assigned_nodes, STD_ENV))
-            outcome.findings.extend(
-                _deploy_findings(result, cluster, STD_ENV, degraded_threshold=1.0))
-            node_uid = job.assigned_nodes[0]
-            if node_uid in result.deployed:
-                yield ctx.sim.timeout(120.0)
-                outcome.findings.extend(self.g5k_checks_findings(ctx, node_uid))
-        finally:
-            self.release(ctx, job)
-        outcome.passed = not outcome.findings
-        return outcome
+    def check(self, ctx: CheckContext, outcome, job):
+        cluster = outcome.config["cluster"]
+        result = yield ctx.sim.process(
+            ctx.kadeploy.deploy(job.assigned_nodes, STD_ENV))
+        outcome.findings.extend(
+            _deploy_findings(result, cluster, STD_ENV, degraded_threshold=1.0))
+        node_uid = job.assigned_nodes[0]
+        if node_uid in result.deployed:
+            yield ctx.sim.timeout(120.0)
+            outcome.findings.extend(self.g5k_checks_findings(ctx, node_uid))
 
 
 class _WholeClusterDeployBase(CheckFamily):
@@ -143,45 +127,22 @@ class _WholeClusterDeployBase(CheckFamily):
         return (1.6 * cluster.boot_time_s
                 + broadcast_time_s(image.size_mb, n_nodes, nic_mbps, 100.0))
 
-    def run(self, ctx: CheckContext, config: dict[str, Any]):
-        outcome = self._outcome(config)
-        cluster = config["cluster"]
-        job = yield from self.reserve(
-            ctx, f"cluster='{cluster}'/nodes=ALL,walltime=2")
-        if job is None:
-            outcome.resources_blocked = True
-            outcome.passed = False
-            return outcome
-        try:
-            durations = []
-            for round_no in range(self.rounds):
-                start = ctx.sim.now
-                result = yield ctx.sim.process(
-                    ctx.kadeploy.deploy(job.assigned_nodes, STD_ENV))
-                durations.append(ctx.sim.now - start)
-                outcome.findings.extend(_deploy_findings(result, cluster, STD_ENV))
-            expected = self._expected_round_s(ctx, cluster, len(job.assigned_nodes))
-            slowest = max(durations)
-            if slowest > expected * 1.45 + 120.0:
-                outcome.findings.append(Finding(
-                    FaultKind.KERNEL_BOOT_RACE, cluster,
-                    f"deployment took {slowest:.0f}s, expected ~{expected:.0f}s"))
-        finally:
-            self.release(ctx, job)
-        self._dedupe(outcome)
-        outcome.passed = not outcome.findings
-        return outcome
-
-    @staticmethod
-    def _dedupe(outcome: TestOutcome) -> None:
-        seen = set()
-        unique = []
-        for f in outcome.findings:
-            key = (f.kind_hint, f.target)
-            if key not in seen:
-                seen.add(key)
-                unique.append(f)
-        outcome.findings = unique
+    def check(self, ctx: CheckContext, outcome, job):
+        cluster = outcome.config["cluster"]
+        durations = []
+        for _ in range(self.rounds):
+            start = ctx.sim.now
+            result = yield ctx.sim.process(
+                ctx.kadeploy.deploy(job.assigned_nodes, STD_ENV))
+            durations.append(ctx.sim.now - start)
+            outcome.findings.extend(_deploy_findings(result, cluster, STD_ENV))
+        expected = self._expected_round_s(ctx, cluster, len(job.assigned_nodes))
+        slowest = max(durations)
+        if slowest > expected * 1.45 + 120.0:
+            outcome.findings.append(Finding(
+                FaultKind.KERNEL_BOOT_RACE, cluster,
+                f"deployment took {slowest:.0f}s, expected ~{expected:.0f}s"))
+        outcome.findings = _dedupe(outcome.findings)
 
 
 class ParallelDeployCheck(_WholeClusterDeployBase):
@@ -212,35 +173,23 @@ class MultiRebootCheck(CheckFamily):
     def configurations(self, testbed) -> list[dict[str, Any]]:
         return [{"cluster": c.uid} for c in testbed.iter_clusters()]
 
-    def run(self, ctx: CheckContext, config: dict[str, Any]):
-        outcome = self._outcome(config)
-        cluster = config["cluster"]
-        job = yield from self.reserve(
-            ctx, f"cluster='{cluster}'/nodes=ALL,walltime=2")
-        if job is None:
-            outcome.resources_blocked = True
-            outcome.passed = False
-            return outcome
-        try:
-            mean_boot = ctx.testbed.cluster(cluster).boot_time_s
-            flaky: set[str] = set()
-            race_rounds = 0
-            for _ in range(self.rounds):
-                start = ctx.sim.now
-                up = yield ctx.sim.process(ctx.kadeploy.reboot(job.assigned_nodes))
-                duration = ctx.sim.now - start
-                flaky.update(uid for uid, ok in up.items() if not ok)
-                if duration > mean_boot * 1.45 + 60.0:
-                    race_rounds += 1
-            for uid in sorted(flaky):
-                outcome.findings.append(Finding(
-                    FaultKind.RANDOM_REBOOTS, uid,
-                    "node failed to come back from a reboot"))
-            if race_rounds >= 2:
-                outcome.findings.append(Finding(
-                    FaultKind.KERNEL_BOOT_RACE, cluster,
-                    f"{race_rounds}/{self.rounds} reboot rounds abnormally slow"))
-        finally:
-            self.release(ctx, job)
-        outcome.passed = not outcome.findings
-        return outcome
+    def check(self, ctx: CheckContext, outcome, job):
+        cluster = outcome.config["cluster"]
+        mean_boot = ctx.testbed.cluster(cluster).boot_time_s
+        flaky: set[str] = set()
+        race_rounds = 0
+        for _ in range(self.rounds):
+            start = ctx.sim.now
+            up = yield ctx.sim.process(ctx.kadeploy.reboot(job.assigned_nodes))
+            duration = ctx.sim.now - start
+            flaky.update(uid for uid, ok in up.items() if not ok)
+            if duration > mean_boot * 1.45 + 60.0:
+                race_rounds += 1
+        for uid in sorted(flaky):
+            outcome.findings.append(Finding(
+                FaultKind.RANDOM_REBOOTS, uid,
+                "node failed to come back from a reboot"))
+        if race_rounds >= 2:
+            outcome.findings.append(Finding(
+                FaultKind.KERNEL_BOOT_RACE, cluster,
+                f"{race_rounds}/{self.rounds} reboot rounds abnormally slow"))

@@ -27,9 +27,8 @@ class RefapiCheck(CheckFamily):
     def configurations(self, testbed) -> list[dict[str, Any]]:
         return [{"cluster": c.uid} for c in testbed.iter_clusters()]
 
-    def run(self, ctx: CheckContext, config: dict[str, Any]):
-        outcome = self._outcome(config)
-        cluster = ctx.testbed.cluster(config["cluster"])
+    def check(self, ctx: CheckContext, outcome, job):
+        cluster = ctx.testbed.cluster(outcome.config["cluster"])
         # Homogeneity of the description itself (no hardware needed).
         reference = cluster.nodes[0]
         for node in cluster.nodes[1:]:
@@ -39,19 +38,8 @@ class RefapiCheck(CheckFamily):
                 outcome.findings.append(Finding(
                     None, node.uid,
                     "description not homogeneous with the rest of the cluster"))
-        job = yield from self.reserve(
-            ctx, f"cluster='{cluster.uid}'/nodes=1,walltime=0:30")
-        if job is None:
-            outcome.resources_blocked = True
-            outcome.passed = False
-            return outcome
-        try:
-            yield ctx.sim.timeout(120.0)  # acquisition pass on the node
-            outcome.findings.extend(self.g5k_checks_findings(ctx, job.assigned_nodes[0]))
-        finally:
-            self.release(ctx, job)
-        outcome.passed = not outcome.findings
-        return outcome
+        yield ctx.sim.timeout(120.0)  # acquisition pass on the node
+        outcome.findings.extend(self.g5k_checks_findings(ctx, job.assigned_nodes[0]))
 
 
 class OarPropertiesCheck(CheckFamily):
@@ -59,14 +47,12 @@ class OarPropertiesCheck(CheckFamily):
 
     name = "oarproperties"
     kind = "software"
-    walltime_s = 600.0
 
     def configurations(self, testbed) -> list[dict[str, Any]]:
         return [{"cluster": c.uid} for c in testbed.iter_clusters()]
 
-    def run(self, ctx: CheckContext, config: dict[str, Any]):
-        outcome = self._outcome(config)
-        cluster = ctx.testbed.cluster(config["cluster"])
+    def check(self, ctx: CheckContext, outcome, job):
+        cluster = ctx.testbed.cluster(outcome.config["cluster"])
         yield ctx.sim.timeout(30.0)  # one SQL pass over the cluster's rows
         for node in cluster.nodes:
             served = ctx.oardb.properties(node.uid)
@@ -76,8 +62,6 @@ class OarPropertiesCheck(CheckFamily):
                 outcome.findings.append(Finding(
                     FaultKind.OAR_PROPERTY_DRIFT, node.uid,
                     f"OAR properties diverge from Reference API: {sorted(wrong)}"))
-        outcome.passed = not outcome.findings
-        return outcome
 
 
 class DellBiosCheck(CheckFamily):
@@ -85,14 +69,12 @@ class DellBiosCheck(CheckFamily):
 
     name = "dellbios"
     kind = "software"
-    walltime_s = 600.0
 
     def configurations(self, testbed) -> list[dict[str, Any]]:
         return [{"cluster": c.uid} for c in testbed.iter_clusters() if c.is_dell]
 
-    def run(self, ctx: CheckContext, config: dict[str, Any]):
-        outcome = self._outcome(config)
-        cluster = ctx.testbed.cluster(config["cluster"])
+    def check(self, ctx: CheckContext, outcome, job):
+        cluster = ctx.testbed.cluster(outcome.config["cluster"])
         yield ctx.sim.timeout(3.0 * cluster.node_count)  # one BMC query per node
         versions: dict[str, list[str]] = {}
         for node in cluster.nodes:
@@ -111,5 +93,3 @@ class DellBiosCheck(CheckFamily):
                 outcome.findings.append(Finding(
                     FaultKind.BIOS_VERSION_SKEW, cluster.uid,
                     f"BIOS {version} does not match documented {documented}"))
-        outcome.passed = not outcome.findings
-        return outcome

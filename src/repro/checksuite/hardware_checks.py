@@ -29,39 +29,26 @@ class MpigraphCheck(CheckFamily):
         return [{"cluster": c.uid} for c in testbed.iter_clusters()
                 if c.has_infiniband]
 
-    def run(self, ctx: CheckContext, config: dict[str, Any]):
-        outcome = self._outcome(config)
-        cluster = config["cluster"]
-        job = yield from self.reserve(
-            ctx, f"cluster='{cluster}'/nodes=2,walltime=0:30")
-        if job is None:
-            outcome.resources_blocked = True
-            outcome.passed = False
-            return outcome
-        try:
-            yield ctx.sim.timeout(60.0)  # MPI setup
-            usable = []
-            for uid in job.assigned_nodes:
-                ib = ctx.machines[uid].actual.infiniband
-                if ib is None or not ib.stack_ok:
-                    outcome.findings.append(Finding(
-                        FaultKind.IB_OFED_FAILURE, uid,
-                        "OFED stack down: MPI fails to start over Infiniband"))
-                else:
-                    usable.append(uid)
-            if len(usable) == 2:
-                yield ctx.sim.timeout(300.0)  # the bandwidth mesh itself
-                rate = min(ctx.machines[u].actual.infiniband.rate_gbps
-                           for u in usable)
-                documented = ctx.refapi.node(usable[0]).infiniband.rate_gbps
-                if rate < documented:
-                    outcome.findings.append(Finding(
-                        FaultKind.IB_OFED_FAILURE, usable[0],
-                        f"IB bandwidth {rate} Gbps below documented {documented}"))
-        finally:
-            self.release(ctx, job)
-        outcome.passed = not outcome.findings
-        return outcome
+    def check(self, ctx: CheckContext, outcome, job):
+        yield ctx.sim.timeout(60.0)  # MPI setup
+        usable = []
+        for uid in job.assigned_nodes:
+            ib = ctx.machines[uid].actual.infiniband
+            if ib is None or not ib.stack_ok:
+                outcome.findings.append(Finding(
+                    FaultKind.IB_OFED_FAILURE, uid,
+                    "OFED stack down: MPI fails to start over Infiniband"))
+            else:
+                usable.append(uid)
+        if len(usable) == 2:
+            yield ctx.sim.timeout(300.0)  # the bandwidth mesh itself
+            rate = min(ctx.machines[u].actual.infiniband.rate_gbps
+                       for u in usable)
+            documented = ctx.refapi.node(usable[0]).infiniband.rate_gbps
+            if rate < documented:
+                outcome.findings.append(Finding(
+                    FaultKind.IB_OFED_FAILURE, usable[0],
+                    f"IB bandwidth {rate} Gbps below documented {documented}"))
 
 
 class DiskCheck(CheckFamily):
@@ -81,38 +68,26 @@ class DiskCheck(CheckFamily):
         return [{"cluster": c.uid} for c in testbed.iter_clusters()
                 if c.disk_testable]
 
-    def run(self, ctx: CheckContext, config: dict[str, Any]):
-        outcome = self._outcome(config)
-        cluster = config["cluster"]
-        job = yield from self.reserve(
-            ctx, f"cluster='{cluster}'/nodes=1,walltime=1")
-        if job is None:
-            outcome.resources_blocked = True
-            outcome.passed = False
-            return outcome
-        try:
-            uid = job.assigned_nodes[0]
-            machine = ctx.machines[uid]
-            desc = ctx.refapi.node(uid)
-            for disk_desc in desc.disks:
-                expected = self._expected_mbps(disk_desc)
-                measured = machine.disk_bandwidth_mbps(disk_desc.device)
-                yield ctx.sim.timeout(
-                    self.volume_mb / max(measured, 20.0) + 10.0)
-                findings = self._classify(machine, uid, cluster, disk_desc,
-                                          measured, expected)
-                # The per-drive performance measurement is a safety net for
-                # causes the configuration comparison cannot explain.
-                if not findings and measured < expected * self.tolerance:
-                    findings.append(Finding(
-                        None, uid,
-                        f"{disk_desc.device}: {measured:.0f} MB/s below "
-                        f"expected {expected:.0f} MB/s, cause unknown"))
-                outcome.findings.extend(findings)
-        finally:
-            self.release(ctx, job)
-        outcome.passed = not outcome.findings
-        return outcome
+    def check(self, ctx: CheckContext, outcome, job):
+        cluster = outcome.config["cluster"]
+        uid = job.assigned_nodes[0]
+        machine = ctx.machines[uid]
+        desc = ctx.refapi.node(uid)
+        for disk_desc in desc.disks:
+            expected = self._expected_mbps(disk_desc)
+            measured = machine.disk_bandwidth_mbps(disk_desc.device)
+            yield ctx.sim.timeout(
+                self.volume_mb / max(measured, 20.0) + 10.0)
+            findings = self._classify(machine, uid, cluster, disk_desc,
+                                      measured, expected)
+            # The per-drive performance measurement is a safety net for
+            # causes the configuration comparison cannot explain.
+            if not findings and measured < expected * self.tolerance:
+                findings.append(Finding(
+                    None, uid,
+                    f"{disk_desc.device}: {measured:.0f} MB/s below "
+                    f"expected {expected:.0f} MB/s, cause unknown"))
+            outcome.findings.extend(findings)
 
     @staticmethod
     def _expected_mbps(disk_desc) -> float:

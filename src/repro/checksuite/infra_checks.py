@@ -19,22 +19,18 @@ class ConsoleCheck(CheckFamily):
 
     name = "console"
     kind = "software"
-    walltime_s = 600.0
 
     def configurations(self, testbed) -> list[dict[str, Any]]:
         return [{"cluster": c.uid} for c in testbed.iter_clusters()]
 
-    def run(self, ctx: CheckContext, config: dict[str, Any]):
-        outcome = self._outcome(config)
-        cluster = ctx.testbed.cluster(config["cluster"])
+    def check(self, ctx: CheckContext, outcome, job):
+        cluster = ctx.testbed.cluster(outcome.config["cluster"])
         yield ctx.sim.timeout(2.0 * cluster.node_count)
         for node in cluster.nodes:
             if not ctx.machines[node.uid].actual.console_ok:
                 outcome.findings.append(Finding(
                     FaultKind.CONSOLE_BROKEN, node.uid,
                     "no output on the serial console"))
-        outcome.passed = not outcome.findings
-        return outcome
 
 
 class KavlanCheck(CheckFamily):
@@ -49,17 +45,10 @@ class KavlanCheck(CheckFamily):
     def configurations(self, testbed) -> list[dict[str, Any]]:
         return [{"site": s.uid} for s in testbed.sites]
 
-    def run(self, ctx: CheckContext, config: dict[str, Any]):
-        outcome = self._outcome(config)
-        site = config["site"]
-        job = yield from self.reserve(ctx, f"site='{site}'/nodes=2,walltime=0:30")
-        if job is None:
-            outcome.resources_blocked = True
-            outcome.passed = False
-            return outcome
-        vlan = None
+    def check(self, ctx: CheckContext, outcome, job):
+        site = outcome.config["site"]
+        vlan = ctx.kavlan.allocate(VlanType.LOCAL, site)
         try:
-            vlan = ctx.kavlan.allocate(VlanType.LOCAL, site)
             members = job.assigned_nodes
             yield ctx.sim.process(ctx.kavlan.set_nodes(vlan, members))
             probe = self._pick_probe(ctx, site, set(members))
@@ -77,11 +66,7 @@ class KavlanCheck(CheckFamily):
                     FaultKind.KAVLAN_MISCONFIG, site,
                     "VLAN members cannot reach each other"))
         finally:
-            if vlan is not None:
-                yield ctx.sim.process(ctx.kavlan.release(vlan))
-            self.release(ctx, job)
-        outcome.passed = not outcome.findings
-        return outcome
+            yield ctx.sim.process(ctx.kavlan.release(vlan))
 
     @staticmethod
     def _pick_probe(ctx: CheckContext, site: str, exclude: set[str]):
@@ -106,34 +91,23 @@ class KwapiCheck(CheckFamily):
     def configurations(self, testbed) -> list[dict[str, Any]]:
         return [{"site": s.uid} for s in testbed.sites]
 
-    def run(self, ctx: CheckContext, config: dict[str, Any]):
-        outcome = self._outcome(config)
-        site = config["site"]
-        job = yield from self.reserve(ctx, f"site='{site}'/nodes=2,walltime=0:30")
-        if job is None:
-            outcome.resources_blocked = True
-            outcome.passed = False
-            return outcome
-        try:
-            for uid in job.assigned_nodes:
-                machine = ctx.machines[uid]
-                machine.cpu_load = 0.0
-                yield ctx.sim.timeout(30.0)
-                idle = ctx.kwapi.node_power_watts(uid)
-                machine.cpu_load = 1.0
-                yield ctx.sim.timeout(30.0)
-                busy = ctx.kwapi.node_power_watts(uid)
-                machine.cpu_load = 0.75  # back to allocated-job load
-                if idle is None or busy is None:
-                    outcome.findings.append(Finding(
-                        FaultKind.KWAPI_DOWN, site,
-                        f"no power measurement for {uid}"))
-                elif busy - idle < self.min_delta_w:
-                    outcome.findings.append(Finding(
-                        FaultKind.PDU_CABLE_SWAP, machine.cluster_uid,
-                        f"{uid}: power did not follow load "
-                        f"(idle {idle:.0f}W, busy {busy:.0f}W) — wiring?"))
-        finally:
-            self.release(ctx, job)
-        outcome.passed = not outcome.findings
-        return outcome
+    def check(self, ctx: CheckContext, outcome, job):
+        site = outcome.config["site"]
+        for uid in job.assigned_nodes:
+            machine = ctx.machines[uid]
+            machine.cpu_load = 0.0
+            yield ctx.sim.timeout(30.0)
+            idle = ctx.kwapi.node_power_watts(uid)
+            machine.cpu_load = 1.0
+            yield ctx.sim.timeout(30.0)
+            busy = ctx.kwapi.node_power_watts(uid)
+            machine.cpu_load = 0.75  # back to allocated-job load
+            if idle is None or busy is None:
+                outcome.findings.append(Finding(
+                    FaultKind.KWAPI_DOWN, site,
+                    f"no power measurement for {uid}"))
+            elif busy - idle < self.min_delta_w:
+                outcome.findings.append(Finding(
+                    FaultKind.PDU_CABLE_SWAP, machine.cluster_uid,
+                    f"{uid}: power did not follow load "
+                    f"(idle {idle:.0f}W, busy {busy:.0f}W) — wiring?"))

@@ -19,23 +19,19 @@ class OarStateCheck(CheckFamily):
 
     name = "oarstate"
     kind = "software"
-    walltime_s = 600.0
 
     def configurations(self, testbed) -> list[dict[str, Any]]:
         return [{"site": s.uid} for s in testbed.sites]
 
-    def run(self, ctx: CheckContext, config: dict[str, Any]):
-        outcome = self._outcome(config)
+    def check(self, ctx: CheckContext, outcome, job):
         yield ctx.sim.timeout(20.0)  # oarnodes query
-        for cluster in ctx.testbed.site(config["site"]).clusters:
+        for cluster in ctx.testbed.site(outcome.config["site"]).clusters:
             for node in cluster.nodes:
                 state = ctx.oar.node_state(node.uid)
                 if state == "Suspected":
                     outcome.findings.append(Finding(
                         FaultKind.RANDOM_REBOOTS, node.uid,
                         "node is Suspected (crashed and not recovered)"))
-        outcome.passed = not outcome.findings
-        return outcome
 
 
 class CmdlineCheck(CheckFamily):
@@ -43,15 +39,13 @@ class CmdlineCheck(CheckFamily):
 
     name = "cmdline"
     kind = "software"
-    walltime_s = 600.0
     invocations = 5
 
     def configurations(self, testbed) -> list[dict[str, Any]]:
         return [{"site": s.uid} for s in testbed.sites]
 
-    def run(self, ctx: CheckContext, config: dict[str, Any]):
-        outcome = self._outcome(config)
-        site = config["site"]
+    def check(self, ctx: CheckContext, outcome, job):
+        site = outcome.config["site"]
         rng = ctx.rng(self.name)
         failures = 0
         for i in range(self.invocations):
@@ -63,8 +57,6 @@ class CmdlineCheck(CheckFamily):
             outcome.findings.append(Finding(
                 FaultKind.CMDLINE_BROKEN, site,
                 f"{failures}/{self.invocations} tool invocations failed"))
-        outcome.passed = not outcome.findings
-        return outcome
 
 
 class SidApiCheck(CheckFamily):
@@ -72,15 +64,13 @@ class SidApiCheck(CheckFamily):
 
     name = "sidapi"
     kind = "software"
-    walltime_s = 600.0
     calls = 10
 
     def configurations(self, testbed) -> list[dict[str, Any]]:
         return [{"site": s.uid} for s in testbed.sites]
 
-    def run(self, ctx: CheckContext, config: dict[str, Any]):
-        outcome = self._outcome(config)
-        site = config["site"]
+    def check(self, ctx: CheckContext, outcome, job):
+        site = outcome.config["site"]
         rng = ctx.rng(self.name)
         failures = 0
         for i in range(self.calls):
@@ -92,5 +82,3 @@ class SidApiCheck(CheckFamily):
             outcome.findings.append(Finding(
                 FaultKind.API_FLAKY, site,
                 f"{failures}/{self.calls} REST API calls failed"))
-        outcome.passed = not outcome.findings
-        return outcome

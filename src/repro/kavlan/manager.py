@@ -119,14 +119,12 @@ class KavlanManager:
             yield self.sim.timeout(RECONFIG_S_PER_SWITCH * len(switches))
         vlan.requested = target
         broken = self.services.kavlan_broken
-        actually_applied = set()
         for uid in moved:
             site = self.topology.site_of(uid)
             if site in broken:
                 continue  # silently lost: node stays where it was
             if uid in target:
                 self._membership[uid] = vlan
-                actually_applied.add(uid)
             elif self._membership.get(uid) is vlan:
                 del self._membership[uid]
         vlan.applied = {u for u in target

@@ -523,17 +523,16 @@ class OarServer:
         self.grow_events += 1
         self._reschedule_finish(job)
 
-    def shrink(self, job: Job, k: int, prefer: int = 0,
-               replan: bool = True) -> int:
+    def shrink(self, job: Job, k: int, prefer: int = 0) -> int:
         """Reclaim ``k`` nodes from a running malleable job, effective now.
 
         Refuses to shrink below the request's ``min_nodes``.  Nodes leave
         the allocation tail first (grown nodes before original ones),
         those in the ``prefer`` mask before any other (the
         steal-agreement policy frees nodes a queued job can actually
-        use).  Freed reservations are truncated at now, and with
-        ``replan=True`` future reservations touching them are immediately
-        re-placed so queued work pulls forward.  Returns the freed mask.
+        use).  Freed reservations are truncated at now.  Returns the
+        freed mask; nothing is re-placed here, so the caller passes it to
+        :meth:`replan_now` for queued work to pull forward.
         """
         self._check_resizable(job, "shrink")
         if k <= 0:
@@ -562,8 +561,6 @@ class OarServer:
         self.shrink_events += 1
         self._reschedule_finish(job)
         self._dirty_nodes |= freed
-        if replan:
-            self.replan_now(freed)
         return freed
 
     def evict_dead_nodes(self, job: Job) -> bool:

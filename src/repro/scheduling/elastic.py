@@ -124,7 +124,7 @@ class CommonPoolStrategy(DefaultStrategy):
         for job in _running_malleable(oar):
             extra = job.width - job.request.parts[0].count
             if extra > 0:
-                freed |= oar.shrink(job, extra, replan=False)
+                freed |= oar.shrink(job, extra)
         return freed
 
     def _negotiate(self, oar: "OarServer", queued: list["Job"]) -> int:
@@ -229,7 +229,7 @@ class StealAgreementStrategy(CommonPoolStrategy):
                            (dmask & usable).bit_count())
                 if not give:
                     continue
-                gone = oar.shrink(donor, give, prefer=usable, replan=False)
+                gone = oar.shrink(donor, give, prefer=usable)
                 entry[1:] = room - give, dmask & ~gone
                 freed |= gone
                 claimed |= gone

@@ -420,8 +420,7 @@ class Resource:
     ``request()`` returns an event that succeeds once a slot is available;
     the holder must call ``release(request)`` exactly once.  The request
     event is the grant token: the resource tracks exactly which requests
-    hold slots, so double releases are a loud error and :meth:`cancel` is
-    safe to call regardless of whether the holder already released.
+    hold slots, so a double release is a loud error.
     """
 
     __slots__ = ("sim", "capacity", "in_use", "_waiters", "_granted")
@@ -458,14 +457,13 @@ class Resource:
         the next waiter).
 
         The release is checked against grant state: releasing a request
-        that holds no slot (double release, a still-queued request, or a
-        request that was cancelled) raises instead of corrupting the
-        capacity accounting.
+        that holds no slot (a double release or a still-queued request)
+        raises instead of corrupting the capacity accounting.
         """
         if request_event not in self._granted:
             raise SimulationError(
                 "release() of a request that holds no slot "
-                "(double release or cancelled request?)")
+                "(double release or still queued?)")
         self._granted.discard(request_event)
         if self._waiters:
             ev = self._waiters.popleft()
@@ -473,16 +471,6 @@ class Resource:
             ev.succeed(self)  # slot handed over directly
         else:
             self.in_use -= 1
-
-    def cancel(self, request_event: Event) -> None:
-        """Withdraw a request: un-queue it, or release the slot if it was
-        granted and not yet released.  Idempotent — cancelling a request
-        whose holder already released (or cancelling twice) is a no-op
-        rather than a phantom release that would inflate capacity."""
-        if request_event in self._waiters:
-            self._waiters.remove(request_event)
-        elif request_event in self._granted:
-            self.release(request_event)
 
 
 class Simulator:
@@ -581,34 +569,6 @@ class Simulator:
 
     # -- execution ------------------------------------------------------------
 
-    def step(self) -> bool:
-        """Execute the next scheduled callback.  Returns False if none left.
-
-        Lazily-cancelled entries are discarded in passing — they never
-        count as a step, run nothing and leave the clock untouched (the
-        clock only advances to times at which something actually runs).
-        """
-        queue = self._queue
-        heap = self._heap
-        cancelled = self._cancelled
-        while True:
-            if queue and not (heap and heap[0][0] <= self._now):
-                _seq, fn, args = queue.popleft()
-                fn(*args)
-                return True
-            if not heap:
-                return False
-            when, seq, fn, args = heapq.heappop(heap)
-            if when < self._now:
-                raise SimulationError(
-                    "event heap corrupted: time went backwards")
-            if cancelled and seq in cancelled:
-                cancelled.discard(seq)  # dead entry: skip without running
-                continue
-            self._now = when
-            fn(*args)
-            return True
-
     def run(self, until: Optional[float] = None) -> float:
         """Run until the schedule drains or simulated time reaches ``until``.
 
@@ -617,7 +577,7 @@ class Simulator:
         if the last event fired earlier.
         """
         # The hottest loop in the codebase: the heap/queue pop-and-dispatch
-        # is inlined here (one step() call per event costs ~15 % throughput)
+        # is inlined here (a method call per event costs ~15 % throughput)
         # and structured around the instant-queue invariant: dispatching
         # can only append *future* heap entries or *current-instant* queue
         # entries, and every heap entry at the current instant predates
@@ -670,9 +630,3 @@ class Simulator:
                 continue
             self._now = when
             fn(*args)
-
-    def peek(self) -> float:
-        """Time of the next scheduled callback, or ``inf`` if none."""
-        if self._queue:
-            return self._now
-        return self._heap[0][0] if self._heap else float("inf")

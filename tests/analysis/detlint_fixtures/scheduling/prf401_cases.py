@@ -165,12 +165,12 @@ class ReplanPerAgreementScheduler:
         for job in queued:
             freed = 0
             for donor, room, dmask in donors:
-                freed |= oar.shrink(donor, room, replan=False)
+                freed |= oar.shrink(donor, room)
             oar.replan_now(freed)  # EXPECT(PRF401)
 
     def _reclaim(self, oar, running):
         for job in running:
-            oar.replan_now(oar.shrink(job, 1, replan=False))  # EXPECT(PRF401)
+            oar.replan_now(oar.shrink(job, 1))  # EXPECT(PRF401)
 
     def elastic_tick(self, oar):
         while self.pressure(oar):
@@ -185,7 +185,7 @@ class ReplanOncePerTickScheduler:
         freed = 0
         for job in queued:
             for entry in donors:
-                freed |= oar.shrink(entry[0], entry[1], replan=False)
+                freed |= oar.shrink(entry[0], entry[1])
         return freed
 
     def elastic_tick(self, oar):

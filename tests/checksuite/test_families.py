@@ -3,8 +3,9 @@ its fault kinds on a broken one."""
 
 import pytest
 
-from repro.checksuite import family_by_name
+from repro.checksuite import ALL_FAMILIES, family_by_name
 from repro.faults import FaultKind
+from repro.scheduling import PerNodeVariant
 
 
 
@@ -206,3 +207,65 @@ def test_blocked_resources_reported(world, run_family):
     outcome = run_family(world, family_by_name("stdenv"), {"cluster": "taurus"})
     assert outcome.resources_blocked
     assert not outcome.passed
+
+
+# -- the one reservation lifecycle, family by family ---------------------------
+
+
+def _family(name):
+    if name.endswith("-pernode"):
+        return PerNodeVariant(family_by_name(name[:-len("-pernode")]))
+    return family_by_name(name)
+
+
+def _target_nodes(world, config):
+    if "cluster" in config:
+        clusters = [world.testbed.cluster(config["cluster"])]
+    else:
+        clusters = world.testbed.site(config["site"]).clusters
+    return [n.uid for c in clusters for n in c.nodes]
+
+
+def _test_jobs(world):
+    return [j for j in world.oar.jobs.values() if j.user == "testframework"]
+
+
+@pytest.mark.parametrize(
+    "name", [f.name for f in ALL_FAMILIES] + ["multireboot-pernode"])
+def test_reservation_lifecycle(world, run_family, name):
+    """Free target: a reserving family submits one immediate job for
+    ``nodes_needed`` nodes (ALL: every alive node of the target) and
+    ``walltime_s``; an out-of-band family submits nothing.  Target held
+    whole by a user job: a reserving family gets the blocked outcome."""
+    family = _family(name)
+    config = family.configurations(world.testbed)[0]
+    target = _target_nodes(world, config)
+    outcome = run_family(world, family, dict(config))
+    assert not outcome.resources_blocked
+    jobs = _test_jobs(world)
+    if not family.nodes_needed:
+        assert jobs == []
+    else:
+        (job,) = jobs
+        assert job.immediate
+        assert job.request.walltime_s == family.walltime_s
+        if family.nodes_needed == "ALL":
+            alive = [u for u in target if world.machines[u].available]
+            assert sorted(job.assigned_nodes) == sorted(alive)
+        else:
+            assert len(job.assigned_nodes) == family.nodes_needed
+            assert set(job.assigned_nodes) <= set(target)
+        if "node" in outcome.config:
+            assert job.assigned_nodes == [outcome.config["node"]]
+
+    key = "cluster" if "cluster" in config else "site"
+    world.oar.submit(f"{key}='{config[key]}'/nodes=ALL,walltime=12",
+                     auto_duration=None)
+    world.sim.run(until=world.sim.now + 1.0)
+    blocked = run_family(world, family, dict(config))
+    if family.nodes_needed:
+        assert blocked.resources_blocked and not blocked.passed
+        assert len(_test_jobs(world)) == 2  # the refused one was cancelled
+    else:
+        assert not blocked.resources_blocked
+        assert _test_jobs(world) == []

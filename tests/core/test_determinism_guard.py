@@ -32,6 +32,11 @@ new, with every other field byte-identical (``jobs_completed`` too):
 ``last_month_success`` and the one ``weekly_success_rates`` entry
 0.94505 -> 0.94565.  The other five rows did not move.
 
+The ``pernode`` row (``tiny-smoke`` derived with ``pernode=True``) pins
+:class:`~repro.scheduling.pernode.PerNodeVariant`, which no row covered
+before.  It was recorded before the reservation lifecycle of every test
+family moved into ``CheckFamily.run`` and passed unchanged after it.
+
 If this test fails, a change altered simulation *behaviour*, not just
 performance.  That can be a legitimate semantic change — in which case
 regenerate the goldens (see the command in ``_regenerate``) and say so in
@@ -43,25 +48,28 @@ import json
 
 from repro import run_scenario, scenarios
 
-#: (preset, strategy, seed, months) -> sha256 of the canonical report JSON.
+#: (preset, strategy, pernode, seed, months) -> sha256 of the canonical
+#: report JSON.
 GOLDEN_REPORT_HASHES = {
-    ("tiny-smoke", "default", 0, 0.35):
+    ("tiny-smoke", "default", False, 0, 0.35):
         "9bdda769fd2724d5735a3b42d3d3ef6ac74627fa7b5201f01c01435b3e13b426",
-    ("tiny-smoke", "default", 7, 0.35):
+    ("tiny-smoke", "default", False, 7, 0.35):
         "5171b73dc13519040f6fff3b3523b955a3e3694d543f3c661204f3a232b4ac23",
-    ("trace-replay", "default", 0, 0.12):
+    ("trace-replay", "default", False, 0, 0.12):
         "3b7fb0c6401f465217e2ee5e0a1228f52b1e5f6e37f12878365e9b83257e7581",
-    ("bursty-replay", "default", 0, 0.12):
+    ("bursty-replay", "default", False, 0, 0.12):
         "860f0f8d257ea576cf44d51b9933df1903880fad2c3e2a7f60e976ce4c4026f6",
-    ("elastic-burst", "common-pool", 0, 0.02):
+    ("elastic-burst", "common-pool", False, 0, 0.02):
         "32ece6b0b629ee4cd1190d32c25d2e29d8a2e03d006684f94b8277d05ed76a91",
-    ("elastic-burst", "steal-agreement", 0, 0.02):
+    ("elastic-burst", "steal-agreement", False, 0, 0.02):
         "3d05a386a847aab72470cf32230b2ff9fed5e31c9d9e693ffc78855d41f13e70",
+    ("tiny-smoke", "default", True, 0, 0.35):
+        "488c1d6f2ecb0dc1cd2814b81fc252fb68dc2dfdfeb73abcfdc406783d3c1986",
 }
 
 
-def _run(name, strategy, seed, months):
-    spec = scenarios.get(name).derive(strategy=strategy)
+def _run(name, strategy, pernode, seed, months):
+    spec = scenarios.get(name).derive(strategy=strategy, pernode=pernode)
     return run_scenario(spec, seed=seed, months=months)
 
 
@@ -84,11 +92,13 @@ from test_determinism_guard import _regenerate; _regenerate()"
 
 
 def test_reports_match_pre_fast_path_goldens():
-    for (name, strategy, seed, months), want in GOLDEN_REPORT_HASHES.items():
-        _, report = _run(name, strategy, seed, months)
+    for key, want in GOLDEN_REPORT_HASHES.items():
+        name, strategy, pernode, seed, months = key
+        _, report = _run(*key)
         got = report_hash(report)
         assert got == want, (
-            f"{name}/{strategy} @ seed {seed} ({months} months) drifted from the "
+            f"{name}/{strategy} (pernode={pernode}) @ seed {seed} "
+            f"({months} months) drifted from the "
             f"golden report: {got} != {want} — simulation behaviour "
             "changed, not just speed")
 

@@ -69,6 +69,7 @@ def test_shrink_pushes_finish_out_and_frees_nodes(world):
                            auto_duration=2 * HOUR)
     sim.run(until=HOUR)
     freed = oar.shrink(job, 2)
+    oar.replan_now(freed)
     assert freed.bit_count() == 2 and job.width == 2
     assert job.shrink_count == 1
     sim.run()
@@ -133,7 +134,7 @@ def test_shrink_outlives_stale_finish_timer(world):
     job = _start_malleable(sim, oar, lo=1, pref=4, hi=4, walltime="8",
                            auto_duration=HOUR)  # original finish at 1h
     sim.run(until=0.5 * HOUR)
-    oar.shrink(job, 3)  # 2 node-hours left on 1 node: finish at 2.5h
+    oar.replan_now(oar.shrink(job, 3))  # 2 node-hours left on 1 node: 2.5h
     sim.run(until=HOUR + 60.0)  # past the stale timer
     assert job.state == JobState.RUNNING
     sim.run()
@@ -210,6 +211,7 @@ def test_shrink_truncates_reservation_so_node_is_reusable_now(world):
     sim.run(until=HOUR)
     now = sim.now
     freed = oar.shrink(job, 1)
+    oar.replan_now(freed)
     assert freed.bit_count() == 1
     gantt = oar.gantt
     assert gantt.profile_free_mask(freed, now, deadline) == freed
@@ -251,7 +253,7 @@ def test_resize_accounting_matches_alloc_integral(world):
     sim.run(until=HOUR)
     oar.grow(job, _first(oar.grow_candidates(job), 2))  # 2 -> 4 nodes
     sim.run(until=1.25 * HOUR)
-    oar.shrink(job, 3)  # 4 -> 1 node
+    oar.replan_now(oar.shrink(job, 3))  # 4 -> 1 node
     sim.run(until=1.5 * HOUR)
     # 2 nodes * 1h + 4 nodes * 0.25h + 1 node * 0.25h
     want = 2 * HOUR + 4 * 0.25 * HOUR + 1 * 0.25 * HOUR

@@ -136,7 +136,7 @@ def test_running_index_equals_fresh_scan(ops, seed):
         elif kind == "shrink":
             job = _pick(running, op[1])
             if job is not None and job.width > job.min_nodes:
-                oar.shrink(job, 1)
+                oar.replan_now(oar.shrink(job, 1))
         else:
             sim.run(until=sim.now + op[1])
         assert oar.running_jobs() == _scanned(oar)

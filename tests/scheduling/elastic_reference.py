@@ -83,7 +83,7 @@ def negotiate(strategy, oar, queued):
         if offered < deficit:
             continue
         for donor, uids in offers:
-            gone = oar.shrink(donor, len(uids), prefer=usable, replan=False)
+            gone = oar.shrink(donor, len(uids), prefer=usable)
             # Shrink's tail-first walk restricted to ``usable`` frees
             # exactly the newest-first givable uids.
             assert gone == gantt.mask_for(uids), (donor.job_id, uids)

@@ -68,13 +68,6 @@ def test_run_until_executes_boundary_events():
     assert seen == ["x"]
 
 
-def test_peek_reports_next_event_time():
-    sim = Simulator()
-    assert sim.peek() == float("inf")
-    sim.call_in(7.0, lambda: None)
-    assert sim.peek() == 7.0
-
-
 def test_process_timeout_sequence():
     sim = Simulator()
     trace = []
@@ -398,33 +391,6 @@ def test_resource_release_without_request_raises():
         res.release(queued)
 
 
-def test_resource_cancel_after_release_is_noop():
-    # Regression: cancel() used to call release() for any triggered
-    # request, so cancelling a request whose holder already released
-    # handed out a phantom slot and permanently inflated capacity.
-    sim = Simulator()
-    res = sim.resource(capacity=1)
-    req = res.request()
-    assert res.in_use == 1
-    res.release(req)
-    assert res.in_use == 0
-    res.cancel(req)  # holder already gave the slot back: must be a no-op
-    assert res.in_use == 0
-    assert res.available == 1
-    # capacity is not inflated: two holders still serialize
-    a, b = res.request(), res.request()
-    assert a.triggered and not b.triggered
-
-
-def test_resource_cancel_is_idempotent():
-    sim = Simulator()
-    res = sim.resource(capacity=1)
-    req = res.request()
-    res.cancel(req)
-    res.cancel(req)
-    assert res.in_use == 0 and res.available == 1
-
-
 def test_resource_double_release_with_request_raises():
     sim = Simulator()
     res = sim.resource(capacity=2)
@@ -432,35 +398,6 @@ def test_resource_double_release_with_request_raises():
     res.release(req)
     with pytest.raises(SimulationError):
         res.release(req)
-    # and releasing a cancelled request is equally loud
-    other = res.request()
-    res.cancel(other)
-    with pytest.raises(SimulationError):
-        res.release(other)
-
-
-def test_resource_cancel_queued_request():
-    sim = Simulator()
-    res = sim.resource(capacity=1)
-    holder = res.request()
-    queued = res.request()
-    assert res.queue_length == 1
-    res.cancel(queued)  # just un-queues; the slot is untouched
-    assert res.queue_length == 0
-    assert res.in_use == 1
-    res.release(holder)
-    assert res.available == 1
-
-
-def test_resource_cancel_granted_hands_slot_to_waiter():
-    sim = Simulator()
-    res = sim.resource(capacity=1)
-    holder = res.request()
-    waiter = res.request()
-    res.cancel(holder)  # granted but unused: slot goes to the waiter
-    sim.run()
-    assert waiter.triggered
-    assert res.in_use == 1
 
 
 def test_resource_counters():
@@ -645,25 +582,15 @@ def test_cancelled_and_live_timeouts_interleave_correctly():
     assert seen == list(range(1, 11))
 
 
-def test_peek_sees_instant_queue():
-    sim = Simulator()
-    ev = sim.event()
-    ev.succeed("now")  # schedules the (empty) callback delivery instantly
-    ev.add_callback(lambda e: None)
-    assert sim.peek() == sim.now
-    sim.run()
-    assert sim.peek() == float("inf")
-
-
-def test_step_drains_instant_entries_before_advancing():
+def test_run_until_drains_instant_entries_before_advancing():
     sim = Simulator()
     order = []
-    sim.call_in(0.0, order.append, "instant")
     sim.call_in(1.0, order.append, "future")
-    assert sim.step()
+    sim.call_in(0.0, order.append, "instant")
+    sim.run(until=0.0)
     assert order == ["instant"]
     assert sim.now == 0.0
-    assert sim.step()
+    sim.run(until=1.0)
     assert order == ["instant", "future"]
     assert sim.now == 1.0
 
