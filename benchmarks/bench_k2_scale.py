@@ -32,7 +32,7 @@ import time
 
 from repro.faults import ServiceHealth
 from repro.nodes import MachinePark
-from repro.oar import OarDatabase, OarServer
+from repro.oar import OarDatabase, OarServer, parse_request
 from repro.testbed import SITE_NAMES, ClusterSpec, ReferenceApi, build_grid5000
 from repro.util import RngStreams, Simulator
 
@@ -79,6 +79,9 @@ def _big_park(nodes: int):
 def _make_trace(jobs: int, nodes: int, clusters: int):
     """One deterministic contended trace: (arrival dt, request, duration).
 
+    Requests are parsed here, once, so the timed replay measures the
+    scheduler rather than the ``oarsub -l`` parser.
+
     70 % narrow cluster-scoped jobs, 30 % wide park-spanning jobs (the
     shape that made the linear sweep hurt: park-wide matching sets).  The
     arrival rate targets ~95 % of park capacity: contended enough that a
@@ -102,7 +105,7 @@ def _make_trace(jobs: int, nodes: int, clusters: int):
             req = f"cluster='k2c{cluster[j]}'/nodes={narrow[j]},walltime={wall_h}"
         else:
             req = f"nodes={wide[j]},walltime={wall_h}"
-        trace.append((float(gaps[j]), req, dur))
+        trace.append((float(gaps[j]), parse_request(req), dur))
     return trace
 
 

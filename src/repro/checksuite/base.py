@@ -29,7 +29,7 @@ from ..monitoring.probes import Kwapi
 from ..nodes.machine import MachinePark
 from ..oar.database import OarDatabase
 from ..oar.jobs import Job, JobState
-from ..oar.request import format_walltime
+from ..oar.request import Comparison, JobRequest, PropExpr, RequestPart
 from ..oar.server import OarServer
 from ..testbed.description import TestbedDescription
 from ..testbed.refapi import ReferenceApi
@@ -120,12 +120,12 @@ class CheckFamily:
         ``outcome``."""
         raise NotImplementedError
 
-    def target(self, ctx: CheckContext, outcome: TestOutcome) -> str:
+    def target(self, ctx: CheckContext, outcome: TestOutcome) -> PropExpr:
         """OAR property filter selecting the cell's candidate nodes."""
         config = outcome.config
         if "cluster" in config:
-            return f"cluster='{config['cluster']}'"
-        return f"site='{config['site']}'"
+            return Comparison("cluster", "=", config["cluster"])
+        return Comparison("site", "=", config["site"])
 
     def run(self, ctx: CheckContext,
             config: dict[str, Any]) -> Generator[Event, Any, TestOutcome]:
@@ -142,8 +142,9 @@ class CheckFamily:
         if not self.nodes_needed:
             yield from self.check(ctx, outcome, None)
         else:
-            request = (f"{self.target(ctx, outcome)}/nodes={self.nodes_needed}"
-                       f",walltime={format_walltime(self.walltime_s)}")
+            request = JobRequest(
+                (RequestPart(self.target(ctx, outcome), self.nodes_needed),),
+                float(round(self.walltime_s)))
             job = ctx.oar.submit(request, user="testframework", immediate=True)
             if job.state == JobState.CANCELLED:
                 outcome.resources_blocked = True

@@ -30,7 +30,6 @@ equivalent AST — property-tested).
 from __future__ import annotations
 
 import re
-import threading
 from dataclasses import dataclass
 from typing import Any, Optional, Union
 
@@ -192,9 +191,11 @@ class RequestPart:
     @property
     def malleable(self) -> bool:
         """True when the width range is wider than a single point."""
-        return (isinstance(self.count, int)
-                and (self.min_nodes < self.count
-                     or self.max_nodes > self.count))
+        count = self.count
+        if not isinstance(count, int):
+            return False
+        return ((self.min_count is not None and self.min_count < count)
+                or (self.max_count is not None and self.max_count > count))
 
     def __str__(self) -> str:
         if self.malleable:
@@ -391,18 +392,18 @@ class _Parser:
         count = self._parse_count()
         if not self.at_range():
             return count, None, None
-        if count == ALL_NODES or first.kind != "number":
+        if not isinstance(count, int):
             raise ParseError("ALL cannot anchor an elastic width range",
                              self.text, first.pos)
         values = [count]
         while self.at_range():
             self.next()
-            tok = self.peek()
-            values.append(self._parse_count())
-            if values[-1] == ALL_NODES:
+            value = self._parse_count()
+            if not isinstance(value, int):
                 raise ParseError("ALL cannot appear in an elastic width "
                                  "range", self.text,
-                                 tok.pos if tok is not None else 0)
+                                 self.tokens[self.index - 1].pos)
+            values.append(value)
         if len(values) == 2:
             lo, hi = values
             preferred = lo
@@ -441,17 +442,28 @@ class _Parser:
         return JobRequest(parts, walltime_s)
 
     def _parse_time_value(self) -> float:
-        """``H``, ``H:MM`` or ``H:MM:SS`` (also fractional hours ``1.5``)."""
+        """``H``, ``H:MM`` or ``H:MM:SS`` (also fractional hours ``1.5``).
+
+        ``MM`` and ``SS`` are whole non-negative numbers, and the total
+        must be positive: a job with no time to run could never be placed.
+        """
         h = self.expect("number")
         if "." in h.text:
-            return float(h.text) * HOUR
-        seconds = int(h.text) * HOUR
-        for unit in (MINUTE, 1):
-            if not self.at_punct(":"):
-                break
-            self.next()
-            tok = self.expect("number")
-            seconds += int(tok.text) * unit
+            seconds = float(h.text) * HOUR
+        else:
+            seconds = int(h.text) * HOUR
+            for unit in (MINUTE, 1):
+                if not self.at_punct(":"):
+                    break
+                self.next()
+                tok = self.expect("number")
+                if not tok.text.isdigit():
+                    raise ParseError(f"invalid time field {tok.text!r}",
+                                     self.text, tok.pos)
+                seconds += int(tok.text) * unit
+        if seconds <= 0:
+            raise ParseError(f"walltime must be positive, got {seconds:g} s",
+                             self.text, h.pos)
         return float(seconds)
 
 
@@ -465,69 +477,11 @@ def parse_expression(text: str) -> PropExpr:
     return expr
 
 
-#: The trailing walltime clause the fast path splits a request at.
-_WALLTIME_CLAUSE = ",walltime="
-
-#: A walltime value exactly as the tokenizer reads one: fractional hours,
-#: or integer ``H[:MM[:SS]]``, with spaces allowed around every token.
-_TIME_VALUE_RE = re.compile(
-    r"\s*(?:(-?\d+\.\d+)|(-?\d+)(?:\s*:\s*(-?\d+)(?:\s*:\s*(-?\d+))?)?)\s*")
-
-#: Most part strings the memo keeps; past it the oldest entry goes.
-_PARTS_MEMO_MAX = 4096
-
-#: Request text before its walltime clause -> its parsed parts.  Parts are
-#: frozen and a pure function of that text, so sharing them is safe.
-_parts_memo: dict[str, tuple[RequestPart, ...]] = {}
-#: Serialises inserts and evictions: service sessions parse in threads.
-_parts_memo_lock = threading.Lock()
-
-
-def _time_value(match: re.Match[str]) -> float:
-    """:meth:`_Parser._parse_time_value` on a :data:`_TIME_VALUE_RE` match."""
-    fractional, hours, minutes, seconds = match.groups()
-    if fractional is not None:
-        return float(fractional) * HOUR
-    total = int(hours) * HOUR
-    if minutes is not None:
-        total += int(minutes) * MINUTE
-    if seconds is not None:
-        total += int(seconds)
-    return float(total)
-
-
 def parse_request(text: str) -> JobRequest:
     """Parse a full ``-l`` request string.
-
-    Jobs repeat a few request shapes with a different walltime each, so
-    the parts before a trailing ``,walltime=<time>`` clause are parsed once
-    and kept in a bounded memo; the walltime is read on every call.  Text
-    this split does not recognise, and every error, goes through the full
-    parser, so results and error messages do not depend on the memo.
 
     >>> req = parse_request("cluster='grisou'/nodes=2,walltime=2:30:00")
     >>> req.parts[0].count, req.walltime_s
     (2, 9000.0)
     """
-    head, clause, tail = text.rpartition(_WALLTIME_CLAUSE)
-    if clause:
-        match = _TIME_VALUE_RE.fullmatch(tail)
-        if match is None:
-            return _Parser(text).parse_request()
-        walltime_s = _time_value(match)
-    else:
-        head, walltime_s = text, HOUR
-    parts = _parts_memo.get(head)
-    if parts is None:
-        try:
-            parser = _Parser(head)
-            parts = parser.parse_parts()
-        except ParseError:
-            return _Parser(text).parse_request()
-        if parser.peek() is not None:
-            return _Parser(text).parse_request()
-        with _parts_memo_lock:
-            if len(_parts_memo) >= _PARTS_MEMO_MAX:
-                del _parts_memo[next(iter(_parts_memo))]
-            _parts_memo[head] = parts
-    return JobRequest(parts, walltime_s)
+    return _Parser(text).parse_request()

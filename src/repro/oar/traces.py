@@ -38,7 +38,7 @@ from typing import Optional, Union
 from ..util.errors import ParseError
 from ..util.serialization import iter_jsonl
 from .jobs import Job
-from .request import ALL_NODES, Comparison, JobRequest, format_walltime
+from .request import ALL_NODES, Comparison, JobRequest, RequestPart
 from .server import OarServer
 from .workload import WorkloadSource
 
@@ -589,7 +589,9 @@ class TraceReplayGenerator(WorkloadSource):
         elif self._total_nodes is not None:
             nodes = min(nodes, self._total_nodes)
         walltime = max(record.walltime_s, 1.0)
-        prefix = f"cluster='{cluster}'/" if cluster is not None else ""
+        expr = Comparison("cluster", "=", cluster) if cluster is not None else None
+        lo: Optional[int] = None
+        hi: Optional[int] = None
         if self.elastic_min_scale != 1.0 or self.elastic_max_scale != 1.0:
             cap = (self._cluster_sizes[cluster]
                    if cluster is not None and self._cluster_sizes
@@ -599,11 +601,9 @@ class TraceReplayGenerator(WorkloadSource):
             if cap is not None:
                 hi = min(hi, cap)
             hi = max(hi, nodes)
-            count = f"{lo}..{nodes}..{hi}" if lo < nodes or hi > nodes \
-                else str(nodes)
-        else:
-            count = str(nodes)
-        request = f"{prefix}nodes={count},walltime={format_walltime(walltime)}"
+            if not (lo < nodes or hi > nodes):
+                lo = hi = None  # degenerate range: plain rigid
+        request = JobRequest((RequestPart(expr, nodes, lo, hi),), float(round(walltime)))
         self.submitted += 1
         user = record.user or f"trace{self.submitted}"
         job = self.oar.submit(request, user=user,

@@ -29,6 +29,7 @@ from ..util.events import Process, Simulator
 from ..util.rng import RngStreams
 from ..util.simclock import HOUR, is_peak_hours, is_weekend
 from .jobs import Job
+from .request import Comparison, JobRequest, RequestPart
 from .server import OarServer
 
 __all__ = ["WorkloadConfig", "WorkloadSource", "WorkloadGenerator"]
@@ -108,7 +109,8 @@ class WorkloadGenerator(WorkloadSource):
         super().__init__(sim, oar)
         self.config = config
         self._rng = rng_streams.stream("workload")
-        self._clusters = [c.uid for c in testbed.iter_clusters()]
+        self._cluster_exprs = [Comparison("cluster", "=", c.uid)
+                               for c in testbed.iter_clusters()]
         self._cluster_sizes = np.array(
             [c.node_count for c in testbed.iter_clusters()], dtype=float
         )
@@ -154,7 +156,6 @@ class WorkloadGenerator(WorkloadSource):
         """Draw and submit one synthetic user job."""
         rng = self._rng
         cluster_idx = _draw(rng, self._cluster_cdf)
-        cluster = self._clusters[cluster_idx]
         size = int(self._sizes[_draw(rng, self._size_cdf)])
         size = min(size, int(self._cluster_sizes[cluster_idx]))
         walltime = float(np.clip(
@@ -162,7 +163,8 @@ class WorkloadGenerator(WorkloadSource):
             0.25 * HOUR, 24 * HOUR,
         ))
         duration = walltime * float(rng.uniform(0.3, 1.0))
-        request = f"cluster='{cluster}'/nodes={size},walltime={_fmt(walltime)}"
+        request = JobRequest((RequestPart(self._cluster_exprs[cluster_idx], size),),
+                             float(int(walltime)))
         self.submitted += 1
         job = self.oar.submit(request, user=f"user{self.submitted % 550}",
                               auto_duration=duration)
@@ -184,9 +186,3 @@ def _draw(rng: np.random.Generator, cdf: np.ndarray) -> int:
     those of ``choice``, without its per-call checks and CDF build."""
     return int(cdf.searchsorted(rng.random(), side="right"))
 
-
-def _fmt(seconds: float) -> str:
-    total = int(seconds)
-    h, rem = divmod(total, 3600)
-    m, s = divmod(rem, 60)
-    return f"{h}:{m:02d}:{s:02d}"

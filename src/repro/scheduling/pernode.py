@@ -26,6 +26,7 @@ from ..checksuite.base import CheckContext, CheckFamily, Finding
 from ..checksuite.deploy_checks import _dedupe, _deploy_findings
 from ..faults.catalog import FaultKind
 from ..kadeploy.images import STD_ENV
+from ..oar.request import Comparison, PropExpr
 
 __all__ = ["PerNodeVariant"]
 
@@ -48,14 +49,15 @@ class PerNodeVariant(CheckFamily):
     def configurations(self, testbed) -> list[dict[str, Any]]:
         return [{"cluster": c.uid} for c in testbed.iter_clusters()]
 
-    def target(self, ctx: CheckContext, outcome) -> str:
+    def target(self, ctx: CheckContext, outcome) -> PropExpr:
         """The cluster's next node in rotation, recorded as ``node``."""
         cluster = ctx.testbed.cluster(outcome.config["cluster"])
         idx = self._cursor.get(cluster.uid, 0) % len(cluster.nodes)
         self._cursor[cluster.uid] = idx + 1
         node_uid = cluster.nodes[idx].uid
         outcome.config = dict(outcome.config, node=node_uid)
-        return f"network_address='{node_uid}.{cluster.site}.grid5000.fr'"
+        return Comparison("network_address", "=",
+                          f"{node_uid}.{cluster.site}.grid5000.fr")
 
     def check(self, ctx: CheckContext, outcome, job):
         cluster, node_uid = outcome.config["cluster"], outcome.config["node"]

@@ -37,6 +37,10 @@ The ``pernode`` row (``tiny-smoke`` derived with ``pernode=True``) pins
 before.  It was recorded before the reservation lifecycle of every test
 family moved into ``CheckFamily.run`` and passed unchanged after it.
 
+All seven rows passed unchanged when the workload generator, trace
+replay and the test families began handing OAR ``JobRequest`` objects
+instead of request text to parse.
+
 If this test fails, a change altered simulation *behaviour*, not just
 performance.  That can be a legitimate semantic change — in which case
 regenerate the goldens (see the command in ``_regenerate``) and say so in

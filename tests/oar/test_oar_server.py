@@ -8,7 +8,7 @@ from repro.faults.catalog import FaultContext, FaultKind, apply_fault, revert_fa
 from repro.nodes import MachinePark
 from repro.oar import JobState, OarDatabase, OarServer, parse_expression
 from repro.testbed import CLUSTER_SPECS, ReferenceApi, build_grid5000
-from repro.util import HOUR, RngStreams, Simulator
+from repro.util import HOUR, ParseError, RngStreams, Simulator
 
 
 @pytest.fixture()
@@ -31,6 +31,18 @@ def test_job_starts_immediately_on_idle_testbed(world):
     assert job.started_at == 0.0
     assert len(job.assigned_nodes) == 2
     assert all(u.startswith("grisou-") for u in job.assigned_nodes)
+
+
+def test_bad_walltime_is_refused_and_later_submits_still_run(world):
+    """A request OAR could never place is refused at submit and queues
+    nothing, so the next job is scheduled as usual."""
+    sim, oar, _, _ = world
+    with pytest.raises(ParseError):
+        oar.submit("cluster='grisou'/nodes=1,walltime=0")
+    job = oar.submit("cluster='grisou'/nodes=1,walltime=1", auto_duration=60.0)
+    sim.run(until=HOUR)
+    assert list(oar.jobs) == [job.job_id]
+    assert job.state == JobState.TERMINATED
 
 
 def test_job_terminates_after_duration(world):

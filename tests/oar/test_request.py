@@ -1,13 +1,14 @@
 """Tests for the oarsub -l request parser (unit + property-based)."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.oar import (
     ALL_NODES,
     BoolOp,
     Comparison,
+    JobRequest,
     NotOp,
     parse_expression,
     parse_request,
@@ -122,6 +123,17 @@ def test_walltime_hms():
 
 def test_walltime_fractional_hours():
     assert parse_request("nodes=1,walltime=1.5").walltime_s == 1.5 * HOUR
+
+
+@pytest.mark.parametrize("walltime, pos", [
+    ("0", 17), ("-2", 17), ("0:00:00", 17), ("0.0", 17), ("-1:30", 17),
+    ("1:-5", 19), ("1:30.5", 19), ("1:30:-1", 22), ("1:30:0.5", 22),
+])
+def test_bad_walltime_raises_parse_error_at_its_position(walltime, pos):
+    text = f"nodes=1,walltime={walltime}"
+    with pytest.raises(ParseError) as info:
+        parse_request(text)
+    assert info.value.position == pos
 
 
 def test_zero_node_count_rejected():
@@ -260,3 +272,84 @@ def test_elastic_range_str_round_trips(pref, below, above):
     part = req.parts[0]
     assert (part.min_nodes, part.count, part.max_nodes) == (lo, pref, hi)
     assert parse_request(str(req)) == req
+
+
+# -- property: any text gives a request or a ParseError ------------------------
+
+_SP = st.sampled_from(["", " ", "  "])
+_NAME = st.sampled_from(["cluster", "site", "gpu", "memnode"])
+_OP = st.sampled_from(["=", "!=", "<", "<=", ">", ">="])
+# Quoted values full of the request grammar's own punctuation.
+_QUOTED = st.lists(
+    st.sampled_from(["a", "grisou", ",", "/", "+", "walltime=",
+                     ",walltime=2", " ", "1", ":"]),
+    max_size=4).map(lambda chunks: "'" + "".join(chunks) + "'")
+_NUMBER = st.sampled_from(["0", "64", "2.5", "-3"])
+_COUNT = st.sampled_from(["1", "4", "ALL", "2..8", "2..4..8", "3..3", "0",
+                          "8..2", "1..ALL"])
+_CLAUSE = st.sampled_from([",walltime=", ",walltime=", ",walltime=",
+                           ", walltime=", ",walltime =", ",WALLTIME="])
+_MALFORMED_TAIL = st.sampled_from([
+    "", "1:", ":30", "1.5:30", "1:30.5", "1:-5", "x", "'2'", "2,walltime=3",
+    "1:2:3:4", "1 2", "1.", "--1", "2)", "2+nodes=1"])
+
+
+@st.composite
+def _comparison(draw):
+    value = draw(st.one_of(_QUOTED, _NUMBER))
+    return (f"{draw(_SP)}{draw(_NAME)}{draw(_SP)}{draw(_OP)}{draw(_SP)}"
+            f"{value}{draw(_SP)}")
+
+
+@st.composite
+def _expr(draw):
+    expr = draw(_comparison())
+    if draw(st.booleans()):
+        joiner = draw(st.sampled_from([" and ", " or "]))
+        expr = f"{expr}{joiner}{draw(_comparison())}"
+    if draw(st.booleans()):
+        expr = f"not ({expr})"
+    return expr
+
+
+@st.composite
+def _part(draw):
+    nodes = f"nodes{draw(_SP)}={draw(_SP)}{draw(_COUNT)}{draw(_SP)}"
+    if draw(st.booleans()):
+        return nodes
+    return f"{draw(_expr())}/{draw(_SP)}{nodes}"
+
+
+@st.composite
+def _walltime(draw):
+    hours = str(draw(st.integers(-2, 30)))
+    minutes = draw(st.integers(0, 59))
+    seconds = draw(st.integers(0, 59))
+    sp = draw(_SP)
+    return draw(st.sampled_from([
+        f"{sp}{hours}",
+        f"{hours}{sp}:{sp}{minutes:02d}",
+        f"{hours}:{minutes:02d}{sp}:{seconds:02d}{sp}",
+        "1.5", "-1", f"{sp}0.25",
+    ]))
+
+
+@st.composite
+def _request_text(draw):
+    parts = "+".join(draw(st.lists(_part(), min_size=1, max_size=3)))
+    tail = draw(st.one_of(st.none(), _walltime(), _MALFORMED_TAIL))
+    if tail is None:
+        return parts
+    return f"{parts}{draw(_CLAUSE)}{tail}"
+
+
+@settings(max_examples=400)
+@given(st.one_of(_request_text(),
+                 st.text(alphabet="nodes=1,walltime:'/+ ().ALc-", max_size=30)))
+def test_any_text_parses_to_a_request_or_raises_parse_error(text):
+    try:
+        req = parse_request(text)
+    except ParseError:
+        return
+    assert isinstance(req, JobRequest)
+    assert req.walltime_s > 0
