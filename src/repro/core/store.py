@@ -51,8 +51,7 @@ from ..util.serialization import (
 from .campaign import CampaignReport
 
 __all__ = ["CampaignStore", "StoredCell", "StoreFormatError",
-           "StoreChecksumError", "StoreBackend", "JsonlBackend",
-           "MemoryBackend", "FsckReport", "fsck_store", "cell_hash",
+           "StoreChecksumError", "FsckReport", "fsck_store", "cell_hash",
            "cell_key", "format_cell_key"]
 
 #: Record-format version, bumped on incompatible layout changes.
@@ -172,110 +171,51 @@ class StoredCell:
         )
 
 
-class StoreBackend:
-    """Durable document transport behind :class:`CampaignStore`.
-
-    The store owns the indexing, keying and record semantics; a backend
-    only persists raw cell documents — replayed once at open, appended one
-    at a time.  The JSONL file is the default; a sqlite or redis backend
-    slots in here without touching any store caller.
-    """
-
-    #: Human-readable location (shown by the CLI and the service).
-    location = "<backend>"
-
-    def load(self) -> Iterator[dict]:
-        """Yield every previously persisted document, oldest first."""
-        raise NotImplementedError
-
-    def append(self, doc: dict) -> None:
-        """Durably persist one document before returning."""
-        raise NotImplementedError
-
-
-class JsonlBackend(StoreBackend):
-    """The historical append-only JSONL file (flush + fsync per record)."""
-
-    def __init__(self, path: Union[str, "os.PathLike[str]"]):
-        self.path = os.fspath(path)
-        self.location = self.path
-        #: Unparseable (torn/garbled) lines seen by the last load.
-        self.skipped_lines = 0
-        parent = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(parent, exist_ok=True)
-
-    def load(self) -> Iterator[dict]:
-        self.skipped_lines = 0
-
-        def count(lineno: int, reason: str) -> None:
-            self.skipped_lines += 1
-
-        if os.path.exists(self.path):
-            yield from iter_jsonl(self.path, on_skip=count)
-
-    def append(self, doc: dict) -> None:
-        append_jsonl(self.path, doc)
-
-
-class MemoryBackend(StoreBackend):
-    """Volatile in-process backend (tests, storeless service sessions)."""
-
-    location = "<memory>"
-
-    def __init__(self):
-        self.docs: list[dict] = []
-
-    def load(self) -> Iterator[dict]:
-        return iter(list(self.docs))
-
-    def append(self, doc: dict) -> None:
-        self.docs.append(doc)
-
-
 class CampaignStore:
     """Append-only archive of campaign cells, indexed in memory.
 
-    Opening a store replays its backend into a ``key -> StoredCell`` index
-    (last record wins, so re-running a cell simply supersedes it).  Every
-    :meth:`record` append is durable before it returns — a crashed driver
-    loses at most the cell it was executing, never a finished one.
-
-    Constructed from a path (JSONL file, the historical behaviour) or any
-    :class:`StoreBackend`.
+    Opened on a path, the store replays that JSONL file into a
+    ``key -> StoredCell`` index (last record wins, so re-running a cell
+    simply supersedes it), and every :meth:`record` append is flushed and
+    fsynced before it returns — a crashed driver loses at most the cell it
+    was executing, never a finished one.  With no path the store lives in
+    memory only (storeless service sessions, tests).
     """
 
-    def __init__(self, path_or_backend: Union[str, "os.PathLike[str]",
-                                              StoreBackend]):
-        if isinstance(path_or_backend, StoreBackend):
-            self.backend = path_or_backend
-        else:
-            self.backend = JsonlBackend(path_or_backend)
-        #: Back-compat: the JSONL path, or the backend's display location.
-        self.path = getattr(self.backend, "path", self.backend.location)
+    def __init__(self, path: Union[str, "os.PathLike[str]", None] = None):
+        #: The JSONL file, or None for an in-memory store.
+        self.path = None if path is None else os.fspath(path)
         self._cells: dict[str, StoredCell] = {}
         #: Records skipped on load because their checksum failed.
         self.corrupt_records = 0
         #: Records skipped on load for any other damage (torn lines,
         #: missing/mistyped fields, non-record JSON).
         self.damaged_records = 0
-        for doc in self.backend.load():
-            if not isinstance(doc, dict):
-                self.damaged_records += 1
-                continue  # damaged record: JSON, but not one of ours
-            try:
-                cell = StoredCell.from_doc(doc)
-            except StoreFormatError:
-                raise  # a future format must not become silent data loss
-            except StoreChecksumError:
-                self.corrupt_records += 1
-                continue  # provably-rotten record loses only itself
-            except (KeyError, TypeError, ValueError):
-                self.damaged_records += 1
-                continue  # field-damaged record loses only itself
-            self._cells[cell.key] = cell
-        # Torn lines never reach the document loop; the backend counts
-        # what it had to skip at the byte level.
-        self.damaged_records += getattr(self.backend, "skipped_lines", 0)
+        if self.path is None:
+            return
+        os.makedirs(os.path.dirname(os.path.abspath(self.path)), exist_ok=True)
+        if os.path.exists(self.path):
+            for doc in iter_jsonl(self.path, on_skip=self._count_damaged):
+                self._index(doc)
+
+    def _count_damaged(self, lineno: int, reason: str) -> None:
+        self.damaged_records += 1  # a torn or garbled line
+
+    def _index(self, doc: Any) -> None:
+        if not isinstance(doc, dict):
+            self.damaged_records += 1
+            return  # damaged record: JSON, but not one of ours
+        try:
+            cell = StoredCell.from_doc(doc)
+        except StoreFormatError:
+            raise  # a future format must not become silent data loss
+        except StoreChecksumError:
+            self.corrupt_records += 1
+            return  # provably-rotten record loses only itself
+        except (KeyError, TypeError, ValueError):
+            self.damaged_records += 1
+            return  # field-damaged record loses only itself
+        self._cells[cell.key] = cell
 
     # -- queries ---------------------------------------------------------------
 
@@ -303,7 +243,8 @@ class CampaignStore:
 
     def record(self, cell: StoredCell) -> StoredCell:
         """Durably append one finished cell and index it."""
-        self.backend.append(cell.to_doc())
+        if self.path is not None:
+            append_jsonl(self.path, cell.to_doc())
         self._cells[cell.key] = cell
         return cell
 

@@ -13,7 +13,9 @@
 
 Neither probe keeps what it read: a reading is returned, not stored.
 Only the *documented* wiring is precomputed — the actual cabling is
-re-read on every measurement, because cabling faults mutate it in place.
+re-read on every measurement, because cabling faults mutate it in place:
+a read checks the node's own cable first and scans the park only when a
+fault moved it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from ..faults.services import ServiceHealth
-from ..nodes.machine import MachinePark, SimulatedNode
+from ..nodes.machine import MachinePark
 from ..testbed.description import TestbedDescription
 
 __all__ = ["Ganglia", "Kwapi"]
@@ -60,22 +62,22 @@ class Kwapi:
             self._outlet_of[node.uid] = (node.pdu.pdu_uid, node.pdu.port)
             self._site_of[node.uid] = node.site
 
-    def _actual_wiring(self) -> dict[tuple[str, int], SimulatedNode]:
-        """One pass over the park: (pdu uid, port) actually cabled -> machine.
-
-        Built fresh per read — cabling faults mutate ``machine.actual``
-        in place, so this must never be cached across simulated events.
-        """
-        return {(m.actual.pdu_uid, m.actual.pdu_port): m
-                for m in self.machines.machines.values()}
-
-    def _read(self, node_uid: str,
-              wiring: dict[tuple[str, int], SimulatedNode]) -> Optional[float]:
+    def _read(self, node_uid: str) -> Optional[float]:
+        """Measure the machine actually cabled to ``node_uid``'s documented
+        outlet: the node itself while its cable is still there, otherwise
+        whichever machine a cabling fault moved onto it.  Faults only swap
+        cables, so at most one machine sits on an outlet."""
         outlet = self._outlet_of.get(node_uid)
         if outlet is None or self._site_of[node_uid] in self.services.kwapi_down:
             return None
-        machine = wiring.get(outlet)
-        return machine.power_draw_watts() if machine is not None else None
+        machines = self.machines.machines
+        node = machines.get(node_uid)
+        if node is not None and (node.actual.pdu_uid, node.actual.pdu_port) == outlet:
+            return node.power_draw_watts()
+        for machine in machines.values():
+            if (machine.actual.pdu_uid, machine.actual.pdu_port) == outlet:
+                return machine.power_draw_watts()
+        return None
 
     def node_power_watts(self, node_uid: str) -> Optional[float]:
         """What the monitoring service *reports* for a node.
@@ -85,14 +87,9 @@ class Kwapi:
         neighbour's consumption.  Returns None when the site's kwapi is
         down, the node is undocumented or the outlet reads nothing.
         """
-        return self._read(node_uid, self._actual_wiring())
+        return self._read(node_uid)
 
     def sample_park(self, node_uids: Iterable[str]) -> int:
         """Read every node's documented outlet in one sweep; returns the
-        number of nodes that reported a value.
-
-        The actual-cabling map is built once for the whole sweep, so a
-        park sweep is O(nodes) rather than O(nodes^2).
-        """
-        wiring = self._actual_wiring()
-        return sum(self._read(uid, wiring) is not None for uid in node_uids)
+        number of nodes that reported a value."""
+        return sum(self._read(uid) is not None for uid in node_uids)

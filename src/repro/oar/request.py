@@ -421,15 +421,11 @@ class _Parser:
             return preferred, None, None  # degenerate range: plain rigid
         return preferred, lo, hi
 
-    def parse_parts(self) -> tuple[RequestPart, ...]:
+    def parse_request(self) -> JobRequest:
         parts = [self.parse_part()]
         while self.at_punct("+"):
             self.next()
             parts.append(self.parse_part())
-        return tuple(parts)
-
-    def parse_request(self) -> JobRequest:
-        parts = self.parse_parts()
         walltime_s = HOUR  # OAR's default walltime
         if self.at_punct(","):
             self.next()
@@ -439,7 +435,7 @@ class _Parser:
         tok = self.peek()
         if tok is not None:
             raise ParseError(f"trailing input {tok.text!r}", self.text, tok.pos)
-        return JobRequest(parts, walltime_s)
+        return JobRequest(tuple(parts), walltime_s)
 
     def _parse_time_value(self) -> float:
         """``H``, ``H:MM`` or ``H:MM:SS`` (also fractional hours ``1.5``).

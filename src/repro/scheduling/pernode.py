@@ -5,7 +5,8 @@ cluster is not very realistic.  Move to per-node scheduling?"*
 
 :class:`PerNodeVariant` wraps a hardware-centric family (multireboot,
 paralleldeploy, multideploy) into a software-centric one that exercises
-**one node per run**, rotating through the cluster.  Any single free node
+**one node per run**, rotating through the cluster and skipping the nodes
+that are down or reserved for the run's walltime.  Any single free node
 suffices, so runs happen far more often — at the cost of never observing
 whole-cluster behaviour (chain broadcast at scale, simultaneous boots) and
 needing many runs to cover a cluster.  The A1 ablation bench quantifies
@@ -50,11 +51,19 @@ class PerNodeVariant(CheckFamily):
         return [{"cluster": c.uid} for c in testbed.iter_clusters()]
 
     def target(self, ctx: CheckContext, outcome) -> PropExpr:
-        """The cluster's next node in rotation, recorded as ``node``."""
+        """The cluster's first node, in rotation order from the cursor, that
+        is alive and free for the whole walltime (the cursor's own node
+        when none is), recorded as ``node``; the cursor moves past it."""
         cluster = ctx.testbed.cluster(outcome.config["cluster"])
-        idx = self._cursor.get(cluster.uid, 0) % len(cluster.nodes)
+        nodes = cluster.nodes
+        cursor = self._cursor.get(cluster.uid, 0) % len(nodes)
+        gantt, now = ctx.oar.gantt, ctx.sim.now
+        candidates = gantt.mask_for(n.uid for n in nodes) & ctx.oar.machines.alive_mask
+        free = gantt.profile_free_mask(candidates, now, now + self.walltime_s)
+        rotation = (i % len(nodes) for i in range(cursor, cursor + len(nodes)))
+        idx = next((i for i in rotation if free >> gantt.bit(nodes[i].uid) & 1), cursor)
         self._cursor[cluster.uid] = idx + 1
-        node_uid = cluster.nodes[idx].uid
+        node_uid = nodes[idx].uid
         outcome.config = dict(outcome.config, node=node_uid)
         return Comparison("network_address", "=",
                           f"{node_uid}.{cluster.site}.grid5000.fr")

@@ -22,7 +22,7 @@ from typing import Callable, Optional, Union
 
 from .. import scenarios
 from ..core.batch import CampaignRun, run_campaigns
-from ..core.store import CampaignStore, MemoryBackend, StoreBackend
+from ..core.store import CampaignStore
 from ..scenarios.spec import ScenarioSpec
 
 __all__ = ["CampaignService"]
@@ -35,13 +35,10 @@ MAX_CELLS = 4096
 class CampaignService:
     """Validate, dedupe, and execute submitted campaign matrices."""
 
-    def __init__(self, store: Union[CampaignStore, StoreBackend, str,
-                                    None] = None):
-        if store is None:
-            store = CampaignStore(MemoryBackend())
-        elif not isinstance(store, CampaignStore):
-            store = CampaignStore(store)
-        self.store = store
+    def __init__(self, store: Union[CampaignStore, str, None] = None):
+        """``store`` is a store, the path of its JSONL file, or None for
+        an in-memory store."""
+        self.store = store if isinstance(store, CampaignStore) else CampaignStore(store)
         self._lock = threading.Lock()
 
     def run_matrix(

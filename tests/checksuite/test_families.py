@@ -269,3 +269,28 @@ def test_reservation_lifecycle(world, run_family, name):
     else:
         assert not blocked.resources_blocked
         assert _test_jobs(world) == []
+
+
+def test_pernode_reserves_the_next_free_node_of_its_rotation(world, run_family):
+    """The cursor's node is held by a user job: the run reserves the next
+    node of the rotation instead of coming back blocked, and the cursor
+    moves past it.  With the whole cluster held it keeps the cursor's
+    node and is blocked."""
+    family = PerNodeVariant(family_by_name("multireboot"))
+    cluster = world.testbed.cluster("grimoire")
+    first, second = cluster.nodes[0].uid, cluster.nodes[1].uid
+    world.oar.submit(f"network_address='{first}.{cluster.site}.grid5000.fr'"
+                     "/nodes=1,walltime=12", auto_duration=None)
+    world.sim.run(until=1.0)
+    outcome = run_family(world, family, {"cluster": "grimoire"})
+    assert not outcome.resources_blocked
+    assert outcome.config["node"] == second
+    (job,) = _test_jobs(world)
+    assert job.assigned_nodes == [second]
+
+    world.oar.submit(f"cluster='grimoire'/nodes={cluster.node_count}"
+                     ",walltime=12", auto_duration=None)
+    world.sim.run(until=world.sim.now + 1.0)
+    blocked = run_family(world, family, {"cluster": "grimoire"})
+    assert blocked.resources_blocked
+    assert blocked.config["node"] == cluster.nodes[2].uid

@@ -264,54 +264,31 @@ def test_store_runs_reconstructs_campaign_runs(tmp_path):
     assert [(r.scenario, r.seed) for r in filtered] == [("s-a", 0), ("s-a", 1)]
 
 
-# -- pluggable backends -------------------------------------------------------
+# -- file and in-memory stores ---------------------------------------------------
 
 
 def test_jsonl_backend_is_the_default_and_equivalent(tmp_path):
-    from repro.core.store import JsonlBackend
     path = tmp_path / "cells.jsonl"
     store = CampaignStore(str(path))
-    assert isinstance(store.backend, JsonlBackend)
     assert store.path == str(path)
     store.record_success(fast_spec(), seed=0,
                          report=_tiny_report(), months=0.1)
-    # an explicitly-constructed backend reads the same file
-    reopened = CampaignStore(JsonlBackend(str(path)))
+    # a store opened on a path-like object reads the same file
+    reopened = CampaignStore(path)
     assert len(reopened) == 1
     assert reopened.get(cell_key(fast_spec(), 0, 0.1)).ok
 
 
-def test_memory_backend_round_trips_without_touching_disk(tmp_path):
-    from repro.core.store import MemoryBackend
-    backend = MemoryBackend()
-    store = CampaignStore(backend)
-    assert store.path == "<memory>"
+def test_memory_backend_round_trips_without_touching_disk(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    store = CampaignStore()
+    assert store.path is None
+    store.record_failure(fast_spec(), seed=0, error="boom", months=0.1)
     store.record_success(fast_spec(), seed=3,
                          report=_tiny_report(), months=0.1)
-    assert len(backend.docs) == 1
-    # a new store over the same backend instance replays its documents
-    again = CampaignStore(backend)
-    assert len(again) == 1
-    assert again.get(cell_key(fast_spec(), 3, 0.1)).ok
+    assert len(store) == 2 and len(store.failures()) == 1
+    assert store.get(cell_key(fast_spec(), 3, 0.1)).ok
     assert not list(tmp_path.iterdir())
-
-
-def test_custom_backend_sees_every_append():
-    from repro.core.store import MemoryBackend
-
-    class CountingBackend(MemoryBackend):
-        appends = 0
-
-        def append(self, doc):
-            CountingBackend.appends += 1
-            super().append(doc)
-
-    store = CampaignStore(CountingBackend())
-    store.record_failure(fast_spec(), seed=0, error="boom", months=0.1)
-    store.record_success(fast_spec(), seed=1,
-                         report=_tiny_report(), months=0.1)
-    assert CountingBackend.appends == 2
-    assert len(store.failures()) == 1 and len(store) == 2
 
 
 def _tiny_report():
