@@ -27,8 +27,8 @@ Sweep a seed × scenario matrix across worker processes::
                          seeds=range(4), workers=4)
     print(summarize_runs(runs))
 
-For finer control, assemble the world yourself (and swap subsystem
-backends via the registry)::
+For finer control, assemble the world yourself from a spec (optionally
+with a scheduling-strategy instance of your own)::
 
     from repro import FrameworkBuilder, scenarios
 
@@ -48,7 +48,6 @@ from .core import (
     CampaignStore,
     FrameworkBuilder,
     MetricSummary,
-    SubsystemRegistry,
     TestingFramework,
     aggregate_runs,
     register_subsystem,
@@ -64,7 +63,6 @@ __all__ = [
     "scenarios",
     "ScenarioSpec",
     "FrameworkBuilder",
-    "SubsystemRegistry",
     "register_subsystem",
     "TestingFramework",
     "CampaignReport",

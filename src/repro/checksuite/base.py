@@ -63,10 +63,6 @@ class TestOutcome:
     #: True when the test could not obtain testbed resources at all
     #: (slide 17: the build is then marked UNSTABLE, not FAILURE).
     resources_blocked: bool = False
-    log: list[str] = field(default_factory=list)
-
-    def note(self, message: str) -> None:
-        self.log.append(message)
 
 
 @dataclass

@@ -48,11 +48,10 @@ class CmdlineCheck(CheckFamily):
         site = outcome.config["site"]
         rng = ctx.rng(self.name)
         failures = 0
-        for i in range(self.invocations):
+        for _ in range(self.invocations):
             yield ctx.sim.timeout(15.0)
             if not ctx.services.cmdline_ok(site, float(rng.random())):
                 failures += 1
-                outcome.note(f"invocation {i + 1} failed")
         if failures >= 2:
             outcome.findings.append(Finding(
                 FaultKind.CMDLINE_BROKEN, site,
@@ -73,11 +72,10 @@ class SidApiCheck(CheckFamily):
         site = outcome.config["site"]
         rng = ctx.rng(self.name)
         failures = 0
-        for i in range(self.calls):
+        for _ in range(self.calls):
             yield ctx.sim.timeout(3.0)
             if not ctx.services.api_ok(site, float(rng.random())):
                 failures += 1
-                outcome.note(f"API call {i + 1} returned 5xx")
         if failures >= 2:
             outcome.findings.append(Finding(
                 FaultKind.API_FLAKY, site,

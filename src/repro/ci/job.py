@@ -32,7 +32,6 @@ class Build:
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
     status: Optional[BuildStatus] = None  # None while queued/running
-    log: list[str] = field(default_factory=list)
     #: Triggered when the build completes (value: the build).
     done_event: Optional[Event] = None
 
@@ -53,9 +52,6 @@ class Build:
     @property
     def wait_time_s(self) -> Optional[float]:
         return None if self.started_at is None else self.started_at - self.queued_at
-
-    def log_line(self, now: float, message: str) -> None:
-        self.log.append(f"[{now:12.1f}] {message}")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         status = self.status.value if self.status else "PENDING"

@@ -9,8 +9,9 @@ implements exactly those benefits:
   slots (FIFO);
 * *access control for users to trigger jobs manually* — :meth:`trigger`
   takes a ``cause`` (who/what triggered);
-* *long-term storage of results history and test logs* — every
-  :class:`~repro.ci.job.Build` with its log is kept on the job.
+* *long-term storage of results history* — every
+  :class:`~repro.ci.job.Build`, with its timestamps and status, is kept
+  on the job (a test's findings are kept on the framework's outcomes).
 """
 
 from __future__ import annotations
@@ -74,7 +75,6 @@ class JenkinsServer:
         request = self.executors.request()
         yield request
         build.started_at = self.sim.now
-        build.log_line(self.sim.now, f"started on executor (cause: {build.cause})")
         runner_proc = self.sim.process(job.runner(build))
         watchdog = self.sim.timeout(job.timeout_s, "timeout")
         try:
@@ -85,12 +85,9 @@ class JenkinsServer:
                 watchdog.cancel()
                 status = outcome[runner_proc]
                 if not isinstance(status, BuildStatus):
-                    build.log_line(self.sim.now,
-                                   f"runner returned {status!r}, treating as FAILURE")
                     status = BuildStatus.FAILURE
             else:
                 runner_proc.interrupt("timeout")
-                build.log_line(self.sim.now, f"timed out after {job.timeout_s}s")
                 status = BuildStatus.ABORTED
             self._finish(build, status)
         finally:
@@ -99,5 +96,4 @@ class JenkinsServer:
     def _finish(self, build: Build, status: BuildStatus) -> None:
         build.finished_at = self.sim.now
         build.status = status
-        build.log_line(self.sim.now, f"finished: {status.value}")
         build.done_event.succeed(build)

@@ -11,8 +11,6 @@ from .bugtracker import Bug, BugStatus, BugTracker, OperatorTeam
 from .builder import (
     FrameworkBuild,
     FrameworkBuilder,
-    SubsystemRegistry,
-    SUBSYSTEM_ORDER,
     default_registry,
     register_subsystem,
 )
@@ -28,8 +26,6 @@ __all__ = [
     "TestingFramework",
     "FrameworkBuild",
     "FrameworkBuilder",
-    "SubsystemRegistry",
-    "SUBSYSTEM_ORDER",
     "default_registry",
     "register_subsystem",
     "CampaignReport",

@@ -62,13 +62,13 @@ class BugTracker:
     """Deduplicating bug filing over ground truth."""
 
     def __init__(self, sim: Simulator, ground_truth: GroundTruth,
-                 fault_ctx: FaultContext,
-                 on_filed: Optional[Callable[[Bug], None]] = None):
+                 fault_ctx: FaultContext):
         self.sim = sim
         self.ground_truth = ground_truth
         self.ctx = fault_ctx
         self.bugs: list[Bug] = []
-        self.on_filed = on_filed
+        #: Called with each new bug; the operator team sets it.
+        self.on_filed: Optional[Callable[[Bug], None]] = None
         self._next_id = 1
         self._open_fault_bugs: dict[int, Bug] = {}  # fault_id -> open bug
         self._open_unexplained: dict[tuple, Bug] = {}

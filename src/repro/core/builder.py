@@ -1,17 +1,16 @@
 """Composable construction of the simulated world.
 
-World assembly is split into:
+World assembly takes two inputs: a declarative
+:class:`~repro.scenarios.ScenarioSpec` and, optionally, a live
+scheduling-strategy instance (the one thing that is not data: the wire
+protocol's bridge needs its session).  Without one, the strategy the spec
+names is built from the spec's policy.
 
-* a **subsystem registry** — each stage of the world (testbed, oar,
-  kadeploy, kavlan, monitoring, faults, ci, scheduling) is a named factory
-  operating on a shared :class:`FrameworkBuild` state, so an alternate
-  backend (a stub OAR, a recording monitoring layer, a different
-  scheduler) swaps in without touching this file;
-* a :class:`FrameworkBuilder` that assembles a
-  :class:`~repro.core.framework.TestingFramework` from a declarative
-  :class:`~repro.scenarios.ScenarioSpec`, with override hooks for the few
-  things that are live objects rather than data (custom ``ClusterSpec``
-  lists, pre-built ``CheckFamily`` instances, factory swaps).
+Each stage of the world (testbed, oar, kadeploy, kavlan, monitoring,
+faults, ci, scheduling) is a named factory in one module registry,
+operating on a shared :class:`FrameworkBuild` state.
+:func:`register_subsystem` rebinds a stage process-wide, so an
+instrument can wrap one without touching this file.
 
 The framework comes out fully wired — the external scheduler is
 constructed *before* the (immutable) ``TestingFramework``, never patched
@@ -21,8 +20,8 @@ in afterwards.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 from ..analysis.history import BuildHistory
 from ..checksuite.base import CheckContext, CheckFamily
@@ -42,7 +41,7 @@ from ..oar.workload import WorkloadGenerator
 from ..scenarios.spec import ScenarioSpec
 from ..scheduling.launcher import ExternalScheduler
 from ..scheduling.pernode import PerNodeVariant
-from ..scheduling.policies import get_strategy
+from ..scheduling.policies import SchedulingStrategy, get_strategy
 from ..testbed.description import TestbedDescription
 from ..testbed.generator import ClusterSpec, build_grid5000
 from ..testbed.refapi import RefApiVersion, ReferenceApi
@@ -55,8 +54,6 @@ from .framework import TestingFramework
 __all__ = [
     "FrameworkBuild",
     "FrameworkBuilder",
-    "SubsystemRegistry",
-    "SUBSYSTEM_ORDER",
     "default_registry",
     "register_subsystem",
 ]
@@ -74,8 +71,10 @@ class FrameworkBuild:
     spec: ScenarioSpec
     sim: Simulator
     rngs: RngStreams
-    cluster_specs: Sequence[ClusterSpec]
+    cluster_specs: tuple[ClusterSpec, ...]
     families: list[CheckFamily]
+    #: the strategy instance to attach; ``None`` builds the spec's one
+    strategy: Optional[SchedulingStrategy] = None
     # products, stage by stage (filled in SUBSYSTEM_ORDER)
     testbed: object = None
     refapi: object = None
@@ -96,7 +95,6 @@ class FrameworkBuild:
     history: object = None
     checkctx: object = None
     scheduler: object = None
-    extras: dict = field(default_factory=dict)
 
 
 SubsystemFactory = Callable[[FrameworkBuild], None]
@@ -115,10 +113,10 @@ SUBSYSTEM_ORDER: tuple[str, ...] = (
 
 
 class SubsystemRegistry:
-    """Name -> factory mapping with copy-on-customize semantics."""
+    """Stage name -> factory mapping."""
 
-    def __init__(self, factories: Optional[dict[str, SubsystemFactory]] = None):
-        self._factories: dict[str, SubsystemFactory] = dict(factories or {})
+    def __init__(self) -> None:
+        self._factories: dict[str, SubsystemFactory] = {}
 
     def register(self, name: str, factory: SubsystemFactory) -> None:
         if name not in SUBSYSTEM_ORDER:
@@ -133,9 +131,6 @@ class SubsystemRegistry:
             raise KeyError(f"no factory registered for subsystem {name!r}") \
                 from None
 
-    def copy(self) -> "SubsystemRegistry":
-        return SubsystemRegistry(self._factories)
-
 
 # -- default factories (the world of the paper) --------------------------------
 
@@ -144,7 +139,7 @@ class SubsystemRegistry:
 #: goes.  The presets use three distinct sets.
 _WORLD_CACHE_MAX = 4
 
-#: ``tuple(cluster_specs)`` -> (template description, its initial RefAPI
+#: ``cluster_specs`` -> (template description, its initial RefAPI
 #: import).  Descriptions are a pure function of the specs and no seed, so
 #: each set is built and imported once per process.  The template never
 #: leaves the cache: every run gets :meth:`TestbedDescription.copy`, whose
@@ -158,7 +153,7 @@ _world_cache_lock = threading.Lock()
 
 def _build_testbed(b: FrameworkBuild) -> None:
     """Substrate: descriptions, Reference API, machines, network, services."""
-    key = tuple(b.cluster_specs)
+    key = b.cluster_specs
     entry = _world_cache.get(key)
     if entry is None:
         # The original object, so build_grid5000's paper-exact inventory
@@ -232,14 +227,8 @@ def _build_scheduling(b: FrameworkBuild) -> None:
         kavlan=b.kavlan, kwapi=b.kwapi, rngs=b.rngs,
     )
     history = b.history
-    strategy_factory = b.extras.get("scheduling_strategy")
-    if strategy_factory is not None:
-        strategy = strategy_factory(b.spec.policy)
-    else:
-        # Resolve the spec's strategy name against the registry.  Only
-        # `(policy)`-constructible strategies are name-addressable; ones
-        # needing live collaborators (e.g. the wire-protocol bridge) ride
-        # in via the extras factory above.
+    strategy = b.strategy
+    if strategy is None:
         strategy = get_strategy(b.spec.strategy)(b.spec.policy)
     b.scheduler = ExternalScheduler(
         b.sim, b.jenkins, b.oar, b.testbed, b.families, policy=b.spec.policy,
@@ -263,12 +252,12 @@ for _name, _factory in (
 
 
 def default_registry() -> SubsystemRegistry:
-    """A private copy of the default subsystem factories."""
-    return _DEFAULT.copy()
+    """The live module registry every :meth:`FrameworkBuilder.build` reads."""
+    return _DEFAULT
 
 
 def register_subsystem(name: str, factory: SubsystemFactory) -> None:
-    """Globally replace a default subsystem backend (affects new builders)."""
+    """Rebind one stage of the module registry (affects later builds)."""
     _DEFAULT.register(name, factory)
 
 
@@ -283,65 +272,29 @@ class FrameworkBuilder:
     >>> fw.scheduler is not None
     True
 
-    Fluent overrides cover the non-declarative escape hatches, and a
-    registry swaps subsystem backends for one builder::
-
-        registry = default_registry()
-        registry.register("monitoring", my_recording_monitoring)
-        fw = (FrameworkBuilder(spec.derive(seed=7), registry=registry)
-              .with_families([family_by_name("refapi")])
-              .build())
+    ``strategy`` is a :class:`SchedulingStrategy` instance to attach in
+    place of the one the spec names (``None``: build the spec's).
     """
 
     def __init__(self, spec: Optional[ScenarioSpec] = None,
-                 registry: Optional[SubsystemRegistry] = None):
+                 strategy: Optional[SchedulingStrategy] = None):
         self._spec = spec if spec is not None else ScenarioSpec()
-        self._registry = (registry if registry is not None
-                          else _DEFAULT).copy()
-        self._cluster_specs: Optional[Sequence[ClusterSpec]] = None
-        self._families: Optional[Sequence[CheckFamily]] = None
-        self._extras: dict = {}
-
-    # -- fluent configuration --------------------------------------------------
-
-    def with_cluster_specs(
-            self, specs: Sequence[ClusterSpec]) -> "FrameworkBuilder":
-        """Explicit cluster recipes (bypasses the spec's name-based selection)."""
-        self._cluster_specs = specs
-        return self
-
-    def with_families(
-            self, families: Sequence[CheckFamily]) -> "FrameworkBuilder":
-        """Pre-built family instances (bypasses the spec's name list)."""
-        self._families = families
-        return self
-
-    def with_extra(self, name: str, value) -> "FrameworkBuilder":
-        """Seed a ``FrameworkBuild.extras`` entry for the factories to read
-        (e.g. ``scheduling_strategy``: a ``policy -> SchedulingStrategy``
-        factory consumed by the default scheduling stage)."""
-        self._extras[name] = value
-        return self
-
-    # -- assembly --------------------------------------------------------------
+        self._strategy = strategy
 
     def build(self) -> TestingFramework:
         """Run every subsystem factory and return the wired framework."""
         spec = self._spec
         sim = Simulator()
         rngs = RngStreams(seed=spec.seed)
-        cluster_specs = (self._cluster_specs if self._cluster_specs is not None
-                         else spec.resolve_cluster_specs())
-        families = (list(self._families) if self._families is not None
-                    else spec.resolve_families())
+        families = spec.resolve_families()
         if spec.pernode:
             families = [PerNodeVariant(f) if f.kind == "hardware" else f
                         for f in families]
         build = FrameworkBuild(spec=spec, sim=sim, rngs=rngs,
-                               cluster_specs=cluster_specs, families=families,
-                               extras=dict(self._extras))
+                               cluster_specs=spec.resolve_cluster_specs(),
+                               families=families, strategy=self._strategy)
         for name in SUBSYSTEM_ORDER:
-            self._registry.factory(name)(build)
+            _DEFAULT.factory(name)(build)
         framework = TestingFramework(
             sim=sim, rngs=rngs, testbed=build.testbed, refapi=build.refapi,
             machines=build.machines, services=build.services,

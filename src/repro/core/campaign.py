@@ -20,13 +20,12 @@ worker processes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
-from ..checksuite.base import CheckFamily
 from ..scenarios.spec import ScenarioSpec
-from ..testbed.generator import ClusterSpec
+from ..scheduling.policies import SchedulingStrategy
 from ..util.serialization import decode_dataclass, encode_dataclass
 from ..util.simclock import DAY, MONTH, WEEK
 from .builder import FrameworkBuilder
@@ -103,23 +102,17 @@ def run_scenario(
     spec: ScenarioSpec,
     seed: Optional[int] = None,
     months: Optional[float] = None,
-    cluster_specs: Optional[Sequence[ClusterSpec]] = None,
-    families: Optional[Sequence[CheckFamily]] = None,
     on_built: Optional[Callable[[TestingFramework], None]] = None,
-    on_builder: Optional[Callable[[FrameworkBuilder], None]] = None,
+    strategy: Optional[SchedulingStrategy] = None,
 ) -> tuple[TestingFramework, CampaignReport]:
     """Run one campaign described by ``spec``; returns the world + report.
 
     ``seed``/``months`` override the spec's values (the batch runner uses
-    this to fan one preset across a seed matrix); ``cluster_specs`` and
-    ``families`` are the non-declarative escape hatches forwarded to the
-    :class:`FrameworkBuilder`.  ``on_built`` fires with the wired world
-    right before it starts — the hook instrumentation (e.g. the workload
-    trace recorder) uses to observe a run from t=0.  ``on_builder`` fires
-    earlier, with the configured builder before assembly — for callers
-    that must swap subsystem factories or seed builder extras (e.g. the
-    service layer's external-protocol scheduling strategy) without
-    rewriting this function's control flow.
+    this to fan one preset across a seed matrix).  ``on_built`` fires with
+    the wired world right before it starts — the hook instrumentation
+    (e.g. the workload trace recorder) uses to observe a run from t=0.
+    ``strategy`` is a scheduling-strategy instance attached in place of
+    the one the spec names (the service layer's wire-protocol bridge).
     """
     overrides = {}
     if seed is not None:
@@ -128,14 +121,7 @@ def run_scenario(
         overrides["months"] = months
     if overrides:
         spec = spec.derive(**overrides)
-    builder = FrameworkBuilder(spec)
-    if cluster_specs is not None:
-        builder.with_cluster_specs(cluster_specs)
-    if families is not None:
-        builder.with_families(families)
-    if on_builder is not None:
-        on_builder(builder)
-    fw = builder.build()
+    fw = FrameworkBuilder(spec, strategy=strategy).build()
     if on_built is not None:
         on_built(fw)
     # February's backlog: the testbed is already unhealthy when testing starts.
@@ -212,10 +198,9 @@ def _build_report(fw: TestingFramework, months: float,
         bugs_by_family=bugs_by_family,
         scenario=scenario,
         seed=seed,
-        # The declarative strategy name, not the live object's: a builder
-        # extra may swap in a transport adapter (the wire protocol's
-        # external-protocol strategy) that reproduces the spec's policy
-        # byte-for-byte — the report must then still match a local run.
+        # The declarative strategy name, not the live object's: the wire
+        # protocol's bridge wraps the spec's strategy and reproduces it
+        # byte-for-byte, so the report must still match a local run.
         strategy=strategy,
         jobs_completed=len(done),
         turnaround_mean_s=turnaround,

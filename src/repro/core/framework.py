@@ -148,16 +148,10 @@ class TestingFramework:
             outcome = yield self.sim.process(
                 family.run(self.checkctx, dict(build.parameters)))
             self.outcomes.append(outcome)
-            for line in outcome.log:
-                build.log_line(self.sim.now, line)
             if outcome.resources_blocked:
-                build.log_line(self.sim.now,
-                               "testbed job not schedulable now -> UNSTABLE")
                 return BuildStatus.UNSTABLE
             if outcome.passed:
                 return BuildStatus.SUCCESS
-            for finding in outcome.findings:
-                build.log_line(self.sim.now, str(finding))
             self.tracker.file_from_outcome(outcome)
             return BuildStatus.FAILURE
 

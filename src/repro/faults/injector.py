@@ -11,7 +11,7 @@ can score the framework: detection latency, fraction detected, bugs fixed.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -72,11 +72,9 @@ class FaultInjector:
         Mean time between fault arrivals across the whole testbed.  The
         default (about one fault every 20 hours) yields bug counts in the
         paper's band over a five-month campaign.
-    kinds:
-        Restrict injection to a subset of fault kinds (useful in tests
-        and focused experiments).
-    on_inject:
-        Optional callback invoked with each new :class:`FaultInstance`.
+
+    A random draw picks a kind of :data:`FAULT_SPECS`, in its order, with
+    the catalog's weights.
     """
 
     def __init__(
@@ -85,18 +83,15 @@ class FaultInjector:
         ctx: FaultContext,
         rng_streams: RngStreams,
         mean_interarrival_s: float = 72_000.0,
-        kinds: Optional[Iterable[FaultKind]] = None,
-        on_inject: Optional[Callable[[FaultInstance], None]] = None,
     ):
         self.sim = sim
         self.ctx = ctx
         self.ground_truth = GroundTruth()
         self.mean_interarrival_s = mean_interarrival_s
         self._rng = rng_streams.stream("fault-injector")
-        self._kinds = tuple(kinds) if kinds is not None else tuple(FAULT_SPECS)
+        self._kinds = tuple(FAULT_SPECS)
         self._weights = np.array([FAULT_SPECS[k].weight for k in self._kinds])
         self._weights = self._weights / self._weights.sum()
-        self._on_inject = on_inject
         self._next_id = 1
         self._running = False
 
@@ -111,8 +106,6 @@ class FaultInjector:
             return None
         self._next_id += 1
         self.ground_truth.record(instance)
-        if self._on_inject is not None:
-            self._on_inject(instance)
         return instance
 
     def fix(self, instance: FaultInstance) -> None:

@@ -46,6 +46,13 @@ __all__ = ["OarServer"]
 #: Tolerance for "starts now" in immediate-or-cancel submissions.
 _IMMEDIATE_SLACK_S = 1.0
 
+#: Coalescing window of the replan pass (see ``_replan_pending``).
+_REPLAN_BATCH_S = 300.0
+
+#: Every this often the replan pass re-places every scheduled job, not
+#: only those whose matching set meets a node freed since the last pass.
+_FULL_REPLAN_PERIOD_S = 3600.0
+
 #: Sort key of the job-id (FCFS) ordered lists.
 _job_id = attrgetter("job_id")
 
@@ -132,12 +139,10 @@ class OarServer:
         #: rescheduling pass (like OAR's periodic scheduler), which keeps
         #: long campaigns tractable.
         self._replan_pending = False
-        self.replan_batch_s = 300.0
         #: Bitmask of the nodes freed since the last replanning pass:
         #: between periodic full passes only scheduled jobs whose matching
         #: set contains one of them are re-placed.
         self._dirty_nodes = 0
-        self.full_replan_period_s = 3600.0
         self._next_full_replan = 0.0
         #: Observation hooks (read-only subscribers, e.g. the service layer's
         #: GETS counters).  Called after the job's own event succeeds; they
@@ -649,12 +654,12 @@ class OarServer:
     def _request_replan(self) -> None:
         if not self._replan_pending:
             self._replan_pending = True
-            self.sim.call_in(self.replan_batch_s, self._do_replan)
+            self.sim.call_in(_REPLAN_BATCH_S, self._do_replan)
 
     def _do_replan(self) -> None:
         self._replan_pending = False
         if self.sim.now >= self._next_full_replan:
-            self._next_full_replan = self.sim.now + self.full_replan_period_s
+            self._next_full_replan = self.sim.now + _FULL_REPLAN_PERIOD_S
             self._replan_future_jobs()
         else:
             self._replan_future_jobs(touching=self._dirty_nodes)

@@ -1,10 +1,17 @@
 """``ExternalProtocolStrategy``: the wire protocol as a scheduling policy.
 
 This is the bridge between the deterministic event kernel and a remote
-scheduler.  It registers in the ordinary strategy registry, so from the
+scheduler.  It wraps the strategy the scenario names (``local``) and
+hands only the test-cell decisions to the client, so from the
 simulator's point of view a remote client is just another
 :class:`~repro.scheduling.policies.SchedulingStrategy` — the launcher,
-builder and campaign code are oblivious to the socket underneath.
+builder and campaign code are oblivious to the socket underneath.  The
+local strategy's elastic round (grow/shrink of malleable jobs) runs
+here, server-side, after the wire round on every tick: the order
+:class:`~repro.scheduling.elastic.CommonPoolStrategy` uses in process.
+
+It is not in the strategy registry: it needs a live session, so no
+spec can name it.
 
 Determinism argument, spelled out once:
 
@@ -27,42 +34,41 @@ affecting behaviour.
 
 from __future__ import annotations
 
-from ..scheduling.policies import (
-    SchedulerPolicy,
-    SchedulingStrategy,
-    register_strategy,
-)
+from ..scheduling.policies import SchedulingStrategy
 
 __all__ = ["ExternalProtocolStrategy"]
 
 
-@register_strategy
 class ExternalProtocolStrategy(SchedulingStrategy):
-    """Delegate every tick's decisions to a protocol session."""
+    """Delegate every tick's test-cell decisions to a protocol session;
+    run ``local``'s elastic round, if it has one, in process."""
 
-    name = "external-protocol"
-
-    def __init__(self, policy: SchedulerPolicy, session):
-        self.policy = policy
+    def __init__(self, local: SchedulingStrategy, session):
+        self.local = local
+        self.policy = local.policy
         self.session = session
+        self._elastic_tick = getattr(local, "elastic_tick", None)
         self._scheduler = None
         #: (completion time, cell id, build status) since the last round.
         self._completions: list[tuple[float, int, str]] = []
 
     def bind(self, scheduler) -> None:
         self._scheduler = scheduler
+        self.local.bind(scheduler)
 
     def on_tick(self, view) -> None:
         due = view.due_cells()
-        if not due:
-            # Nothing to decide: skip the round-trip entirely.  Ticks with
-            # no due cells are no-ops for every strategy, so eliding them
-            # cannot change behaviour — only wire traffic.
-            return
-        completions, self._completions = self._completions, []
-        self.session.decision_round(view, due, completions)
+        if due:
+            # No due cells, nothing to decide: the round-trip is skipped.
+            # Ticks with no due cells decide nothing for every strategy,
+            # so eliding them cannot change behaviour — only wire traffic.
+            completions, self._completions = self._completions, []
+            self.session.decision_round(view, due, completions)
+        if self._elastic_tick is not None:
+            self._elastic_tick(view.scheduler.oar)
 
     def on_build_done(self, cell, build) -> None:
+        self.local.on_build_done(cell, build)
         self._completions.append((
             self._scheduler.sim.now,
             self._scheduler.cell_ids[id(cell)],

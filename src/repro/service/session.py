@@ -35,7 +35,9 @@ from typing import Callable, Optional
 from .. import scenarios
 from ..analysis.compare import compare_runs
 from ..core.campaign import run_scenario
+from ..scheduling.policies import get_strategy
 from ..util.serialization import canonical_json, encode_dataclass
+from .policy import ExternalProtocolStrategy
 from .protocol import (
     MAX_LINE_BYTES,
     PROTOCOL_VERSION,
@@ -375,14 +377,8 @@ class Session:
         applies the committed decision log, then switches to interactive
         negotiation exactly where the previous connection died.
         """
-        from .policy import ExternalProtocolStrategy  # cycle guard
-
         self._run = run = _RunState(record)
-
-        def on_builder(builder):
-            builder.with_extra(
-                "scheduling_strategy",
-                lambda policy: ExternalProtocolStrategy(policy, self))
+        local = get_strategy(spec.strategy)(spec.policy)
 
         def on_built(fw):
             fw.oar.on_job_start.append(lambda job: _count(run, "oar_started"))
@@ -390,8 +386,9 @@ class Session:
                 lambda job: _count(run, "oar_completed"))
 
         try:
-            _, report = run_scenario(spec, seed=seed, months=months,
-                                     on_built=on_built, on_builder=on_builder)
+            _, report = run_scenario(
+                spec, seed=seed, months=months, on_built=on_built,
+                strategy=ExternalProtocolStrategy(local, self))
         except SessionClosed:
             # The peer died mid-run: keep the record resumable.
             self.runs.detach(record, "disconnected")

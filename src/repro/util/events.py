@@ -52,6 +52,7 @@ Example
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -583,33 +584,14 @@ class Simulator:
         # entries, and every heap entry at the current instant predates
         # (seq-wise) everything in the queue.  Each phase below is
         # therefore a tight drain with no cross-checks per event.
+        if until is not None and until < self._now:
+            raise SimulationError(f"run(until={until}) is in the past ({self._now})")
+        limit = math.inf if until is None else until
         heap = self._heap
         queue = self._queue
         cancelled = self._cancelled
         heappop = heapq.heappop
         popleft = queue.popleft
-        if until is None:
-            while True:
-                now = self._now  # constant until the advance step below
-                while heap and heap[0][0] <= now:
-                    _when, seq, fn, args = heappop(heap)
-                    if cancelled and seq in cancelled:
-                        cancelled.discard(seq)
-                        continue
-                    fn(*args)
-                while queue:
-                    _seq, fn, args = popleft()
-                    fn(*args)
-                if not heap:
-                    return self._now
-                when, seq, fn, args = heappop(heap)  # advance the clock
-                if cancelled and seq in cancelled:
-                    cancelled.discard(seq)  # dead: skip, clock untouched
-                    continue
-                self._now = when
-                fn(*args)
-        if until < self._now:
-            raise SimulationError(f"run(until={until}) is in the past ({self._now})")
         while True:
             now = self._now  # constant until the advance step below
             while heap and heap[0][0] <= now:
@@ -621,8 +603,9 @@ class Simulator:
             while queue:
                 _seq, fn, args = popleft()
                 fn(*args)
-            if not heap or heap[0][0] > until:
-                self._now = until
+            if not heap or heap[0][0] > limit:
+                if until is not None:
+                    self._now = until
                 return self._now
             when, seq, fn, args = heappop(heap)  # advance the clock
             if cancelled and seq in cancelled:

@@ -14,7 +14,6 @@ def jenkins():
 
 def quick_runner(sim, duration=60.0, status=BuildStatus.SUCCESS):
     def runner(build):
-        build.log_line(sim.now, "doing work")
         yield sim.timeout(duration)
         return status
 
@@ -83,7 +82,6 @@ def test_non_status_return_becomes_failure(jenkins):
     build = server.trigger("broken")
     sim.run()
     assert build.status == BuildStatus.FAILURE
-    assert any("treating as FAILURE" in line for line in build.log)
 
 
 def test_timeout_aborts_build(jenkins):
@@ -111,14 +109,20 @@ def test_done_event_fires(jenkins):
 
 
 def test_build_log_contains_lifecycle(jenkins):
+    """A build keeps no text log: its lifecycle is its timestamps and
+    status."""
     sim, server = jenkins
     server.register_job("j", quick_runner(sim))
-    build = server.trigger("j")
+    sim.run(until=5.0)
+    build = server.trigger("j", cause="timer")
+    assert (build.queued_at, build.started_at, build.status) == \
+        (5.0, None, None)
+    sim.run(until=10.0)
+    assert build.running and build.started_at == 5.0
     sim.run()
-    text = "\n".join(build.log)
-    assert "started on executor" in text
-    assert "doing work" in text
-    assert "finished: SUCCESS" in text
+    assert not build.running and build.finished
+    assert (build.finished_at, build.status, build.cause) == \
+        (65.0, BuildStatus.SUCCESS, "timer")
 
 
 def test_last_build_with_parameters(jenkins):

@@ -1,13 +1,11 @@
-"""FrameworkBuilder: registry plumbing and wiring."""
+"""FrameworkBuilder: the spec plus one strategy, and the stage registry."""
 
 import pytest
 
-from repro.core import FrameworkBuilder, SubsystemRegistry
-from repro.core.builder import SUBSYSTEM_ORDER, default_registry
-from repro.checksuite import family_by_name
+from repro.core import FrameworkBuilder, default_registry, register_subsystem
 from repro.oar import WorkloadConfig
 from repro.scenarios import ScenarioSpec
-from repro.testbed import CLUSTER_SPECS
+from repro.scheduling import DefaultStrategy, StealAgreementStrategy
 
 SMALL = ("grisou", "grimoire", "graoully")
 
@@ -51,43 +49,32 @@ def test_pernode_spec_wraps_hardware_families():
 
 def test_subsystem_override_swaps_backend():
     calls = []
+    original = default_registry().factory("monitoring")
 
     def recording_monitoring(build):
         calls.append("monitoring")
-        from repro.core.builder import _build_monitoring
-        _build_monitoring(build)
+        original(build)
 
-    registry = default_registry()
-    registry.register("monitoring", recording_monitoring)
-    fw = FrameworkBuilder(small_spec(), registry=registry).build()
+    register_subsystem("monitoring", recording_monitoring)
+    try:
+        fw = FrameworkBuilder(small_spec()).build()
+    finally:
+        register_subsystem("monitoring", original)
     assert calls == ["monitoring"]
     assert fw.kwapi is not None
+    assert default_registry().factory("monitoring") is original
 
 
 def test_registry_rejects_unknown_stage():
-    registry = SubsystemRegistry()
     with pytest.raises(ValueError, match="unknown subsystem"):
-        registry.register("blockchain", lambda build: None)
+        default_registry().register("blockchain", lambda build: None)
 
 
-def test_registry_copy_isolated():
-    base = default_registry()
-    copy = base.copy()
-    copy.register("monitoring", lambda build: None)
-    assert base.factory("monitoring") is not copy.factory("monitoring")
-    assert set(SUBSYSTEM_ORDER) == {
-        "testbed", "oar", "kadeploy", "kavlan", "monitoring", "faults",
-        "ci", "scheduling"}
-
-
-def test_with_families_override_beats_spec():
-    fw = (FrameworkBuilder(small_spec())
-          .with_families([family_by_name("console")])
-          .build())
-    assert [f.name for f in fw.families] == ["console"]
-
-
-def test_with_cluster_specs_override_beats_spec():
-    specs = [s for s in CLUSTER_SPECS if s.name == "nova"]
-    fw = FrameworkBuilder(small_spec()).with_cluster_specs(specs).build()
-    assert fw.testbed.cluster_count == 1
+def test_strategy_instance_is_the_one_attached():
+    spec = small_spec()
+    strategy = StealAgreementStrategy(spec.policy)
+    fw = FrameworkBuilder(spec, strategy=strategy).build()
+    assert fw.scheduler.strategy is strategy
+    assert spec.strategy == "default"  # the spec's name did not win
+    assert type(FrameworkBuilder(spec).build().scheduler.strategy) \
+        is DefaultStrategy

@@ -128,6 +128,8 @@ def test_gremlin_index_draws_like_a_park_scan(monkeypatch):
 
 
 def test_build_logs_carry_findings():
+    """A failed build's findings are on its outcome (builds keep no text
+    log)."""
     fw = make_world(families=("console",))
     inst = fw.injector.inject(FaultKind.CONSOLE_BROKEN)
     fw.start(workload=False, faults=False)
@@ -137,7 +139,11 @@ def test_build_logs_carry_findings():
               if b.parameters.get("cluster") == inst.cluster and
               b.status is not None and b.status.value == "FAILURE"]
     assert failed
-    assert any("console" in line for line in failed[0].log)
+    outcomes = [o for o in fw.outcomes
+                if o.config.get("cluster") == inst.cluster and not o.passed]
+    assert len(outcomes) == len(failed)
+    assert any(f.kind_hint is FaultKind.CONSOLE_BROKEN
+               for f in outcomes[0].findings)
 
 
 def test_refapi_archive_keeps_only_the_initial_import(monkeypatch):

@@ -113,18 +113,32 @@ def test_second_build_of_the_same_specs_builds_no_testbed(monkeypatch):
     # The miss hands over the original object: the inventory guard runs.
     assert len(calls) == 1 and calls[0] is CLUSTER_SPECS
     FrameworkBuilder(spec.derive(seed=11)).build()
-    FrameworkBuilder(spec).with_cluster_specs(list(CLUSTER_SPECS)).build()
+    # Every cluster named: an equal tuple of specs, not the same object.
+    named = spec.derive(clusters=tuple(s.name for s in CLUSTER_SPECS))
+    assert named.resolve_cluster_specs() is not CLUSTER_SPECS
+    FrameworkBuilder(named).build()
     assert len(calls) == 1
+
+
+def _grisou_specs():
+    """Six scenarios with distinct cluster-spec sets: grisou at 1..6 nodes."""
+    grisou = next(s for s in CLUSTER_SPECS if s.name == "grisou")
+    specs = [scenarios.get("tiny-smoke").derive(clusters=("grisou",),
+                                                scale=n / grisou.nodes)
+             for n in range(1, 7)]
+    assert [s.resolve_cluster_specs()[0].nodes for s in specs] == \
+        list(range(1, 7))
+    return specs
 
 
 def test_cache_keeps_the_newest_spec_sets():
     _cold()
-    grisou = next(s for s in CLUSTER_SPECS if s.name == "grisou")
-    sets = [(dataclasses.replace(grisou, nodes=n),) for n in range(1, 7)]
-    for specs in sets:
-        FrameworkBuilder(scenarios.get("tiny-smoke")) \
-            .with_cluster_specs(specs).build()
-    assert list(builder_mod._world_cache) == sets[-builder_mod._WORLD_CACHE_MAX:]
+    specs = _grisou_specs()
+    for spec in specs:
+        FrameworkBuilder(spec).build()
+    assert list(builder_mod._world_cache) == \
+        [s.resolve_cluster_specs()
+         for s in specs[-builder_mod._WORLD_CACHE_MAX:]]
 
 
 def test_threaded_builds_share_the_cache_safely():
@@ -132,17 +146,15 @@ def test_threaded_builds_share_the_cache_safely():
     evictions over more spec sets than the cache keeps leave it within its
     bound, and every build gets its own, correct testbed."""
     _cold()
-    grisou = next(s for s in CLUSTER_SPECS if s.name == "grisou")
-    sets = [(dataclasses.replace(grisou, nodes=n),) for n in range(1, 7)]
-    spec = scenarios.get("tiny-smoke")
+    sets = _grisou_specs()
     results, errors = [], []
 
     def worker(offset):
         try:
             for i in range(12):
-                specs = sets[(offset + i) % len(sets)]
-                fw = FrameworkBuilder(spec).with_cluster_specs(specs).build()
-                results.append((specs, fw))
+                spec = sets[(offset + i) % len(sets)]
+                fw = FrameworkBuilder(spec).build()
+                results.append((spec.resolve_cluster_specs(), fw))
         except Exception as exc:  # reported by the asserts below
             errors.append(exc)
 

@@ -114,21 +114,3 @@ def test_injection_reproducible(fresh_testbed):
 
     assert run(5) == run(5)
     assert run(5) != run(6)
-
-
-def test_on_inject_callback(world):
-    sim, ctx, rngs = world
-    seen = []
-    injector = FaultInjector(sim, ctx, rngs, on_inject=seen.append)
-    inst = injector.inject(FaultKind.KWAPI_DOWN)
-    assert seen == [inst]
-
-
-def test_restricted_kinds(world):
-    sim, ctx, rngs = world
-    injector = FaultInjector(sim, ctx, rngs, kinds=[FaultKind.CPU_TURBO])
-    for _ in range(10):
-        inst = injector.inject()
-        if inst is None:
-            break
-        assert inst.kind == FaultKind.CPU_TURBO

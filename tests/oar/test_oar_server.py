@@ -7,6 +7,7 @@ from repro.faults import ServiceHealth
 from repro.faults.catalog import FaultContext, FaultKind, apply_fault, revert_fault
 from repro.nodes import MachinePark
 from repro.oar import JobState, OarDatabase, OarServer, parse_expression
+from repro.oar import server as oar_server
 from repro.testbed import CLUSTER_SPECS, ReferenceApi, build_grid5000
 from repro.util import HOUR, ParseError, RngStreams, Simulator
 
@@ -242,7 +243,7 @@ def test_early_release_pulls_forward(world):
     sim.run(until=2 * HOUR)
     assert follower.state == JobState.TERMINATED
     # pulled forward at the next (batched) replanning pass
-    assert follower.started_at == pytest.approx(HOUR + oar.replan_batch_s)
+    assert follower.started_at == pytest.approx(HOUR + oar_server._REPLAN_BATCH_S)
 
 
 def test_utilization_metric(world):

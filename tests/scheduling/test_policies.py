@@ -62,10 +62,10 @@ def test_peak_hours_policy_can_be_disabled():
 def test_registry_knows_builtin_strategies():
     from repro.scheduling import (DefaultStrategy, get_strategy,
                                   strategy_names)
-    import repro.service  # noqa: F401  (registers external-protocol)
+    import repro.service  # noqa: F401  (the wire bridge stays unregistered)
     assert get_strategy("default") is DefaultStrategy
-    names = strategy_names()
-    assert "default" in names and "external-protocol" in names
+    assert strategy_names() == ["common-pool", "default", "easy-backfill",
+                                "steal-agreement"]
 
 
 def test_unknown_strategy_error_lists_known_names():
@@ -85,8 +85,8 @@ def test_register_rejects_abstract_names():
 
 
 def test_explicit_default_strategy_is_behaviour_identical():
-    """The strategy extraction is a pure refactor: injecting
-    DefaultStrategy through the builder extra produces the byte-identical
+    """The strategy extraction is a pure refactor: passing a
+    DefaultStrategy instance as ``strategy=`` produces the byte-identical
     report of the implicit default."""
     import hashlib
     import json
@@ -101,8 +101,6 @@ def test_explicit_default_strategy_is_behaviour_identical():
 
     spec = scenarios.get("tiny-smoke")
     _, implicit = run_scenario(spec, seed=5, months=0.05)
-    _, explicit = run_scenario(
-        spec, seed=5, months=0.05,
-        on_builder=lambda b: b.with_extra(
-            "scheduling_strategy", lambda policy: DefaultStrategy(policy)))
+    _, explicit = run_scenario(spec, seed=5, months=0.05,
+                               strategy=DefaultStrategy(spec.policy))
     assert report_hash(implicit) == report_hash(explicit)

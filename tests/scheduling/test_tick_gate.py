@@ -68,10 +68,8 @@ def _decisions(monkeypatch, strategy_cls, seed, **knobs):
     with monkeypatch.context() as patch:
         for name in ("launch", "defer"):
             patch.setattr(TickView, name, recording(name))
-        run_scenario(
-            scenarios.get("tiny-smoke"), seed=seed, months=_MONTHS,
-            on_builder=lambda b: b.with_extra(
-                "scheduling_strategy", lambda _: strategy_cls(policy)))
+        run_scenario(scenarios.get("tiny-smoke"), seed=seed, months=_MONTHS,
+                     strategy=strategy_cls(policy))
     return decisions, policy.asked, capped_with_due
 
 

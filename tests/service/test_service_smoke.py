@@ -26,10 +26,14 @@ def service(tmp_path):
     svc.stop()
 
 
-def inprocess_hash(name: str, seed: int, months: float) -> str:
-    _, report = run_scenario(scenarios.get(name), seed=seed, months=months)
+def report_hash(report) -> str:
     doc = json.dumps(report.to_dict(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(doc.encode("utf-8")).hexdigest()
+
+
+def inprocess_hash(name: str, seed: int, months: float) -> str:
+    _, report = run_scenario(scenarios.get(name), seed=seed, months=months)
+    return report_hash(report)
 
 
 def test_remote_run_is_byte_identical_to_inprocess(service):
@@ -47,6 +51,19 @@ def test_remote_determinism_holds_across_seeds(service):
             result = client.run_scenario("tiny-smoke", seed=seed,
                                          months=MONTHS)
         assert result["sha256"] == inprocess_hash("tiny-smoke", seed, MONTHS)
+
+
+def test_remote_malleable_run_keeps_its_elastic_round(service):
+    """The wire bridge wraps the spec's strategy: a remote ``elastic-burst``
+    still grows and shrinks its malleable jobs, byte for byte as in
+    process."""
+    _, report = run_scenario(scenarios.get("elastic-burst"), seed=0,
+                             months=0.01)
+    assert report.grow_events > 0 and report.shrink_events > 0
+    host, port = service.address
+    with ReferenceClient(host, port) as client:
+        result = client.run_scenario("elastic-burst", seed=0, months=0.01)
+    assert result["sha256"] == report_hash(report)
 
 
 def test_campaign_submission_dedupes_across_connections(service):
