@@ -18,9 +18,11 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
 if TYPE_CHECKING:  # real imports are deferred: analysis loads during the
-    # repro.core package's own import (builder pulls in BuildHistory), so a
-    # module-level import of core.batch here would be a circular import.
-    from ..core.batch import CampaignRun, MetricSummary
+    # repro.core package's own import (the scheduler pulls in
+    # BuildHistory), so a module-level import of core.batch or core.store
+    # here would be a circular import.
+    from ..core.batch import MetricSummary
+    from ..core.store import CampaignRun
 
 __all__ = ["MetricDelta", "ScoreboardRow", "compare_aggregates",
            "compare_runs", "format_comparison", "format_scoreboard",

@@ -40,7 +40,7 @@ class BuildHistory:
         self.records: list[BuildRecord] = []
 
     def record(self, cell, build) -> None:
-        """Callback wired to the external scheduler's on_build_done."""
+        """Append one finished build (the external scheduler calls it)."""
         self.records.append(BuildRecord(
             finished_at=build.finished_at,
             family=cell.family.name,

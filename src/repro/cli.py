@@ -40,13 +40,8 @@ from .analysis.compare import (
     format_scoreboard,
     scoreboard,
 )
-from .core.batch import (
-    CampaignRun,
-    aggregate_runs,
-    run_campaigns,
-    summarize_runs,
-)
-from .core.store import CampaignStore
+from .core.batch import aggregate_runs, run_campaigns, summarize_runs
+from .core.store import CampaignRun, CampaignStore
 from .oar.traces import TraceReplayConfig
 from .scheduling.policies import get_strategy, strategy_names
 
@@ -223,11 +218,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _runs_json(runs: Sequence[CampaignRun]) -> str:
-    docs = [{"scenario": r.scenario, "seed": r.seed,
-             "spec_hash": r.spec_hash, "error": r.error,
-             "report": r.report.to_dict() if r.report is not None else None}
-            for r in runs]
-    return json.dumps(docs, sort_keys=True, indent=2)
+    return json.dumps([r.result_doc() for r in runs], sort_keys=True, indent=2)
 
 
 def _run_matrix(args: argparse.Namespace, specs: list,

@@ -1,7 +1,6 @@
 """The paper's contribution: the testing framework and campaign loop."""
 
 from .batch import (
-    CampaignRun,
     MetricSummary,
     aggregate_runs,
     run_campaigns,
@@ -16,7 +15,7 @@ from .builder import (
 )
 from .campaign import CampaignReport, run_scenario
 from .framework import TestingFramework
-from .store import CampaignStore, StoredCell, cell_hash, cell_key
+from .store import CampaignRun, CampaignStore, cell_hash, cell_key
 
 __all__ = [
     "Bug",
@@ -31,7 +30,6 @@ __all__ = [
     "CampaignReport",
     "CampaignRun",
     "CampaignStore",
-    "StoredCell",
     "cell_hash",
     "cell_key",
     "MetricSummary",

@@ -11,12 +11,13 @@ per metric.
 The engine *streams*: each worker runs one cell at a time, results are
 collected as cells finish (reassembled into matrix order at the end), each
 completion fires an ``on_cell`` progress callback, and a crashing cell is
-captured as a failed :class:`CampaignRun` instead of killing the sweep.
-The same executor enforces the optional per-cell deadline, retries and
-quarantine.  With a :class:`~repro.core.store.CampaignStore` attached
-every finished cell is durably archived, and ``resume=True`` skips cells
-the store already holds — an interrupted sweep re-pays only its missing
-(or previously crashed) cells.
+captured as a failed :class:`~repro.core.store.CampaignRun` instead of
+killing the sweep.  The same executor enforces the optional per-cell
+deadline, retries and quarantine.  Every finished cell is recorded
+through a :class:`~repro.core.store.CampaignStore` (an in-memory one when
+none is given); with a file-backed store it is durably archived, and
+``resume=True`` skips cells the store already holds — an interrupted
+sweep re-pays only its missing (or previously crashed) cells.
 
 Specs travel to workers as their JSON documents (``ScenarioSpec`` is fully
 serializable), so the fan-out works with any start method and the exact
@@ -38,9 +39,9 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 from ..scenarios import get as get_preset
 from ..scenarios.spec import ScenarioSpec
 from .campaign import CampaignReport, run_scenario
-from .store import CampaignStore, cell_hash, format_cell_key
+from .store import CampaignRun, CampaignStore, cell_hash, format_cell_key
 
-__all__ = ["CampaignRun", "MetricSummary", "run_campaigns",
+__all__ = ["MetricSummary", "run_campaigns",
            "aggregate_runs", "summarize_runs", "shutdown_worker_pool"]
 
 #: Scalar CampaignReport fields worth aggregating across seeds.
@@ -65,37 +66,6 @@ SCALAR_METRICS: tuple[str, ...] = (
     "grow_events",
     "shrink_events",
 )
-
-
-@dataclass(frozen=True)
-class CampaignRun:
-    """One (scenario, seed) cell of the batch matrix.
-
-    ``report`` is ``None`` when the cell crashed; ``error`` then carries
-    the worker's traceback.  ``spec_hash`` is the seed-independent content
-    hash of the effective scenario (see :func:`repro.core.store.cell_hash`)
-    — it is what lets :func:`aggregate_runs` detect two *different* specs
-    masquerading under one name.  ``quarantined`` marks a poison cell
-    (ran past its deadline, or failed every one of several attempts): its
-    failure is final and ``resume`` will not retry it.
-    """
-
-    scenario: str
-    seed: int
-    report: Optional[CampaignReport]
-    spec_hash: str = ""
-    error: Optional[str] = None
-    quarantined: bool = False
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None and self.report is not None
-
-    @property
-    def error_summary(self) -> str:
-        """Last line of the captured traceback (the exception itself)."""
-        lines = (self.error or "").strip().splitlines()
-        return lines[-1] if lines else "unknown error"
 
 
 @dataclass(frozen=True)
@@ -200,12 +170,12 @@ class _Worker:
 
 
 _fleet: list[_Worker] = []
-#: Serializes batches across threads: the campaign service runs one
-#: session per connection thread, and two threads dispatching to one
-#: fleet would steal each other's results.  Held for the whole fleet
-#: phase of :func:`run_campaigns` (one batch at a time is also the global
-#: dedupe cache's friend: the second identical sweep resumes from the
-#: store instead of racing the first).
+#: Serializes batches across threads (the campaign service runs one
+#: session per connection thread): two threads dispatching to one fleet
+#: would steal each other's results.  :func:`run_campaigns` holds it from
+#: its resume scan to its last cell, so a second batch on the same store
+#: sees every cell the first recorded and resumes them instead of running
+#: them again.
 _fleet_lock = threading.RLock()
 
 
@@ -349,18 +319,19 @@ def run_campaigns(
     worker fleet and defaults to ``min(len(matrix), cpu_count)``.
     ``months`` optionally overrides every spec's horizon.
 
-    ``store`` (a :class:`~repro.core.store.CampaignStore` or a path to
-    one) durably archives each cell as it finishes; with ``resume=True``
+    Every cell is recorded through ``store`` as it finishes: a
+    :class:`~repro.core.store.CampaignStore`, the path of one (durably
+    archived), or None for a fresh in-memory store.  With ``resume=True``
     cells the store already holds *successfully* are returned from the
     archive instead of re-executed (recorded failures are retried, so a
     resume after a transient crash heals the matrix).  ``on_cell`` fires
     once per finished cell in completion order.
 
     A cell that raises, or whose worker dies, does not abort the sweep:
-    its :class:`CampaignRun` carries the error in ``error`` and
-    ``report=None``, and is recorded as a failure when a store is
-    attached.  A failed cell is retried up to ``max_cell_attempts`` times
-    with exponential backoff (``retry_backoff_s · 2^(attempt-1)``) and
+    its :class:`~repro.core.store.CampaignRun` carries the error in
+    ``error`` and ``report=None``, and is recorded as a failure.  A
+    failed cell is retried up to ``max_cell_attempts`` times with
+    exponential backoff (``retry_backoff_s · 2^(attempt-1)``) and
     quarantined once more than one attempt is spent.  A cell still
     running ``cell_timeout_s`` seconds (wall clock) after it started is
     quarantined at once and its worker replaced.  Quarantined cells are
@@ -392,54 +363,44 @@ def run_campaigns(
     matrix = [(spec, seed) for spec in resolved for seed in seed_list]
     if not matrix:
         return []
-    if store is not None and not isinstance(store, CampaignStore):
-        store = CampaignStore(store)
-
+    if workers is None:
+        workers = min(len(matrix), os.cpu_count() or 1)
     # Hash/serialize each spec once; every cell of its seed row reuses it.
     hashes = {id(spec): cell_hash(spec, months) for spec in resolved}
     docs = {id(spec): spec.to_dict() for spec in resolved}
     runs: list[Optional[CampaignRun]] = [None] * len(matrix)
     pending: list[tuple[int, dict, int, Optional[float]]] = []
-    for index, (spec, seed) in enumerate(matrix):
-        if store is not None and resume:
-            effective = months if months is not None else spec.months
-            key = format_cell_key(hashes[id(spec)], seed, effective)
-            cached = store.get(key)
-        else:
-            cached = None
-        if cached is not None and (cached.ok or cached.quarantined):
-            # Successes resume from the archive; so do quarantined
-            # failures — a poison cell must not be retried forever.
-            runs[index] = CampaignRun(
-                scenario=spec.name, seed=seed, report=cached.report,
-                spec_hash=cached.spec_hash, error=cached.error,
-                quarantined=cached.quarantined)
-            if on_cell is not None:
-                on_cell(runs[index], True)
-        else:
-            pending.append((index, docs[id(spec)], seed, months))
 
     def finish(index: int, report: Optional[CampaignReport],
                error: Optional[str], quarantined: bool = False) -> None:
         spec, seed = matrix[index]
-        runs[index] = CampaignRun(scenario=spec.name, seed=seed,
-                                  report=report, spec_hash=hashes[id(spec)],
-                                  error=error, quarantined=quarantined)
-        if store is not None:
-            if error is None:
-                store.record_success(spec, seed, report, months=months,
-                                     spec_hash=hashes[id(spec)])
-            else:
-                store.record_failure(spec, seed, error, months=months,
-                                     spec_hash=hashes[id(spec)],
-                                     quarantined=quarantined)
+        if error is None:
+            run = archive.record_success(spec, seed, report, months=months,
+                                         spec_hash=hashes[id(spec)])
+        else:
+            run = archive.record_failure(spec, seed, error, months=months,
+                                         spec_hash=hashes[id(spec)],
+                                         quarantined=quarantined)
+        runs[index] = run
         if on_cell is not None:
-            on_cell(runs[index], False)
+            on_cell(run, False)
 
-    if workers is None:
-        workers = min(len(matrix), os.cpu_count() or 1)
-    if pending:
-        with _fleet_lock:
+    with _fleet_lock:
+        archive = (store if isinstance(store, CampaignStore)
+                   else CampaignStore(store))
+        for index, (spec, seed) in enumerate(matrix):
+            effective = months if months is not None else spec.months
+            key = format_cell_key(hashes[id(spec)], seed, effective)
+            cached = archive.get(key) if resume else None
+            if cached is not None and (cached.ok or cached.quarantined):
+                # Successes resume from the archive; so do quarantined
+                # failures — a poison cell must not be retried forever.
+                runs[index] = cached
+                if on_cell is not None:
+                    on_cell(cached, True)
+            else:
+                pending.append((index, docs[id(spec)], seed, months))
+        if pending:
             _run_fleet(pending, finish, workers, cell_timeout_s,
                        max_cell_attempts, retry_backoff_s)
     assert all(r is not None for r in runs)

@@ -23,7 +23,6 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from ..analysis.history import BuildHistory
 from ..checksuite.base import CheckContext, CheckFamily
 from ..ci.server import JenkinsServer
 from ..faults.catalog import FaultContext
@@ -92,7 +91,6 @@ class FrameworkBuild:
     jenkins: object = None
     tracker: object = None
     operators: object = None
-    history: object = None
     checkctx: object = None
     scheduler: object = None
 
@@ -216,7 +214,6 @@ def _build_ci(b: FrameworkBuild) -> None:
     b.tracker = BugTracker(b.sim, b.injector.ground_truth, b.fault_ctx)
     b.operators = OperatorTeam(b.sim, b.tracker, b.injector, b.rngs,
                                speedup=b.spec.operator_speedup)
-    b.history = BuildHistory()
 
 
 def _build_scheduling(b: FrameworkBuild) -> None:
@@ -226,13 +223,11 @@ def _build_scheduling(b: FrameworkBuild) -> None:
         services=b.services, oar=b.oar, oardb=b.oardb, kadeploy=b.kadeploy,
         kavlan=b.kavlan, kwapi=b.kwapi, rngs=b.rngs,
     )
-    history = b.history
     strategy = b.strategy
     if strategy is None:
         strategy = get_strategy(b.spec.strategy)(b.spec.policy)
     b.scheduler = ExternalScheduler(
         b.sim, b.jenkins, b.oar, b.testbed, b.families, policy=b.spec.policy,
-        on_build_done=lambda cell, build: history.record(cell, build),
         strategy=strategy,
     )
 
@@ -304,7 +299,7 @@ class FrameworkBuilder:
             jenkins=build.jenkins, tracker=build.tracker,
             operators=build.operators,
             scheduler=build.scheduler, checkctx=build.checkctx,
-            families=build.families, history=build.history,
+            families=build.families,
         )
         framework.register_family_jobs()
         return framework

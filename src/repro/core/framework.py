@@ -7,7 +7,7 @@ things, and Jenkins + the external scheduler + the bug tracker/operator
 team that close the loop ("test-driven operations", slide 23).
 
 Assembly lives in :mod:`repro.core.builder` (declarative
-:class:`~repro.scenarios.ScenarioSpec` + pluggable subsystem registry).
+:class:`~repro.scenarios.ScenarioSpec` plus one scheduling strategy).
 """
 
 from __future__ import annotations
@@ -70,13 +70,17 @@ class TestingFramework:
     scheduler: ExternalScheduler
     checkctx: CheckContext
     families: list[CheckFamily]
-    history: BuildHistory
     outcomes: list[TestOutcome] = field(default_factory=list)
     _started: bool = False
 
     @property
     def ground_truth(self):
         return self.injector.ground_truth
+
+    @property
+    def history(self) -> BuildHistory:
+        """Every finished framework build (the external scheduler's)."""
+        return self.scheduler.history
 
     # -- lifecycle ------------------------------------------------------------
 

@@ -28,16 +28,15 @@ load (:attr:`CampaignStore.corrupt_records`), never trusted; a record
 with no ``sum`` at all counts as damaged
 (:attr:`CampaignStore.damaged_records`), so a flipped bit in the key name
 cannot turn verification off.  :func:`fsck_store` audits an archive
-offline and ``--repair`` rewrites it atomically keeping only verifiable
-records; it also migrates records from before the checksum era once, by
-checksumming them as it re-encodes them.
+offline by the same rule a load applies, and ``--repair`` rewrites it
+atomically keeping only verifiable records.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Iterator, Optional, Union
 
 from ..scenarios.spec import ScenarioSpec
@@ -50,7 +49,7 @@ from ..util.serialization import (
 )
 from .campaign import CampaignReport
 
-__all__ = ["CampaignStore", "StoredCell", "StoreFormatError",
+__all__ = ["CampaignStore", "CampaignRun", "StoreFormatError",
            "StoreChecksumError", "FsckReport", "fsck_store", "cell_hash",
            "cell_key", "format_cell_key"]
 
@@ -102,9 +101,15 @@ def cell_key(spec: ScenarioSpec, seed: int, months: Optional[float] = None) -> s
 
 
 @dataclass(frozen=True)
-class StoredCell:
-    """One archived matrix cell (a success or a recorded failure).
+class CampaignRun:
+    """One finished (scenario, seed) cell of a campaign matrix.
 
+    ``report`` is ``None`` when the cell failed; ``error`` then carries
+    the worker's traceback.  ``spec_hash`` is the seed-independent content
+    hash of the effective scenario (:func:`cell_hash`) — it is what lets
+    :func:`~repro.core.batch.aggregate_runs` detect two *different* specs
+    masquerading under one name.  ``spec`` is the document of exactly
+    what ran (horizon override and cell seed folded in).
     ``quarantined`` marks a poison cell: it failed every one of several
     attempts (or ran past its deadline), so ``resume`` must *not* retry
     it — unlike an ordinary recorded failure, which resume heals.
@@ -123,6 +128,19 @@ class StoredCell:
     @property
     def ok(self) -> bool:
         return self.error is None and self.report is not None
+
+    @property
+    def error_summary(self) -> str:
+        """Last line of the captured traceback (the exception itself)."""
+        lines = (self.error or "").strip().splitlines()
+        return lines[-1] if lines else "unknown error"
+
+    def result_doc(self) -> dict:
+        """The cell as ``--json`` and ``RPRT store`` print it."""
+        return {"scenario": self.scenario, "seed": self.seed,
+                "spec_hash": self.spec_hash, "error": self.error,
+                "report": (self.report.to_dict()
+                           if self.report is not None else None)}
 
     def to_doc(self) -> dict:
         doc = {
@@ -144,7 +162,7 @@ class StoredCell:
         return doc
 
     @classmethod
-    def from_doc(cls, doc: dict) -> "StoredCell":
+    def from_doc(cls, doc: dict) -> "CampaignRun":
         if doc.get("v") != _FORMAT:
             raise StoreFormatError(
                 f"unsupported store record version {doc.get('v')!r}")
@@ -175,17 +193,17 @@ class CampaignStore:
     """Append-only archive of campaign cells, indexed in memory.
 
     Opened on a path, the store replays that JSONL file into a
-    ``key -> StoredCell`` index (last record wins, so re-running a cell
-    simply supersedes it), and every :meth:`record` append is flushed and
-    fsynced before it returns — a crashed driver loses at most the cell it
-    was executing, never a finished one.  With no path the store lives in
-    memory only (storeless service sessions, tests).
+    ``key -> CampaignRun`` index (last record wins, so re-running a cell
+    simply supersedes it), and every append is flushed and fsynced before
+    it returns — a crashed driver loses at most the cell it was executing,
+    never a finished one.  With no path the store lives in memory only
+    (a batch run without an archive, storeless service sessions).
     """
 
     def __init__(self, path: Union[str, "os.PathLike[str]", None] = None):
         #: The JSONL file, or None for an in-memory store.
         self.path = None if path is None else os.fspath(path)
-        self._cells: dict[str, StoredCell] = {}
+        self._cells: dict[str, CampaignRun] = {}
         #: Records skipped on load because their checksum failed.
         self.corrupt_records = 0
         #: Records skipped on load for any other damage (torn lines,
@@ -206,7 +224,7 @@ class CampaignStore:
             self.damaged_records += 1
             return  # damaged record: JSON, but not one of ours
         try:
-            cell = StoredCell.from_doc(doc)
+            cell = CampaignRun.from_doc(doc)
         except StoreFormatError:
             raise  # a future format must not become silent data loss
         except StoreChecksumError:
@@ -225,15 +243,12 @@ class CampaignStore:
     def __contains__(self, key: str) -> bool:
         return key in self._cells
 
-    def get(self, key: str) -> Optional[StoredCell]:
+    def get(self, key: str) -> Optional[CampaignRun]:
         return self._cells.get(key)
 
-    def cells(self) -> Iterator[StoredCell]:
+    def cells(self) -> Iterator[CampaignRun]:
         """All indexed cells (deduplicated, file order of last write)."""
         return iter(self._cells.values())
-
-    def failures(self) -> list[StoredCell]:
-        return [c for c in self._cells.values() if not c.ok]
 
     def scenarios(self) -> list[str]:
         """Distinct scenario names, sorted."""
@@ -241,34 +256,25 @@ class CampaignStore:
 
     # -- writes ----------------------------------------------------------------
 
-    def record(self, cell: StoredCell) -> StoredCell:
-        """Durably append one finished cell and index it."""
-        if self.path is not None:
-            append_jsonl(self.path, cell.to_doc())
-        self._cells[cell.key] = cell
-        return cell
-
     def record_success(self, spec: ScenarioSpec, seed: int,
                        report: CampaignReport,
                        months: Optional[float] = None,
-                       spec_hash: Optional[str] = None) -> StoredCell:
-        return self.record(self._make_cell(spec, seed, months, spec_hash,
-                                           report=report))
+                       spec_hash: Optional[str] = None) -> CampaignRun:
+        return self._record(spec, seed, months, spec_hash, report=report)
 
     def record_failure(self, spec: ScenarioSpec, seed: int, error: str,
                        months: Optional[float] = None,
                        spec_hash: Optional[str] = None,
-                       quarantined: bool = False) -> StoredCell:
-        return self.record(self._make_cell(spec, seed, months, spec_hash,
-                                           error=error,
-                                           quarantined=quarantined))
+                       quarantined: bool = False) -> CampaignRun:
+        return self._record(spec, seed, months, spec_hash, error=error,
+                            quarantined=quarantined)
 
-    def _make_cell(self, spec: ScenarioSpec, seed: int,
-                   months: Optional[float],
-                   spec_hash: Optional[str] = None,
-                   report: Optional[CampaignReport] = None,
-                   error: Optional[str] = None,
-                   quarantined: bool = False) -> StoredCell:
+    def _record(self, spec: ScenarioSpec, seed: int,
+                months: Optional[float], spec_hash: Optional[str],
+                report: Optional[CampaignReport] = None,
+                error: Optional[str] = None,
+                quarantined: bool = False) -> CampaignRun:
+        """Durably append one finished cell, index it and return it."""
         effective = float(months) if months is not None else float(spec.months)
         if spec_hash is None:
             spec_hash = cell_hash(spec, months)
@@ -277,7 +283,7 @@ class CampaignStore:
         doc = spec.to_dict()
         doc["months"] = effective
         doc["seed"] = seed
-        return StoredCell(
+        cell = CampaignRun(
             key=format_cell_key(spec_hash, seed, effective),
             spec_hash=spec_hash,
             scenario=spec.name,
@@ -288,14 +294,18 @@ class CampaignStore:
             error=error,
             quarantined=quarantined,
         )
+        if self.path is not None:
+            append_jsonl(self.path, cell.to_doc())
+        self._cells[cell.key] = cell
+        return cell
 
     # -- interop ---------------------------------------------------------------
 
     def runs(self, scenarios: Optional[list[str]] = None,
-             disambiguate: bool = True) -> "list[Any]":
-        """Stored cells as :class:`~repro.core.batch.CampaignRun` values
-        (sorted scenario-major, seed-minor — the matrix order
-        ``run_campaigns`` returns), optionally filtered by scenario name.
+             disambiguate: bool = True) -> list[CampaignRun]:
+        """Stored cells sorted scenario-major, seed-minor (the matrix
+        order ``run_campaigns`` returns), optionally filtered by scenario
+        name.
 
         A store legitimately holds one scenario name at several variants
         (most commonly different ``--months`` horizons — distinct cells by
@@ -307,14 +317,13 @@ class CampaignStore:
         would retroactively change when new variants are appended, the
         stored names and ``spec_hash`` never do.
         """
-        from .batch import CampaignRun  # local import avoids a cycle
         cells = [c for c in self._cells.values()
                  if scenarios is None or c.scenario in scenarios]
         variants: dict[str, dict[str, float]] = {}
         for c in cells:
             variants.setdefault(c.scenario, {})[c.spec_hash] = c.months
 
-        def label(c: StoredCell) -> str:
+        def label(c: CampaignRun) -> str:
             v = variants[c.scenario]
             if not disambiguate or len(v) == 1:
                 return c.scenario
@@ -323,10 +332,7 @@ class CampaignStore:
             return f"{c.scenario}#{c.spec_hash[:6]}"
 
         cells.sort(key=lambda c: (c.scenario, c.months, c.seed))
-        return [CampaignRun(scenario=label(c), seed=c.seed, report=c.report,
-                            spec_hash=c.spec_hash, error=c.error,
-                            quarantined=c.quarantined)
-                for c in cells]
+        return [replace(c, scenario=label(c)) for c in cells]
 
 
 # -- offline integrity audit ---------------------------------------------------
@@ -337,9 +343,7 @@ class FsckReport:
     """What :func:`fsck_store` found (and possibly fixed)."""
 
     total_lines: int = 0       # non-blank lines examined
-    valid: int = 0             # verifiable records (checksum OK or legacy)
-    legacy: int = 0            # of the valid: pre-checksum records, which
-                               # load as damaged until a repair migrates them
+    valid: int = 0             # verifiable records (checksum OK)
     torn: int = 0              # unparseable lines (torn tails, bit rot)
     checksum_failed: int = 0   # parsed, but the checksum disagrees
     malformed: int = 0         # parsed JSON that is not a store record
@@ -356,7 +360,6 @@ class FsckReport:
         return {
             "total_lines": self.total_lines,
             "valid": self.valid,
-            "legacy": self.legacy,
             "torn": self.torn,
             "checksum_failed": self.checksum_failed,
             "malformed": self.malformed,
@@ -367,8 +370,7 @@ class FsckReport:
 
     def __str__(self) -> str:
         verdict = "clean" if self.clean else "DAMAGED"
-        parts = [f"{self.total_lines} lines: {self.valid} valid "
-                 f"({self.legacy} legacy, now checksummed on repair)"]
+        parts = [f"{self.total_lines} lines: {self.valid} valid"]
         for label, n in (("torn", self.torn),
                          ("checksum-failed", self.checksum_failed),
                          ("malformed", self.malformed),
@@ -383,14 +385,14 @@ def fsck_store(path: Union[str, "os.PathLike[str]"],
                repair: bool = False) -> FsckReport:
     """Audit a JSONL campaign store; optionally rewrite it clean.
 
-    Every non-blank line is classified (see :class:`FsckReport`).  With
-    ``repair=True`` and anything to fix — damage, or legacy records that
-    would gain checksums — the file is atomically rewritten (tmp file +
+    Every non-blank line is classified (see :class:`FsckReport`) by the
+    rule a load applies, so a record a load would skip — a record with no
+    ``sum`` included — is damage here too.  With ``repair=True`` and
+    damage found, the file is atomically rewritten (tmp file +
     ``os.replace``, then a directory fsync) keeping verifiable records
-    re-encoded in order;
-    version-skew records are preserved verbatim (a newer tool owns them),
-    damaged ones are dropped.  Without damage and without legacy records
-    the file is left untouched.
+    re-encoded in order; version-skew records are preserved verbatim (a
+    newer tool owns them), damaged ones are dropped.  A clean file is
+    left untouched.
     """
     path = os.fspath(path)
     report = FsckReport()
@@ -410,13 +412,8 @@ def fsck_store(path: Union[str, "os.PathLike[str]"],
             if not isinstance(doc, dict):
                 report.malformed += 1
                 continue
-            # A pre-checksum record is checksummed here, before decoding:
-            # repair migrates it once; a plain load counts it damaged.
-            legacy = "sum" not in doc
-            if legacy:
-                doc = dict(doc, sum=content_hash(doc))
             try:
-                cell = StoredCell.from_doc(doc)
+                cell = CampaignRun.from_doc(doc)
             except StoreChecksumError:
                 report.checksum_failed += 1
                 continue
@@ -428,9 +425,8 @@ def fsck_store(path: Union[str, "os.PathLike[str]"],
                 report.malformed += 1
                 continue
             report.valid += 1
-            report.legacy += legacy
             keep.append(canonical_json(cell.to_doc()))
-    if repair and (not report.clean or report.legacy):
+    if repair and not report.clean:
         tmp = path + ".fsck-tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
             for line in keep:

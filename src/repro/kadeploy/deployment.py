@@ -82,7 +82,6 @@ class Kadeploy:
         self.machines = machines
         self.services = services
         self._rng = rng_streams.stream("kadeploy")
-        self.deployments_run = 0
 
     # -- public API ----------------------------------------------------------
 
@@ -98,7 +97,6 @@ class Kadeploy:
         image = image_by_name(image_name)
         machines = [self.machines[u] for u in node_uids]
         started = self.sim.now
-        self.deployments_run += 1
         outcomes = {m.uid: NodeDeployOutcome(m.uid, ok=False) for m in machines}
         yield from self._run_attempt(machines, image, outcomes)
         return DeploymentResult(

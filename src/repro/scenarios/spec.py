@@ -7,9 +7,9 @@ needs is in the spec — benchmarks and examples reference scenarios by name
 or file instead of duplicating constructor kwargs, and a spec can be
 shipped to a worker process or archived next to its results.
 
-Anything *not* expressible as plain data (custom ``ClusterSpec`` objects,
-pre-built ``CheckFamily`` instances) stays out of the spec and goes through
-the :class:`~repro.core.builder.FrameworkBuilder` override hooks instead.
+The spec names clusters and check families from the built-in catalogues;
+the one live object a world may be given besides its spec is a scheduling
+strategy instance (``FrameworkBuilder(spec, strategy=...)``).
 """
 
 from __future__ import annotations

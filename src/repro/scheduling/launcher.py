@@ -28,8 +28,9 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import chain
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
+from ..analysis.history import BuildHistory
 from ..checksuite.base import CheckFamily
 from ..ci.job import Build, BuildStatus
 from ..ci.server import JenkinsServer
@@ -154,7 +155,6 @@ class ExternalScheduler:
         families: list[CheckFamily],
         policy: SchedulerPolicy = SchedulerPolicy(),
         tick_s: float = 300.0,
-        on_build_done: Optional[Callable[[TestCell, Build], None]] = None,
         strategy: Optional[SchedulingStrategy] = None,
     ):
         self.sim = sim
@@ -163,7 +163,8 @@ class ExternalScheduler:
         self.testbed = testbed
         self.policy = policy
         self.tick_s = tick_s
-        self.on_build_done = on_build_done
+        #: Every finished build, in completion order.
+        self.history = BuildHistory()
         self.cells: list[TestCell] = []
         self._in_flight_per_site: dict[str, int] = {}
         self._site_of_cluster = {c.uid: c.site for c in testbed.iter_clusters()}
@@ -313,8 +314,7 @@ class ExternalScheduler:
             cell.next_attempt_at = self.sim.now + period
         self._reindex(cell)
         self.strategy.on_build_done(cell, build)
-        if self.on_build_done is not None:
-            self.on_build_done(cell, build)
+        self.history.record(cell, build)
 
     # -- introspection ---------------------------------------------------------
 

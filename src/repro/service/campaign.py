@@ -10,19 +10,18 @@ The service funnels every matrix through one shared
 store acts as a *global dedupe cache*: overlapping sweeps from any number
 of clients pay for each unique ``(spec-hash, seed, months)`` cell exactly
 once — later submissions stream ``cached`` cells straight from the
-archive.  A lock serializes matrix execution (one batch at a time keeps
-the shared warm worker fleet and the append-only store simple); progress
-still streams per cell, in completion order.
+archive.  :func:`~repro.core.batch.run_campaigns` runs one batch at a
+time (which keeps the shared warm worker fleet and the append-only store
+simple); progress still streams per cell, in completion order.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Optional, Union
 
 from .. import scenarios
-from ..core.batch import CampaignRun, run_campaigns
-from ..core.store import CampaignStore
+from ..core.batch import run_campaigns
+from ..core.store import CampaignRun, CampaignStore
 from ..scenarios.spec import ScenarioSpec
 
 __all__ = ["CampaignService"]
@@ -39,7 +38,6 @@ class CampaignService:
         """``store`` is a store, the path of its JSONL file, or None for
         an in-memory store."""
         self.store = store if isinstance(store, CampaignStore) else CampaignStore(store)
-        self._lock = threading.Lock()
 
     def run_matrix(
         self,
@@ -61,20 +59,13 @@ class CampaignService:
             if on_cell is not None:
                 on_cell(run, cached, counter[0], total)
 
-        with self._lock:
-            return run_campaigns(
-                specs, seeds=seeds, workers=workers, months=months,
-                store=self.store, resume=True, on_cell=progress,
-                **supervision)
+        return run_campaigns(
+            specs, seeds=seeds, workers=workers, months=months,
+            store=self.store, resume=True, on_cell=progress, **supervision)
 
     def stored_runs(self) -> list[dict]:
         """Every archived cell as a JSON document (RPRT store answer)."""
-        return [
-            {"scenario": r.scenario, "seed": r.seed, "spec_hash": r.spec_hash,
-             "error": r.error,
-             "report": r.report.to_dict() if r.report is not None else None}
-            for r in self.store.runs(disambiguate=False)
-        ]
+        return [r.result_doc() for r in self.store.runs(disambiguate=False)]
 
     def _validate(self, doc: dict):
         if not isinstance(doc, dict):

@@ -231,7 +231,6 @@ class Session:
         #: connection; a private registry still allows same-session RESM.
         self.runs = runs if runs is not None else RunRegistry()
         self.greeted = False
-        self.client_name = "?"
         self._run: Optional[_RunState] = None
         self._last_report = None
 
@@ -317,8 +316,6 @@ class Session:
                 "proto", "version mismatch: server speaks "
                 f"{PROTOCOL_VERSION}, client offered {msg.args[0]}")
         self.greeted = True
-        if len(msg.args) > 1:
-            self.client_name = msg.args[1]
         self._send("OK", PROTOCOL_VERSION, self.server_name)
         return True
 

@@ -5,9 +5,8 @@ archive takes — truncation at or inside any record boundary, flipped
 bytes in any record — loading never crashes, every surviving record is
 intact, and the loss is *counted* (``corrupt_records`` for checksum
 failures, ``damaged_records`` for everything torn or malformed).
-``fsck_store`` classifies the same damage offline and ``--repair``
-rewrites the archive atomically, retrofitting checksums onto legacy
-records, which a plain load counts as damaged.
+``fsck_store`` classifies the same damage offline, by the rule a load
+applies, and ``--repair`` rewrites the archive atomically.
 """
 
 import json
@@ -118,25 +117,26 @@ def test_checksum_mismatch_is_counted_as_corrupt(store_path):
     assert {c.seed for c in store.cells()} == {0, 2}
 
 
-def test_legacy_records_are_grandfathered_and_repair_retrofits(store_path):
-    """A record without ``sum`` is damaged on load — a flipped bit in the
-    key name must not turn verification off — and only ``fsck --repair``
-    grandfathers pre-checksum records, migrating them once."""
+def test_record_without_sum_is_damage_to_load_and_fsck_alike(store_path):
+    """A record without ``sum`` is untrusted — a flipped bit in the key
+    name must not turn verification off — and fsck judges it by the same
+    rule: malformed, not clean, dropped by ``--repair``."""
     lines = store_path.read_text().splitlines()
     doc = json.loads(lines[0])
-    del doc["sum"]  # pre-checksum era record
+    del doc["sum"]
     lines[0] = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     store_path.write_text("\n".join(lines) + "\n")
     store = CampaignStore(str(store_path))
     assert len(store) == 2, "an unchecksummed record is not trusted"
     assert store.corrupt_records == 0 and store.damaged_records == 1
     audit = fsck_store(store_path)
-    assert audit.clean and audit.legacy == 1 and audit.valid == 3
-    fixed = fsck_store(store_path, repair=True)
-    assert fixed.repaired
+    assert not audit.clean and audit.malformed == 1 and audit.valid == 2
+    assert fsck_store(store_path, repair=True).repaired
     after = fsck_store(store_path)
-    assert after.clean and after.legacy == 0 and after.valid == 3
-    assert len(CampaignStore(str(store_path))) == 3
+    assert after.clean and after.total_lines == 2 and after.valid == 2
+    reloaded = CampaignStore(str(store_path))
+    assert len(reloaded) == 2 and reloaded.damaged_records == 0
+    assert {c.seed for c in reloaded.cells()} == {1, 2}
 
 
 def test_flipped_sum_key_counts_as_damage(store_path):

@@ -44,6 +44,8 @@ class _Jenkins:
 @dataclass
 class _Build:
     status: BuildStatus
+    finished_at: float = 0.0
+    duration_s: float = 0.0
 
     @property
     def done_event(self):

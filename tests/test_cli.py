@@ -91,6 +91,22 @@ def test_report_subcommand(tmp_path, capsys):
     assert "tiny-smoke" in out and "n=2" in out
 
 
+def test_report_json_equals_the_service_store_answer(tmp_path, capsys):
+    """``report --json`` and ``RPRT store`` print one document per cell."""
+    from repro.service import CampaignService
+
+    store = str(tmp_path / "s.jsonl")
+    run_cli(capsys, "run", "tiny-smoke", "--months", "0.1",
+            "--seeds", "0,1", "--store", store, "--quiet")
+    CampaignStore(store).record_failure(scenarios.get("tiny-smoke"), 5,
+                                        "Traceback: boom", months=0.1)
+    code, out, _ = run_cli(capsys, "report", store, "--json")
+    assert code == 0
+    docs = CampaignService(store).stored_runs()
+    assert [d["error"] for d in docs] == [None, None, "Traceback: boom"]
+    assert out == json.dumps(docs, sort_keys=True, indent=2) + "\n"
+
+
 def test_report_empty_store(tmp_path, capsys):
     path = tmp_path / "empty.jsonl"
     path.write_text("")

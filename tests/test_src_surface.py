@@ -16,7 +16,7 @@ a decorator keeps what it decorates: ``@register`` puts it in a registry
 read by key.
 
 The search is by name, so a dead method whose name a live definition
-shares (a ``from_doc`` beside ``StoredCell.from_doc``) stays invisible.
+shares (a ``from_doc`` beside ``CampaignRun.from_doc``) stays invisible.
 """
 
 from __future__ import annotations
