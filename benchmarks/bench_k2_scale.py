@@ -1,12 +1,12 @@
 """K2 — scheduling-core throughput at production scale.
 
-ROADMAP item 4's blocker: after the PR-5 constant-factor wins, the
-remaining wall-clock at scale was algorithmic — ``Gantt.earliest_start``
-linearly scanned per-node skylines and every completion re-planned the
-whole queue.  The PR-9 availability profile turned both into indexed
-queries; this bench is the proof layer.  It generates one deterministic
-contended trace on a big synthetic park and replays it through the
-scheduler twice:
+The blocker of a since-retired ROADMAP scale item: after the PR-5
+constant-factor wins, the remaining wall-clock at scale was algorithmic
+— ``Gantt.earliest_start`` linearly scanned per-node skylines and every
+completion re-planned the whole queue.  The PR-9 availability profile
+turned both into indexed queries; this bench is the proof layer.  It
+generates one deterministic contended trace on a big synthetic park and
+replays it through the scheduler twice:
 
 * **full trace** — the throughput figure (``profile_jobs_per_s``);
 * **prefix** — the first 2000 jobs, whose placement sha256 (the same
@@ -159,7 +159,7 @@ def bench_k2_scale(benchmark):
                   _PINNED_PREFIX_HASH[:16] if _DEFAULT_SIZES else "-",
                   prefix_hash[:16]),
     ]
-    print_table("K2: scheduling core at scale (ROADMAP item 4)", rows)
+    print_table("K2: scheduling core at scale", rows)
 
     write_results("k2_scale", {
         "jobs": _JOBS,

@@ -123,14 +123,17 @@ class ResourceProfile:
             out &= masks[s]
         return out
 
-    def _window_hits(self, avail: int, i: int, j: int, k: int) -> bool:
-        """Do ``k`` bits of ``avail`` survive intersecting steps (i, j)?"""
+    def _blocking_step(self, avail: int, i: int, j: int,
+                       k: int) -> Optional[int]:
+        """The first step of (i, j) after which fewer than ``k`` bits of
+        ``avail`` survive the intersection, or ``None`` when ``k``
+        survive every step."""
         masks = self._masks
         for s in range(i + 1, j):
             avail &= masks[s]
             if avail.bit_count() < k:
-                return False
-        return True
+                return s
+        return None
 
     def earliest(self, mask: int, after: float, duration: float,
                  k: int) -> Optional[float]:
@@ -164,6 +167,11 @@ class ResourceProfile:
         the first boundary that passes never moves back as the candidate
         advances.  The whole walk thus costs O(steps after ``after``)
         pointer moves plus the window intersections.
+
+        A later candidate whose window fails at step ``s`` where ``mask``
+        alone keeps fewer than ``k`` free bits resumes the walk at ``s +
+        1``: every candidate up to ``s`` has ``s`` in its window (the
+        window end only moves forward), so each would fail there too.
         """
         if k < 1:
             return None
@@ -176,12 +184,12 @@ class ResourceProfile:
         if avail.bit_count() >= k:
             j = bisect.bisect_left(times, duration, i + 1, n,
                                    key=lambda b: b - after)
-            if self._window_hits(avail, i, j, k):
+            if self._blocking_step(avail, i, j, k) is None:
                 return after
             if not whole:
                 j = bisect.bisect_left(times, after, i + 1, n,
                                        key=lambda b: b - duration)
-                if self._window_hits(avail, i, j, k):
+                if self._blocking_step(avail, i, j, k) is None:
                     return after
         j = i + 1
         while True:
@@ -199,8 +207,11 @@ class ResourceProfile:
                 else:
                     while j < n and times[j] - duration < t:
                         j += 1
-                if self._window_hits(avail, i, j, k):
+                s = self._blocking_step(avail, i, j, k)
+                if s is None:
                     return t
+                if (masks[s] & mask).bit_count() < k:
+                    i = s
 
     def starts_from(self, after: float) -> List[float]:
         """``after`` plus every later step boundary: the start times a

@@ -43,6 +43,10 @@ class Job:
     finished_at: Optional[float] = None
     #: Node uids per request part, filled when scheduled.
     assignment: tuple[tuple[str, ...], ...] = ()
+    #: Node mask per request part of the last reservation: a re-placement
+    #: that lands on the same start and masks keeps ``assignment`` and
+    #: the pending start timer.
+    reserved_masks: tuple[int, ...] = ()
     killed_by_walltime: bool = False
     #: Triggered when the job actually starts (value: the job).
     started_event: Optional[Event] = None

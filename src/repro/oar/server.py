@@ -23,7 +23,8 @@ Node states follow OAR vocabulary: **Alive** (usable), **Absent**
 the park's alive bitmask (:attr:`MachinePark.alive_mask`), which shares the
 Gantt's bit order: a candidate set is ``matching_mask(expr) & alive_mask``.
 Every node set inside the scheduler is such a mask; uids appear only on
-``Job.assignment``, built once per placement or resize.
+``Job.assignment``, built only when a placement changes (a re-placement
+that lands on the same start and nodes keeps it) or a job is resized.
 """
 
 from __future__ import annotations
@@ -131,6 +132,8 @@ class OarServer:
         #: or tear-down, so no reader rescans every job ever submitted.
         self._running: list[Job] = []
         self._matching_cache: dict[str, int] = {}
+        #: ``job_id -> job_mask(job)`` for the jobs not yet ended.
+        self._job_masks: dict[int, int] = {}
         self._matching_epoch = database.services.oar_drift_epoch
         #: Column index of the database rows a cache miss selects from;
         #: built on the first miss of each drift epoch.
@@ -225,12 +228,9 @@ class OarServer:
         A miss selects from the column index, so it reads each distinct
         property value once instead of every row: the same nodes
         :meth:`OarDatabase.matching` lists."""
+        if self.db.services.oar_drift_epoch != self._matching_epoch:
+            self._drop_matching_caches()
         cache = self._matching_cache
-        epoch = self.db.services.oar_drift_epoch
-        if epoch != self._matching_epoch:
-            cache.clear()
-            self._columns = None
-            self._matching_epoch = epoch
         key = str(part_expr)
         mask = cache.get(key)
         if mask is None:
@@ -243,6 +243,28 @@ class OarServer:
                 mask = part_expr.select(self._columns, full)
             cache[key] = mask
         return mask
+
+    def job_mask(self, job: Job) -> int:
+        """Nodes matching any part of the job's request: one cached int
+        per job, so the replan pass, placement and the malleable policies
+        build no expression key.  Emptied with :meth:`matching_mask`'s
+        cache whenever the drift epoch moves."""
+        if self.db.services.oar_drift_epoch != self._matching_epoch:
+            self._drop_matching_caches()
+        mask = self._job_masks.get(job.job_id)
+        if mask is None:
+            mask = reduce(or_, (self.matching_mask(p.expr)
+                                for p in job.request.parts))
+            self._job_masks[job.job_id] = mask
+        return mask
+
+    def _drop_matching_caches(self) -> None:
+        """Forget every answer built from the rows of an older drift
+        epoch."""
+        self._matching_cache.clear()
+        self._job_masks.clear()
+        self._columns = None
+        self._matching_epoch = self.db.services.oar_drift_epoch
 
     def _column_index(self) -> Columns:
         """``{prop: {value: mask}}`` over the database rows as OAR sees
@@ -266,19 +288,24 @@ class OarServer:
         """
         walltime = job.walltime_s
         alive = self.machines.alive_mask
-        parts: list[tuple[int, Union[int, str]]] = []
-        for part in job.request.parts:
-            cmask = self.matching_mask(part.expr) & alive
-            avail = cmask.bit_count()
-            if avail == 0 or (part.count != ALL_NODES and part.count > avail):
-                return None
-            parts.append((cmask, part.count))
-        if len(parts) > 1:
+        if len(job.request.parts) > 1:
+            parts: list[tuple[int, Union[int, str]]] = []
+            for part in job.request.parts:
+                cmask = self.matching_mask(part.expr) & alive
+                avail = cmask.bit_count()
+                if avail == 0 or (part.count != ALL_NODES
+                                  and part.count > avail):
+                    return None
+                parts.append((cmask, part.count))
             return _multi_part_assignment(self.gantt, parts, after, walltime)
         # The overwhelmingly common shape: one profile query.  A whole-set
         # request (ALL, or a count equal to every alive candidate) is the
         # same walk with k == the candidate count.
-        cmask, count = parts[0]
+        count = job.request.parts[0].count
+        cmask = self.job_mask(job) & alive
+        avail = cmask.bit_count()
+        if avail == 0 or (count != ALL_NODES and count > avail):
+            return None
         needed = avail if count == ALL_NODES else int(count)
         start = self.gantt.profile_earliest(cmask, after, walltime, needed)
         if start is None:
@@ -288,23 +315,35 @@ class OarServer:
         return start, (_lowest_bits(free, needed),)
 
     def _reserve(self, job: Job, start: float, masks: tuple[int, ...]) -> None:
+        """Hold the job's nodes from ``start`` on.
+
+        A re-placement onto the start and masks the job already held
+        keeps its assignment and its pending start timer: uids are a pure
+        function of the masks, and the timer still carries the job's
+        generation.  Any other placement turns the old timer stale and
+        arms a new one."""
         gantt = self.gantt
         gantt.reserve(reduce(or_, masks), start, start + job.walltime_s,
                       job.job_id)
-        job.assignment = tuple(tuple(gantt.uids_from_mask(m)) for m in masks)
-        job.scheduled_start = start
         job.state = JobState.SCHEDULED
         self._scheduled.append(job)
-        generation = job.generation
-        self.sim.call_at(start, self._try_start, job, generation)
+        if start == job.scheduled_start and masks == job.reserved_masks:
+            return
+        job.generation += 1
+        job.assignment = tuple(tuple(gantt.uids_from_mask(m)) for m in masks)
+        job.reserved_masks = masks
+        job.scheduled_start = start
+        self.sim.call_at(start, self._try_start, job, job.generation)
 
     def _schedule_pass(self) -> None:
-        """Give every waiting job the earliest reservation that fits."""
+        """Give every waiting job the earliest reservation that fits; a
+        job left waiting loses what it kept of an earlier placement."""
         still_waiting: list[Job] = []
         now = self.sim.now
         for job in self._waiting:
             placement = self._find_assignment(job, now)
             if placement is None:
+                self._forget_placement(job)
                 still_waiting.append(job)  # no alive matching nodes now
                 continue
             self._reserve(job, *placement)
@@ -317,13 +356,15 @@ class OarServer:
         ``touching`` (a bitmask of freed nodes) narrows the teardown to the
         incremental pass between full sweeps: only scheduled jobs whose
         matching set contains a freed node are re-placed.
+
+        The teardown frees each job's Gantt intervals but keeps its
+        assignment, start and generation, so a job the pass puts back on
+        the same start and nodes pays only for its search (see
+        :meth:`_reserve`); a job that ends the pass waiting is cleared.
         """
         if touching is not None:
-            replanned = [
-                j for j in self._scheduled
-                if any(touching & self.matching_mask(p.expr)
-                       for p in j.request.parts)
-            ]
+            replanned = [j for j in self._scheduled
+                         if touching & self.job_mask(j)]
             if not replanned:
                 return
             replanned_set = set(replanned)
@@ -333,7 +374,7 @@ class OarServer:
             replanned = self._scheduled
             self._scheduled = []
         for job in replanned:
-            self._unplace(job)
+            self.gantt.release(job.job_id)
             job.state = JobState.WAITING
         # Keep global FCFS order across both pools.
         self._waiting = sorted(self._waiting + replanned, key=_job_id)
@@ -408,11 +449,18 @@ class OarServer:
     # -- tear-down -------------------------------------------------------------
 
     def _unplace(self, job: Job) -> None:
-        """Drop the job's reservation: free its Gantt intervals, clear its
-        assignment and start, and bump the generation so every pending
-        timer of the old placement turns stale."""
+        """Drop the job's reservation: free its Gantt intervals and forget
+        the placement."""
         self.gantt.release(job.job_id)
+        self._forget_placement(job)
+
+    @staticmethod
+    def _forget_placement(job: Job) -> None:
+        """Clear the job's assignment, masks and start, and bump the
+        generation so every pending timer of the old placement turns
+        stale."""
         job.assignment = ()
+        job.reserved_masks = ()
         job.scheduled_start = None
         job.generation += 1
 
@@ -428,6 +476,7 @@ class OarServer:
         """Record the job's final state and fire its done event."""
         job.state = state
         job.finished_at = self.sim.now
+        self._job_masks.pop(job.job_id, None)
         job.done_event.succeed(job)
 
     # -- grow/shrink protocol (malleable jobs) ---------------------------------
@@ -511,7 +560,7 @@ class OarServer:
         for bad, why in (
                 (mask & gantt.mask_for(job.assignment[0]),
                  f"already allocated to job {job.job_id}"),
-                (mask & ~self.matching_mask(job.request.parts[0].expr),
+                (mask & ~self.job_mask(job),
                  f"do not match job {job.job_id}'s request"),
                 (mask & ~self.machines.alive_mask, "are not alive")):
             if bad:
@@ -635,8 +684,7 @@ class OarServer:
         deadline = job.started_at + job.walltime_s
         if deadline <= now:
             return 0
-        cmask = (self.matching_mask(job.request.parts[0].expr)
-                 & self.machines.alive_mask)
+        cmask = self.job_mask(job) & self.machines.alive_mask
         return self.gantt.profile_free_mask(cmask, now, deadline)
 
     def _account_alloc(self, delta: int) -> None:

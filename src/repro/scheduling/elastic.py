@@ -199,7 +199,7 @@ class StealAgreementStrategy(CommonPoolStrategy):
             if not isinstance(part.count, int):
                 continue  # nodes=ALL cannot be bargained for
             # The alive matching nodes: the only ones the job can use.
-            usable = oar.matching_mask(part.expr) & oar.machines.alive_mask
+            usable = oar.job_mask(job) & oar.machines.alive_mask
             if not usable:
                 continue
             window = max(job.walltime_s, 1.0)

@@ -52,6 +52,12 @@ Field diff, old -> new, every other field byte-identical:
 one ``weekly_success_rates`` entry 0.96515 -> 0.96533.  The other six
 rows did not move.
 
+The ``paper-baseline`` row runs the full 894-node testbed for three
+simulated days: the only row whose Gantt profile grows deep (a median of
+thousands of steps), the regime where placement search dominates.  It
+was recorded before re-placements that land where they were began
+keeping their assignment and start timer.
+
 If this test fails, a change altered simulation *behaviour*, not just
 performance.  That can be a legitimate semantic change — in which case
 regenerate the goldens (see the command in ``_regenerate``) and say so in
@@ -80,6 +86,8 @@ GOLDEN_REPORT_HASHES = {
         "3d05a386a847aab72470cf32230b2ff9fed5e31c9d9e693ffc78855d41f13e70",
     ("tiny-smoke", "default", True, 0, 0.35):
         "f436d6e65a1b25de70d4a9d19486bc3d8729ee381c957c10784abfcfcba1d340",
+    ("paper-baseline", "default", False, 0, 0.1):
+        "56b4f55e00c6a656c50a2ddaa2cffaf270865e779ba41b5eafecc60ae0fb4266",
 }
 
 

@@ -322,12 +322,18 @@ def bisect_earliest(profile, mask: int, after: float, duration: float,
     """:meth:`ResourceProfile.earliest`, bisecting each candidate's window
     end with the same float form (the fits-now and event forms at
     ``after``, then the event form for k of n and the window-end form for
-    the whole set)."""
+    the whole set), testing every candidate in turn and each window with
+    a plain AND over its steps (no early exit, no skipped candidates)."""
     if k < 1:
         return None
     times = profile._times
     masks = profile._masks
-    hits = profile._window_hits
+
+    def hits(avail: int, i: int, j: int, k: int) -> bool:
+        for s in range(i + 1, j):
+            avail &= masks[s]
+        return avail.bit_count() >= k
+
     n = len(times)
     whole = k == mask.bit_count()
     i = bisect.bisect_right(times, after) - 1
