@@ -134,7 +134,7 @@ def _placement_hash(oar) -> str:
     for job_id in sorted(oar.jobs):
         job = oar.jobs[job_id]
         h.update(f"{job_id}|{job.state.value}|{job.started_at!r}|"
-                 f"{job.finished_at!r}|{','.join(job.assigned_nodes)}\n"
+                 f"{job.finished_at!r}|{','.join(job.assignment)}\n"
                  .encode())
     return h.hexdigest()
 

@@ -29,7 +29,7 @@ from ..monitoring.probes import Kwapi
 from ..nodes.machine import MachinePark
 from ..oar.database import OarDatabase
 from ..oar.jobs import Job, JobState
-from ..oar.request import Comparison, JobRequest, PropExpr, RequestPart
+from ..oar.request import Comparison, JobRequest, PropExpr
 from ..oar.server import OarServer
 from ..testbed.description import TestbedDescription
 from ..testbed.refapi import ReferenceApi
@@ -138,9 +138,8 @@ class CheckFamily:
         if not self.nodes_needed:
             yield from self.check(ctx, outcome, None)
         else:
-            request = JobRequest(
-                (RequestPart(self.target(ctx, outcome), self.nodes_needed),),
-                float(round(self.walltime_s)))
+            request = JobRequest(self.target(ctx, outcome), self.nodes_needed,
+                                 walltime_s=float(round(self.walltime_s)))
             job = ctx.oar.submit(request, user="testframework", immediate=True)
             if job.state == JobState.CANCELLED:
                 outcome.resources_blocked = True

@@ -79,7 +79,7 @@ class EnvironmentsCheck(CheckFamily):
     def check(self, ctx: CheckContext, outcome, job):
         cluster, image = outcome.config["cluster"], outcome.config["image"]
         result = yield ctx.sim.process(
-            ctx.kadeploy.deploy(job.assigned_nodes, image))
+            ctx.kadeploy.deploy(job.assignment, image))
         outcome.findings.extend(
             _deploy_findings(result, cluster, image, degraded_threshold=1.0))
 
@@ -99,10 +99,10 @@ class StdenvCheck(CheckFamily):
     def check(self, ctx: CheckContext, outcome, job):
         cluster = outcome.config["cluster"]
         result = yield ctx.sim.process(
-            ctx.kadeploy.deploy(job.assigned_nodes, STD_ENV))
+            ctx.kadeploy.deploy(job.assignment, STD_ENV))
         outcome.findings.extend(
             _deploy_findings(result, cluster, STD_ENV, degraded_threshold=1.0))
-        node_uid = job.assigned_nodes[0]
+        node_uid = job.assignment[0]
         if node_uid in result.deployed:
             yield ctx.sim.timeout(120.0)
             outcome.findings.extend(self.g5k_checks_findings(ctx, node_uid))
@@ -133,10 +133,10 @@ class _WholeClusterDeployBase(CheckFamily):
         for _ in range(self.rounds):
             start = ctx.sim.now
             result = yield ctx.sim.process(
-                ctx.kadeploy.deploy(job.assigned_nodes, STD_ENV))
+                ctx.kadeploy.deploy(job.assignment, STD_ENV))
             durations.append(ctx.sim.now - start)
             outcome.findings.extend(_deploy_findings(result, cluster, STD_ENV))
-        expected = self._expected_round_s(ctx, cluster, len(job.assigned_nodes))
+        expected = self._expected_round_s(ctx, cluster, len(job.assignment))
         slowest = max(durations)
         if slowest > expected * 1.45 + 120.0:
             outcome.findings.append(Finding(
@@ -180,7 +180,7 @@ class MultiRebootCheck(CheckFamily):
         race_rounds = 0
         for _ in range(self.rounds):
             start = ctx.sim.now
-            up = yield ctx.sim.process(ctx.kadeploy.reboot(job.assigned_nodes))
+            up = yield ctx.sim.process(ctx.kadeploy.reboot(job.assignment))
             duration = ctx.sim.now - start
             flaky.update(uid for uid, ok in up.items() if not ok)
             if duration > mean_boot * 1.45 + 60.0:

@@ -39,7 +39,7 @@ class RefapiCheck(CheckFamily):
                     None, node.uid,
                     "description not homogeneous with the rest of the cluster"))
         yield ctx.sim.timeout(120.0)  # acquisition pass on the node
-        outcome.findings.extend(self.g5k_checks_findings(ctx, job.assigned_nodes[0]))
+        outcome.findings.extend(self.g5k_checks_findings(ctx, job.assignment[0]))
 
 
 class OarPropertiesCheck(CheckFamily):

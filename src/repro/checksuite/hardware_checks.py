@@ -32,7 +32,7 @@ class MpigraphCheck(CheckFamily):
     def check(self, ctx: CheckContext, outcome, job):
         yield ctx.sim.timeout(60.0)  # MPI setup
         usable = []
-        for uid in job.assigned_nodes:
+        for uid in job.assignment:
             ib = ctx.machines[uid].actual.infiniband
             if ib is None or not ib.stack_ok:
                 outcome.findings.append(Finding(
@@ -70,7 +70,7 @@ class DiskCheck(CheckFamily):
 
     def check(self, ctx: CheckContext, outcome, job):
         cluster = outcome.config["cluster"]
-        uid = job.assigned_nodes[0]
+        uid = job.assignment[0]
         machine = ctx.machines[uid]
         desc = ctx.refapi.node(uid)
         for disk_desc in desc.disks:

@@ -49,7 +49,7 @@ class KavlanCheck(CheckFamily):
         site = outcome.config["site"]
         vlan = ctx.kavlan.allocate(VlanType.LOCAL, site)
         try:
-            members = job.assigned_nodes
+            members = job.assignment
             yield ctx.sim.process(ctx.kavlan.set_nodes(vlan, members))
             probe = self._pick_probe(ctx, site, set(members))
             yield ctx.sim.timeout(60.0)  # connectivity probes
@@ -93,7 +93,7 @@ class KwapiCheck(CheckFamily):
 
     def check(self, ctx: CheckContext, outcome, job):
         site = outcome.config["site"]
-        for uid in job.assigned_nodes:
+        for uid in job.assignment:
             machine = ctx.machines[uid]
             machine.cpu_load = 0.0
             yield ctx.sim.timeout(30.0)

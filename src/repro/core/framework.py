@@ -117,7 +117,7 @@ class TestingFramework:
             yield self.sim.timeout(_JANITOR_PERIOD_S * float(rng.uniform(0.9, 1.1)))
             if not self.machines.crashed_mask:
                 continue
-            busy = {u for j in self.oar.running_jobs() for u in j.assigned_nodes}
+            busy = {u for j in self.oar.running_jobs() for u in j.assignment}
             for machine in self.machines.machines.values():
                 if machine.state == PowerState.CRASHED and machine.uid not in busy:
                     self.sim.process(machine.boot())

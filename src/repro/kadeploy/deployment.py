@@ -18,7 +18,7 @@ extra per-node failure probability in phases 1 and 3.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..faults.services import ServiceHealth
 from ..nodes.machine import MachinePark, PowerState, SimulatedNode
@@ -85,7 +85,7 @@ class Kadeploy:
 
     # -- public API ----------------------------------------------------------
 
-    def deploy(self, node_uids: list[str], image_name: str):
+    def deploy(self, node_uids: Sequence[str], image_name: str):
         """Process generator deploying ``image_name``; returns the result.
 
         Usage::
@@ -106,7 +106,7 @@ class Kadeploy:
             outcomes=outcomes,
         )
 
-    def reboot(self, node_uids: list[str]):
+    def reboot(self, node_uids: Sequence[str]):
         """Process generator: plain reboot (no image change).
 
         Returns the per-node success dict (used by the multireboot family).

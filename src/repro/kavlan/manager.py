@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from ..faults.services import ServiceHealth
 from ..testbed.topology import NetworkTopology
@@ -103,7 +104,7 @@ class KavlanManager:
 
     # -- reconfiguration ----------------------------------------------------------
 
-    def set_nodes(self, vlan: Vlan, node_uids: list[str]):
+    def set_nodes(self, vlan: Vlan, node_uids: Iterable[str]):
         """Process generator: make ``node_uids`` the members of ``vlan``.
 
         Takes ``RECONFIG_S_PER_SWITCH`` per switch touched.  On a site with

@@ -10,7 +10,6 @@ from .request import (
     JobRequest,
     NotOp,
     PropExpr,
-    RequestPart,
     format_walltime,
     parse_expression,
     parse_request,
@@ -35,7 +34,6 @@ __all__ = [
     "Comparison",
     "BoolOp",
     "NotOp",
-    "RequestPart",
     "JobRequest",
     "parse_expression",
     "parse_request",

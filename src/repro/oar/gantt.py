@@ -43,12 +43,10 @@ class ResourceProfile:
     touched range), keeping the step count proportional to the number of
     distinct reservation boundaries.
 
-    Queries replicate the retired per-node searches bit for bit: a node
-    is eligible to host a start at ``t`` iff its free window ``[s, e)``
-    satisfies ``s <= t`` and ``e - duration >= t`` — :meth:`earliest`
-    finds the window-end boundary by bisecting on the very subtraction
-    those searches used (see there), so golden report hashes survive the
-    refactor unchanged.
+    A node is eligible to host a start at ``t`` iff its free window
+    ``[s, e)`` satisfies ``s <= t`` and ``fl(e - t) >= duration``:
+    :meth:`earliest` finds each window end with that very subtraction
+    (see there), the float form of the retired per-node next-fit walk.
     """
 
     __slots__ = ("_full", "_times", "_masks")
@@ -148,76 +146,51 @@ class ResourceProfile:
         (reservations are finite), so the walk terminates whenever ``k <=
         mask.bit_count()``.
 
-        Float compatibility with the retired per-node searches, candidate
-        by candidate.  A k-of-n request reproduces the interval sweep:
-        its fits-now shortcut admitted ``after`` when a window end
-        satisfied ``fl(end - after) >= duration``, while its event
-        coordinates encode ``fl(end - duration) >= t`` — identical in
-        exact arithmetic, divergent at sub-ULP scales.  ``after``
-        therefore wins if *either* form reaches ``k``; later candidates
-        use the event form only.  A whole-set request (``k ==
-        mask.bit_count()``) reproduces the per-node next-fit walk, whose
-        window-end test is ``fl(end - t) >= duration`` at every
-        candidate.
+        One window-end rule serves every candidate ``t``: the window
+        covers the steps before the first boundary ``b`` with ``fl(b -
+        t) >= duration``.  It is the retired per-node next-fit walk's
+        test; the retired interval sweep tested ``fl(b - duration) >=
+        t``, identical in exact arithmetic and divergent only at sub-ULP
+        scales (simulated times stay far below them).
 
-        After ``after``, the window end is a pointer that only moves
-        forward, not a bisect per candidate, and it is exact: rounding is
-        monotone, so ``fl(b - duration)`` grows and ``fl(b - t)`` shrinks
-        as ``t`` grows, each test is monotone in the boundary ``b``, and
-        the first boundary that passes never moves back as the candidate
-        advances.  The whole walk thus costs O(steps after ``after``)
-        pointer moves plus the window intersections.
+        The window end of ``after`` is one bisect; after it, the window
+        end is a pointer that only moves forward, and it is exact:
+        rounding is monotone, so ``fl(b - t)`` shrinks as ``t`` grows,
+        the test is monotone in the boundary ``b``, and the first
+        boundary that passes never moves back as the candidate advances.
+        The whole walk thus costs O(steps after ``after``) pointer moves
+        plus the window intersections.
 
-        A later candidate whose window fails at step ``s`` where ``mask``
-        alone keeps fewer than ``k`` free bits resumes the walk at ``s +
-        1``: every candidate up to ``s`` has ``s`` in its window (the
-        window end only moves forward), so each would fail there too.
+        A candidate whose window fails at step ``s`` where ``mask`` alone
+        keeps fewer than ``k`` free bits resumes the walk at ``s + 1``:
+        every candidate up to ``s`` has ``s`` in its window (the window
+        end only moves forward), so each would fail there too.
         """
         if k < 1:
             return None
         times = self._times
         masks = self._masks
         n = len(times)
-        whole = k == mask.bit_count()
         i = bisect.bisect_right(times, after) - 1
-        avail = masks[i] & mask
-        if avail.bit_count() >= k:
-            j = bisect.bisect_left(times, duration, i + 1, n,
-                                   key=lambda b: b - after)
-            if self._blocking_step(avail, i, j, k) is None:
-                return after
-            if not whole:
-                j = bisect.bisect_left(times, after, i + 1, n,
-                                       key=lambda b: b - duration)
-                if self._blocking_step(avail, i, j, k) is None:
-                    return after
-        j = i + 1
+        t = after
+        j = bisect.bisect_left(times, duration, i + 1, n,
+                               key=lambda b: b - after)
         while True:
-            i += 1
-            if i >= n:
-                return None
-            t = times[i]
             avail = masks[i] & mask
             if avail.bit_count() >= k:
                 if j <= i:
                     j = i + 1
-                if whole:
-                    while j < n and times[j] - t < duration:
-                        j += 1
-                else:
-                    while j < n and times[j] - duration < t:
-                        j += 1
+                while j < n and times[j] - t < duration:
+                    j += 1
                 s = self._blocking_step(avail, i, j, k)
                 if s is None:
                     return t
                 if (masks[s] & mask).bit_count() < k:
                     i = s
-
-    def starts_from(self, after: float) -> List[float]:
-        """``after`` plus every later step boundary: the start times a
-        placement search needs to try."""
-        times = self._times
-        return [after] + times[bisect.bisect_right(times, after):]
+            i += 1
+            if i >= n:
+                return None
+            t = times[i]
 
 
 class Gantt:

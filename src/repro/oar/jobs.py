@@ -41,12 +41,13 @@ class Job:
     scheduled_start: Optional[float] = None
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
-    #: Node uids per request part, filled when scheduled.
-    assignment: tuple[tuple[str, ...], ...] = ()
-    #: Node mask per request part of the last reservation: a re-placement
-    #: that lands on the same start and masks keeps ``assignment`` and
-    #: the pending start timer.
-    reserved_masks: tuple[int, ...] = ()
+    #: Node uids, filled when scheduled (in database order; a grow
+    #: appends its nodes).
+    assignment: tuple[str, ...] = ()
+    #: Node mask of the last reservation (exact while SCHEDULED): a
+    #: re-placement that lands on the same start and mask keeps
+    #: ``assignment`` and the pending start timer.
+    reserved_mask: int = 0
     killed_by_walltime: bool = False
     #: Triggered when the job actually starts (value: the job).
     started_event: Optional[Event] = None
@@ -63,46 +64,33 @@ class Job:
     grow_count: int = 0
     shrink_count: int = 0
 
-    @property
-    def assigned_nodes(self) -> list[str]:
-        return [uid for part in self.assignment for uid in part]
-
     # -- malleability ----------------------------------------------------------
 
     @property
     def malleable(self) -> bool:
-        """True for single-part jobs declaring a real width range.
-
-        Grow/shrink operate on single-part integer-width requests — the
-        overwhelmingly common shape, and the only one with an unambiguous
-        "current width".
-        """
-        parts = self.request.parts
-        return len(parts) == 1 and parts[0].malleable
+        """True for jobs declaring a real width range."""
+        return self.request.malleable
 
     @property
     def min_nodes(self) -> int:
         """Smallest width the job may shrink to (its width when rigid)."""
-        if len(self.request.parts) == 1 \
-                and isinstance(self.request.parts[0].min_nodes, int):
-            return self.request.parts[0].min_nodes
-        return self.width
+        lo = self.request.min_nodes
+        return lo if isinstance(lo, int) else self.width
 
     @property
     def max_nodes(self) -> int:
         """Largest width the job may grow to (its width when rigid)."""
-        if len(self.request.parts) == 1 \
-                and isinstance(self.request.parts[0].max_nodes, int):
-            return self.request.parts[0].max_nodes
-        return self.width
+        hi = self.request.max_nodes
+        return hi if isinstance(hi, int) else self.width
 
     @property
     def width(self) -> int:
-        """Current allocated width (preferred width before assignment)."""
+        """Current allocated width (preferred width before assignment;
+        0 for an unassigned ``nodes=ALL`` job)."""
         if self.assignment:
-            return sum(len(part) for part in self.assignment)
-        return sum(part.count for part in self.request.parts
-                   if isinstance(part.count, int))
+            return len(self.assignment)
+        count = self.request.count
+        return count if isinstance(count, int) else 0
 
     @property
     def walltime_s(self) -> float:

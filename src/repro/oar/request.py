@@ -5,9 +5,11 @@ Slide 7 shows the selection syntax users (and the testing framework) use::
     oarsub -l "cluster='a' and gpu='YES'/nodes=1+cluster='b' and
                eth10g='Y'/nodes=2,walltime=2"
 
-A request is ``part ('+' part)* (',' 'walltime=' time)?`` where each part is
-``[property_expression '/'] 'nodes=' count``.  ``count`` is ``int``, ``ALL``,
-or an elastic width range:
+The simulator takes one node set per request: a request is
+``[property_expression '/'] 'nodes=' count (',' 'walltime=' time)?``, and
+the ``+`` join above is refused with a :class:`ParseError` at the ``+``
+(each half parses alone).  ``count`` is ``int``, ``ALL``, or an elastic
+width range:
 
 * ``nodes=4`` — rigid, exactly four nodes;
 * ``nodes=2..8`` — malleable, preferred (and placed at) 2, growable to 8;
@@ -41,7 +43,6 @@ __all__ = [
     "Comparison",
     "BoolOp",
     "NotOp",
-    "RequestPart",
     "JobRequest",
     "ALL_NODES",
     "parse_expression",
@@ -152,18 +153,20 @@ class NotOp(PropExpr):
 
 
 @dataclass(frozen=True)
-class RequestPart:
-    """One resource group: ``expr/nodes=count``.
+class JobRequest:
+    """A full ``-l`` argument: ``expr/nodes=count,walltime=...``.
 
     ``count`` is the *preferred* width — the one the scheduler places the
     job at.  ``min_count``/``max_count`` bound a malleable job's width
     (``None`` on both means rigid: the job runs at exactly ``count``).
+    ``walltime_s`` defaults to OAR's one hour.
     """
 
     expr: Optional[PropExpr]
     count: Union[int, str]  # int or ALL_NODES
     min_count: Optional[int] = None
     max_count: Optional[int] = None
+    walltime_s: float = HOUR
 
     def __post_init__(self) -> None:
         if self.min_count is None and self.max_count is None:
@@ -206,19 +209,9 @@ class RequestPart:
                 nodes = f"nodes={lo}..{self.count}..{hi}"
         else:
             nodes = f"nodes={self.count}"
-        return f"{self.expr}/{nodes}" if self.expr is not None else nodes
-
-
-@dataclass(frozen=True)
-class JobRequest:
-    """A full ``-l`` argument: resource parts plus a walltime."""
-
-    parts: tuple[RequestPart, ...]
-    walltime_s: float
-
-    def __str__(self) -> str:
-        parts = "+".join(str(p) for p in self.parts)
-        return f"{parts},walltime={format_walltime(self.walltime_s)}"
+        if self.expr is not None:
+            nodes = f"{self.expr}/{nodes}"
+        return f"{nodes},walltime={format_walltime(self.walltime_s)}"
 
 
 def format_walltime(seconds: float) -> str:
@@ -351,21 +344,6 @@ class _Parser:
 
     # -- request grammar ----------------------------------------------------------
 
-    def parse_part(self) -> RequestPart:
-        """``[expr /] nodes=count`` — needs lookahead because both branches
-        start with a word."""
-        # `nodes` is a reserved word: a part starting with it is the bare
-        # `nodes=count` form, never a property comparison.
-        if self.at_word("nodes"):
-            self.next()
-            self.expect("op", "=")
-            return RequestPart(None, *self._parse_count_spec())
-        expr = self.parse_or()
-        self.expect("punct", "/")
-        self.expect("word", "nodes")
-        self.expect("op", "=")
-        return RequestPart(expr, *self._parse_count_spec())
-
     def _parse_count(self) -> Union[int, str]:
         tok = self.next()
         if tok.kind == "number" and "." not in tok.text and int(tok.text) > 0:
@@ -422,10 +400,22 @@ class _Parser:
         return preferred, lo, hi
 
     def parse_request(self) -> JobRequest:
-        parts = [self.parse_part()]
-        while self.at_punct("+"):
+        """``[expr /] nodes=count [, walltime=time]`` — needs lookahead
+        because both branches start with a word."""
+        # `nodes` is a reserved word: a request starting with it is the
+        # bare `nodes=count` form, never a property comparison.
+        expr: Optional[PropExpr] = None
+        if self.at_word("nodes"):
             self.next()
-            parts.append(self.parse_part())
+        else:
+            expr = self.parse_or()
+            self.expect("punct", "/")
+            self.expect("word", "nodes")
+        self.expect("op", "=")
+        count, lo, hi = self._parse_count_spec()
+        if self.at_punct("+"):
+            raise ParseError("a request takes one node set: '+' is not "
+                             "supported", self.text, self.tokens[self.index].pos)
         walltime_s = HOUR  # OAR's default walltime
         if self.at_punct(","):
             self.next()
@@ -435,7 +425,7 @@ class _Parser:
         tok = self.peek()
         if tok is not None:
             raise ParseError(f"trailing input {tok.text!r}", self.text, tok.pos)
-        return JobRequest(tuple(parts), walltime_s)
+        return JobRequest(expr, count, lo, hi, walltime_s)
 
     def _parse_time_value(self) -> float:
         """``H``, ``H:MM`` or ``H:MM:SS`` (also fractional hours ``1.5``).
@@ -477,7 +467,7 @@ def parse_request(text: str) -> JobRequest:
     """Parse a full ``-l`` request string.
 
     >>> req = parse_request("cluster='grisou'/nodes=2,walltime=2:30:00")
-    >>> req.parts[0].count, req.walltime_s
+    >>> req.count, req.walltime_s
     (2, 9000.0)
     """
     return _Parser(text).parse_request()

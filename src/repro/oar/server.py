@@ -75,42 +75,6 @@ def _lowest_bits(mask: int, k: int) -> int:
     return out
 
 
-def _multi_part_assignment(
-    gantt: Gantt, parts: list[tuple[int, Union[int, str]]], after: float,
-    walltime: float,
-) -> Optional[tuple[float, tuple[int, ...]]]:
-    """Rare multi-part shape: earliest start at which every part fits.
-
-    ``parts`` holds ``(candidate mask, node count or ALL_NODES)`` pairs;
-    the answer is the start and one node mask per part.  The walk tries
-    ``after`` and every later profile boundary; at each start the parts,
-    in order, take the lowest free bits of their candidates not taken by
-    an earlier part (ALL takes every such candidate, and needs all of
-    them free).  The first feasible start is always ``after`` or the
-    release point of a candidate node, so trying every boundary finds
-    the same start a walk over release points does.
-    """
-    for start in gantt.profile.starts_from(after):
-        end = start + walltime
-        taken = 0
-        masks: list[int] = []
-        for cmask, count in parts:
-            rest = cmask & ~taken
-            free = gantt.profile_free_mask(rest, start, end)
-            if count == ALL_NODES:
-                if free != rest:
-                    break
-            elif free.bit_count() < int(count):
-                break
-            else:
-                free = _lowest_bits(free, int(count))
-            masks.append(free)
-            taken |= free
-        else:
-            return start, tuple(masks)
-    return None
-
-
 class OarServer:
     """Resource manager over one testbed."""
 
@@ -220,7 +184,7 @@ class OarServer:
 
     # -- scheduling ------------------------------------------------------------------
 
-    def matching_mask(self, part_expr) -> int:
+    def matching_mask(self, expr) -> int:
         """Cached bitmask of the nodes matching an expression (bit order ==
         database order, see :class:`~repro.oar.gantt.ResourceProfile`).
         The cache and the column index empty first whenever an
@@ -231,30 +195,29 @@ class OarServer:
         if self.db.services.oar_drift_epoch != self._matching_epoch:
             self._drop_matching_caches()
         cache = self._matching_cache
-        key = str(part_expr)
+        key = str(expr)
         mask = cache.get(key)
         if mask is None:
             full = self.gantt.full_mask
-            if part_expr is None:
+            if expr is None:
                 mask = full
             else:
                 if self._columns is None:
                     self._columns = self._column_index()
-                mask = part_expr.select(self._columns, full)
+                mask = expr.select(self._columns, full)
             cache[key] = mask
         return mask
 
     def job_mask(self, job: Job) -> int:
-        """Nodes matching any part of the job's request: one cached int
-        per job, so the replan pass, placement and the malleable policies
-        build no expression key.  Emptied with :meth:`matching_mask`'s
-        cache whenever the drift epoch moves."""
+        """Nodes matching the job's request: one cached int per job, so
+        the replan pass, placement and the malleable policies build no
+        expression key.  Emptied with :meth:`matching_mask`'s cache
+        whenever the drift epoch moves."""
         if self.db.services.oar_drift_epoch != self._matching_epoch:
             self._drop_matching_caches()
         mask = self._job_masks.get(job.job_id)
         if mask is None:
-            mask = reduce(or_, (self.matching_mask(p.expr)
-                                for p in job.request.parts))
+            mask = self.matching_mask(job.request.expr)
             self._job_masks[job.job_id] = mask
         return mask
 
@@ -279,30 +242,18 @@ class OarServer:
 
     def _find_assignment(
         self, job: Job, after: float,
-    ) -> Optional[tuple[float, tuple[int, ...]]]:
-        """Earliest (start, per-part node masks) satisfying the request.
+    ) -> Optional[tuple[float, int]]:
+        """Earliest (start, node mask) satisfying the request.
 
-        A part's candidates are its matching mask ANDed with the park's
-        alive mask; placement runs on the Gantt's availability profile,
-        which the reservations themselves keep current.
+        The candidates are the job's matching mask ANDed with the park's
+        alive mask; placement is one query on the Gantt's availability
+        profile, which the reservations themselves keep current.  A
+        whole-set request (ALL, or a count equal to every alive
+        candidate) is the same walk with k == the candidate count.
         """
         walltime = job.walltime_s
-        alive = self.machines.alive_mask
-        if len(job.request.parts) > 1:
-            parts: list[tuple[int, Union[int, str]]] = []
-            for part in job.request.parts:
-                cmask = self.matching_mask(part.expr) & alive
-                avail = cmask.bit_count()
-                if avail == 0 or (part.count != ALL_NODES
-                                  and part.count > avail):
-                    return None
-                parts.append((cmask, part.count))
-            return _multi_part_assignment(self.gantt, parts, after, walltime)
-        # The overwhelmingly common shape: one profile query.  A whole-set
-        # request (ALL, or a count equal to every alive candidate) is the
-        # same walk with k == the candidate count.
-        count = job.request.parts[0].count
-        cmask = self.job_mask(job) & alive
+        count = job.request.count
+        cmask = self.job_mask(job) & self.machines.alive_mask
         avail = cmask.bit_count()
         if avail == 0 or (count != ALL_NODES and count > avail):
             return None
@@ -312,26 +263,25 @@ class OarServer:
             return None
         # Lowest free bits == first free candidates in database order.
         free = self.gantt.profile_free_mask(cmask, start, start + walltime)
-        return start, (_lowest_bits(free, needed),)
+        return start, _lowest_bits(free, needed)
 
-    def _reserve(self, job: Job, start: float, masks: tuple[int, ...]) -> None:
+    def _reserve(self, job: Job, start: float, mask: int) -> None:
         """Hold the job's nodes from ``start`` on.
 
-        A re-placement onto the start and masks the job already held
-        keeps its assignment and its pending start timer: uids are a pure
-        function of the masks, and the timer still carries the job's
+        A re-placement onto the start and mask the job already held keeps
+        its assignment and its pending start timer: uids are a pure
+        function of the mask, and the timer still carries the job's
         generation.  Any other placement turns the old timer stale and
         arms a new one."""
         gantt = self.gantt
-        gantt.reserve(reduce(or_, masks), start, start + job.walltime_s,
-                      job.job_id)
+        gantt.reserve(mask, start, start + job.walltime_s, job.job_id)
         job.state = JobState.SCHEDULED
         self._scheduled.append(job)
-        if start == job.scheduled_start and masks == job.reserved_masks:
+        if start == job.scheduled_start and mask == job.reserved_mask:
             return
         job.generation += 1
-        job.assignment = tuple(tuple(gantt.uids_from_mask(m)) for m in masks)
-        job.reserved_masks = masks
+        job.assignment = tuple(gantt.uids_from_mask(mask))
+        job.reserved_mask = mask
         job.scheduled_start = start
         self.sim.call_at(start, self._try_start, job, job.generation)
 
@@ -386,7 +336,7 @@ class OarServer:
         if job.generation != generation or job.state != JobState.SCHEDULED:
             return  # stale timer: the job was replanned or cancelled
         self._scheduled.remove(job)
-        if self.gantt.mask_for(job.assigned_nodes) & ~self.machines.alive_mask:
+        if job.reserved_mask & ~self.machines.alive_mask:
             # A reserved node died in the meantime: back to the queue.
             self._unplace(job)
             if job.immediate:
@@ -397,9 +347,9 @@ class OarServer:
         job.state = JobState.RUNNING
         job.started_at = self.sim.now
         bisect.insort(self._running, job, key=_job_id)
-        for uid in job.assigned_nodes:
+        for uid in job.assignment:
             self.machines[uid].cpu_load = _BUSY_LOAD
-        self._account_alloc(len(job.assigned_nodes))
+        self._account_alloc(len(job.assignment))
         job.started_event.succeed(job)
         for hook in self.on_job_start:
             hook(job)
@@ -433,12 +383,12 @@ class OarServer:
     def _finish(self, job: Job, state: JobState) -> None:
         self._running.remove(job)
         job.generation += 1
-        self._account_alloc(-len(job.assigned_nodes))
-        for uid in job.assigned_nodes:
+        self._account_alloc(-len(job.assignment))
+        for uid in job.assignment:
             self.machines[uid].cpu_load = _IDLE_LOAD
         # The job's whole node set turns dirty, even where the truncate
         # frees nothing (a walltime kill exactly at the deadline).
-        held = self.gantt.mask_for(job.assigned_nodes)
+        held = self.gantt.mask_for(job.assignment)
         self.gantt.truncate(held, job.job_id, self.sim.now)
         self._dirty_nodes |= held
         self._end(job, state)
@@ -456,11 +406,11 @@ class OarServer:
 
     @staticmethod
     def _forget_placement(job: Job) -> None:
-        """Clear the job's assignment, masks and start, and bump the
+        """Clear the job's assignment, mask and start, and bump the
         generation so every pending timer of the old placement turns
         stale."""
         job.assignment = ()
-        job.reserved_masks = ()
+        job.reserved_mask = 0
         job.scheduled_start = None
         job.generation += 1
 
@@ -485,10 +435,6 @@ class OarServer:
         if job.state != JobState.RUNNING:
             raise SchedulingError(
                 f"cannot {verb} job {job.job_id} in state {job.state}")
-        if len(job.request.parts) != 1:
-            raise SchedulingError(
-                f"{verb} supports single-part requests only "
-                f"(job {job.job_id} has {len(job.request.parts)} parts)")
 
     def _accrue_mass(self, job: Job) -> None:
         """Bring the remaining-work account up to now at the current width.
@@ -558,7 +504,7 @@ class OarServer:
                 f"nodes: max_nodes={job.max_nodes}")
         gantt = self.gantt
         for bad, why in (
-                (mask & gantt.mask_for(job.assignment[0]),
+                (mask & gantt.mask_for(job.assignment),
                  f"already allocated to job {job.job_id}"),
                 (mask & ~self.job_mask(job),
                  f"do not match job {job.job_id}'s request"),
@@ -569,7 +515,7 @@ class OarServer:
         self._accrue_mass(job)  # settle work done at the old width first
         gantt.reserve(mask, now, deadline, job.job_id)
         nodes = gantt.uids_from_mask(mask)
-        job.assignment = (job.assignment[0] + tuple(nodes),)
+        job.assignment += tuple(nodes)
         for uid in nodes:
             self.machines[uid].cpu_load = _BUSY_LOAD
         self._account_alloc(len(nodes))
@@ -595,7 +541,7 @@ class OarServer:
             raise SchedulingError(
                 f"cannot shrink job {job.job_id} to {job.width - k} nodes: "
                 f"min_nodes={job.min_nodes}")
-        alloc = job.assignment[0]
+        alloc = job.assignment
         bit = self.gantt.bit
         # Newest first, the ``prefer`` nodes ahead of the rest (stable).
         tail = sorted((1 << bit(uid) for uid in reversed(alloc)),
@@ -608,7 +554,7 @@ class OarServer:
                 self.machines[uid].cpu_load = _IDLE_LOAD
             else:
                 kept.append(uid)
-        job.assignment = (tuple(kept),)
+        job.assignment = tuple(kept)
         self.gantt.truncate(freed, job.job_id, self.sim.now)
         self._account_alloc(-k)
         job.shrink_count += 1
@@ -627,20 +573,20 @@ class OarServer:
         malleable policies call this — the rigid path keeps the historical
         behaviour (a dead node is held until the job ends).
         """
-        if job.state != JobState.RUNNING or len(job.request.parts) != 1:
+        if job.state != JobState.RUNNING:
             return False
         gantt = self.gantt
-        held = gantt.mask_for(job.assignment[0])
+        held = gantt.mask_for(job.assignment)
         dead = held & ~self.machines.alive_mask
         if not dead:
             return False
-        alive = [u for u in job.assignment[0] if not dead >> gantt.bit(u) & 1]
+        alive = tuple(u for u in job.assignment if not dead >> gantt.bit(u) & 1)
         if len(alive) >= max(job.min_nodes, 1):
             # Survivable: shrink past the dead nodes.  Work already done on
             # them is kept (the mass account accrues at the full width up
             # to now) — checkpoint-and-continue semantics.
             self._accrue_mass(job)
-            job.assignment = (tuple(alive),)
+            job.assignment = alive
             gantt.truncate(dead, job.job_id, self.sim.now)
             self._account_alloc(-dead.bit_count())
             job.shrink_count += 1
@@ -653,7 +599,7 @@ class OarServer:
         self._running.remove(job)
         for uid in alive:
             self.machines[uid].cpu_load = _IDLE_LOAD
-        self._account_alloc(-len(job.assigned_nodes))
+        self._account_alloc(-len(job.assignment))
         self._unplace(job)
         job.started_at = None
         job.mass_remaining = None
@@ -678,7 +624,7 @@ class OarServer:
         job's walltime deadline — exactly what :meth:`grow` may claim
         without disturbing any existing reservation.  The job's own nodes
         are reserved through that deadline, so none of them is in it."""
-        if job.state != JobState.RUNNING or len(job.request.parts) != 1:
+        if job.state != JobState.RUNNING:
             return 0
         now = self.sim.now
         deadline = job.started_at + job.walltime_s
@@ -744,7 +690,7 @@ class OarServer:
         if not alive:
             return 0.0
         busy = self.gantt.mask_for(
-            u for j in self._running for u in j.assigned_nodes)
+            u for j in self._running for u in j.assignment)
         return (busy & alive).bit_count() / alive.bit_count()
 
     def housekeeping(self, keep_horizon_s: float = 86_400.0) -> None:

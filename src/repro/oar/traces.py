@@ -38,7 +38,7 @@ from typing import Optional, Union
 from ..util.errors import ParseError
 from ..util.serialization import iter_jsonl
 from .jobs import Job
-from .request import ALL_NODES, Comparison, JobRequest, RequestPart
+from .request import Comparison, JobRequest
 from .server import OarServer
 from .workload import WorkloadSource
 
@@ -421,10 +421,8 @@ def save_trace(trace: WorkloadTrace,
 
 
 def _request_cluster(request: JobRequest) -> Optional[str]:
-    """The cluster a single-part ``cluster='x'/...`` request pins, if any."""
-    if len(request.parts) != 1:
-        return None
-    expr = request.parts[0].expr
+    """The cluster a ``cluster='x'/...`` request pins, if any."""
+    expr = request.expr
     if (isinstance(expr, Comparison) and expr.name == "cluster"
             and expr.op == "="):
         return str(expr.value)
@@ -437,14 +435,8 @@ def record_from_job(job: Job) -> Optional[TraceRecord]:
     Returns ``None`` for jobs a trace cannot express: an unassigned
     ``nodes=ALL`` request has no concrete size yet.
     """
-    nodes = 0
-    for i, part in enumerate(job.request.parts):
-        if part.count == ALL_NODES:
-            if i >= len(job.assignment):
-                return None
-            nodes += len(job.assignment[i])
-        else:
-            nodes += int(part.count)
+    count = job.request.count
+    nodes = count if isinstance(count, int) else len(job.assignment)
     if nodes < 1:
         return None
     if job.auto_duration is not None:
@@ -603,7 +595,7 @@ class TraceReplayGenerator(WorkloadSource):
             hi = max(hi, nodes)
             if not (lo < nodes or hi > nodes):
                 lo = hi = None  # degenerate range: plain rigid
-        request = JobRequest((RequestPart(expr, nodes, lo, hi),), float(round(walltime)))
+        request = JobRequest(expr, nodes, lo, hi, float(round(walltime)))
         self.submitted += 1
         user = record.user or f"trace{self.submitted}"
         job = self.oar.submit(request, user=user,

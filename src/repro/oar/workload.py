@@ -29,7 +29,7 @@ from ..util.events import Process, Simulator
 from ..util.rng import RngStreams
 from ..util.simclock import HOUR, is_peak_hours, is_weekend
 from .jobs import Job
-from .request import Comparison, JobRequest, RequestPart
+from .request import Comparison, JobRequest
 from .server import OarServer
 
 __all__ = ["WorkloadConfig", "WorkloadSource", "WorkloadGenerator"]
@@ -163,8 +163,8 @@ class WorkloadGenerator(WorkloadSource):
             0.25 * HOUR, 24 * HOUR,
         ))
         duration = walltime * float(rng.uniform(0.3, 1.0))
-        request = JobRequest((RequestPart(self._cluster_exprs[cluster_idx], size),),
-                             float(int(walltime)))
+        request = JobRequest(self._cluster_exprs[cluster_idx], size,
+                             walltime_s=float(int(walltime)))
         self.submitted += 1
         job = self.oar.submit(request, user=f"user{self.submitted % 550}",
                               auto_duration=duration)

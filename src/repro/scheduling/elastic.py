@@ -122,7 +122,7 @@ class CommonPoolStrategy(DefaultStrategy):
         the freed mask for the tick's replan."""
         freed = 0
         for job in _running_malleable(oar):
-            extra = job.width - job.request.parts[0].count
+            extra = job.width - job.request.count
             if extra > 0:
                 freed |= oar.shrink(job, extra)
         return freed
@@ -173,10 +173,10 @@ class StealAgreementStrategy(CommonPoolStrategy):
 
         ``claimed`` holds the nodes the round has already promised to an
         earlier queued job: free nodes a job can start on, and nodes its
-        donors ceded.  For each queued single-part job, the matching nodes
-        free right now and not yet claimed either cover its count (it
-        claims its lowest ones) or leave a deficit it asks the running
-        malleable jobs (again FCFS) to cede from nodes it can use.
+        donors ceded.  For each queued job, the matching nodes free right
+        now and not yet claimed either cover its count (it claims its
+        lowest ones) or leave a deficit it asks the running malleable jobs
+        (again FCFS) to cede from nodes it can use.
         All-or-nothing: donors only shrink when the combined offer covers
         the deficit, so a failed negotiation leaves every allocation
         untouched.
@@ -193,10 +193,8 @@ class StealAgreementStrategy(CommonPoolStrategy):
         claimed = 0
         freed = 0
         for job in queued:
-            if len(job.request.parts) != 1:
-                continue
-            part = job.request.parts[0]
-            if not isinstance(part.count, int):
+            count = job.request.count
+            if not isinstance(count, int):
                 continue  # nodes=ALL cannot be bargained for
             # The alive matching nodes: the only ones the job can use.
             usable = oar.job_mask(job) & oar.machines.alive_mask
@@ -205,10 +203,10 @@ class StealAgreementStrategy(CommonPoolStrategy):
             window = max(job.walltime_s, 1.0)
             free = gantt.profile_free_mask(usable, now,
                                            now + window) & ~claimed
-            deficit = part.count - free.bit_count()
+            deficit = count - free.bit_count()
             if deficit <= 0:
                 # The replan can place it: its lowest free nodes are taken.
-                claimed |= _lowest_bits(free, part.count)
+                claimed |= _lowest_bits(free, count)
                 continue
             if donors is None:
                 donors = self._donor_table(oar, now)
@@ -247,7 +245,7 @@ class StealAgreementStrategy(CommonPoolStrategy):
             room = donor.width - self._feasible_floor(donor, now)
             if room > 0:
                 table.append(
-                    [donor, room, oar.gantt.mask_for(donor.assignment[0])])
+                    [donor, room, oar.gantt.mask_for(donor.assignment)])
         return table
 
     @staticmethod

@@ -44,12 +44,12 @@ class FakeScheduler:
 
 class LivenessScheduler:
     def _try_start(self, job, generation):
-        dead = [u for u in job.assigned_nodes
+        dead = [u for u in job.assignment
                 if self.node_state(u) != "Alive"]  # EXPECT(PRF401)
         return dead
 
     def evict_dead_nodes(self, job):
-        for uid in job.assignment[0]:
+        for uid in job.assignment:
             if not self.machines[uid].available:  # EXPECT(PRF401)
                 self.drop(uid)
 
@@ -73,7 +73,7 @@ class LivenessScheduler:
 class MaskScheduler:
     def _try_start(self, job, generation):
         # OK: one mask test answers "is any reserved node dead?".
-        return self.gantt.mask_for(job.assigned_nodes) & ~self.machines.alive_mask
+        return job.reserved_mask & ~self.machines.alive_mask
 
     def grow(self, job, nodes):
         # OK: the job's own state, and bit tests on the alive mask.

@@ -251,12 +251,12 @@ def test_reservation_lifecycle(world, run_family, name):
         assert job.request.walltime_s == family.walltime_s
         if family.nodes_needed == "ALL":
             alive = [u for u in target if world.machines[u].available]
-            assert sorted(job.assigned_nodes) == sorted(alive)
+            assert sorted(job.assignment) == sorted(alive)
         else:
-            assert len(job.assigned_nodes) == family.nodes_needed
-            assert set(job.assigned_nodes) <= set(target)
+            assert len(job.assignment) == family.nodes_needed
+            assert set(job.assignment) <= set(target)
         if "node" in outcome.config:
-            assert job.assigned_nodes == [outcome.config["node"]]
+            assert job.assignment == (outcome.config["node"],)
 
     key = "cluster" if "cluster" in config else "site"
     world.oar.submit(f"{key}='{config[key]}'/nodes=ALL,walltime=12",
@@ -286,7 +286,7 @@ def test_pernode_reserves_the_next_free_node_of_its_rotation(world, run_family):
     assert not outcome.resources_blocked
     assert outcome.config["node"] == second
     (job,) = _test_jobs(world)
-    assert job.assigned_nodes == [second]
+    assert job.assignment == (second,)
 
     world.oar.submit(f"cluster='grimoire'/nodes={cluster.node_count}"
                      ",walltime=12", auto_duration=None)

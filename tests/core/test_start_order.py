@@ -10,9 +10,6 @@ recording ``(time, job id)`` from ``on_job_start`` and
 starting at one instant trade places.
 """
 
-from functools import reduce
-from operator import or_
-
 import pytest
 
 from repro import run_scenario, scenarios
@@ -27,17 +24,16 @@ _ELASTIC = [("elastic-burst", strategy, False, seed, 0.02)
 _CASES = sorted(set(GOLDEN_REPORT_HASHES) | set(_ELASTIC))
 
 
-def _renewing_reserve(self, job, start, masks):
+def _renewing_reserve(self, job, start, mask):
     """Every placement builds its uids and arms a new start timer (the
     generation bump turns the previous one stale)."""
     gantt = self.gantt
-    gantt.reserve(reduce(or_, masks), start, start + job.walltime_s,
-                  job.job_id)
+    gantt.reserve(mask, start, start + job.walltime_s, job.job_id)
     job.state = JobState.SCHEDULED
     self._scheduled.append(job)
     job.generation += 1
-    job.assignment = tuple(tuple(gantt.uids_from_mask(m)) for m in masks)
-    job.reserved_masks = masks
+    job.assignment = tuple(gantt.uids_from_mask(mask))
+    job.reserved_mask = mask
     job.scheduled_start = start
     self.sim.call_at(start, self._try_start, job, job.generation)
 

@@ -168,4 +168,4 @@ def test_oar_server_places_on_the_park_bit_order():
     assert [oar.gantt.bit(u) for u in park.uids] == list(range(_N))
     park["grisou-1"].crash()
     job = oar.submit("cluster='grisou'/nodes=2,walltime=1", auto_duration=60.0)
-    assert job.assigned_nodes == ["grisou-10", "grisou-11"]
+    assert job.assignment == ("grisou-10", "grisou-11")

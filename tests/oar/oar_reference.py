@@ -3,16 +3,17 @@
 * :class:`NodeTimeline` / :class:`TimelineGantt` — per-node sorted
   reservation lists, the representation the Gantt kept before the
   availability profile became its only store, with the searches that ran
-  on it: the interval sweep (k of n nodes), the next-fit fixpoint (the
-  whole set) and the multi-part scan over release points.  The profile
-  must reproduce their answers bit for bit (same floats, same nodes), so
-  they are kept here, out of production code, as the oracle.
+  on it: the interval sweep (k of n nodes) and the next-fit fixpoint (the
+  whole set).  The profile must reproduce their answers (same floats,
+  same nodes), so they are kept here, out of production code, as the
+  oracle.
 * :func:`profile_steps` — the step function a from-scratch build over a
   set of busy intervals gives; the incrementally kept profile must equal
   it.
 * :func:`bisect_earliest` — :meth:`ResourceProfile.earliest` with one
   bisect per candidate for the window end, the form the forward pointer
-  replaced; the two must agree on every profile.
+  replaced, and no skipped candidates; the two must agree on every
+  profile.
 * :func:`assert_plans_tight` — after a *full* replanning pass no scheduled
   job may be placeable earlier than its reservation.
 """
@@ -20,9 +21,8 @@
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional
 
-from repro.oar.request import ALL_NODES
 from repro.util.errors import SchedulingError
 
 _NEG_INF = float("-inf")
@@ -266,31 +266,6 @@ class TimelineGantt:
                 count -= 1
         return None
 
-    def multi_part(self, parts: list[tuple[list[str], Union[int, str]]],
-                   after: float, walltime: float):
-        """Multi-part placement by a scan over the candidates' release
-        points; ``parts`` holds ``(candidate uids, count or ALL)``."""
-        all_candidates = sorted({u for c, _ in parts for u in c})
-        for start in self.candidate_starts(all_candidates, after):
-            assignment: list[tuple[str, ...]] = []
-            taken: set[str] = set()
-            for candidates, count in parts:
-                rest = [u for u in candidates if u not in taken]
-                free = self.free_nodes(rest, start, start + walltime)
-                if count == ALL_NODES:
-                    if len(free) < len(rest):
-                        break
-                    chosen = free
-                elif len(free) < count:
-                    break
-                else:
-                    chosen = free[:count]
-                assignment.append(tuple(chosen))
-                taken.update(chosen)
-            else:
-                return start, tuple(assignment)
-        return None
-
 
 def profile_steps(busy: Iterable[tuple[float, float, int]],
                   full: int) -> tuple[list[float], list[int]]:
@@ -320,10 +295,10 @@ def profile_steps(busy: Iterable[tuple[float, float, int]],
 def bisect_earliest(profile, mask: int, after: float, duration: float,
                     k: int) -> Optional[float]:
     """:meth:`ResourceProfile.earliest`, bisecting each candidate's window
-    end with the same float form (the fits-now and event forms at
-    ``after``, then the event form for k of n and the window-end form for
-    the whole set), testing every candidate in turn and each window with
-    a plain AND over its steps (no early exit, no skipped candidates)."""
+    end with the same float rule (the first boundary ``b`` with ``fl(b -
+    t) >= duration``), testing every candidate in turn and each window
+    with a plain AND over its steps (no early exit, no skipped
+    candidates)."""
     if k < 1:
         return None
     times = profile._times
@@ -335,34 +310,19 @@ def bisect_earliest(profile, mask: int, after: float, duration: float,
         return avail.bit_count() >= k
 
     n = len(times)
-    whole = k == mask.bit_count()
     i = bisect.bisect_right(times, after) - 1
-    avail = masks[i] & mask
-    if avail.bit_count() >= k:
-        j = bisect.bisect_left(times, duration, i + 1, n,
-                               key=lambda b: b - after)
-        if hits(avail, i, j, k):
-            return after
-        if not whole:
-            j = bisect.bisect_left(times, after, i + 1, n,
-                                   key=lambda b: b - duration)
-            if hits(avail, i, j, k):
-                return after
+    t = after
     while True:
+        avail = masks[i] & mask
+        if avail.bit_count() >= k:
+            j = bisect.bisect_left(times, duration, i + 1, n,
+                                   key=lambda b: b - t)
+            if hits(avail, i, j, k):
+                return t
         i += 1
         if i >= n:
             return None
         t = times[i]
-        avail = masks[i] & mask
-        if avail.bit_count() >= k:
-            if whole:
-                j = bisect.bisect_left(times, duration, i + 1, n,
-                                       key=lambda b: b - t)
-            else:
-                j = bisect.bisect_left(times, t, i + 1, n,
-                                       key=lambda b: b - duration)
-            if hits(avail, i, j, k):
-                return t
 
 
 def assert_plans_tight(oar) -> None:

@@ -2,9 +2,9 @@
 the per-candidate bisect it replaced, float for float.
 
 Profiles are drawn around bases where the float spacing is 1 or 2
-(``2**53``, ``1e16``), so ``fl(b - duration) >= t`` and ``fl(b - t) >=
-duration`` often disagree: the pointer must follow each form's own
-rounding, not exact arithmetic.
+(``2**53``, ``1e16``), so the window-end test ``fl(b - t) >= duration``
+often differs from exact arithmetic: the pointer must follow its
+rounding.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -43,18 +43,19 @@ def test_pointer_matches_bisect_oracle(query):
         bisect_earliest(profile, mask, after, duration, k)
 
 
-def test_sub_ulp_window_end_follows_each_form():
+def test_sub_ulp_window_end_follows_one_rule():
     """At ``t = 2**53`` a boundary ``b = t + 2`` and ``duration = 2.5``
-    give ``fl(b - duration) = t`` (the window ends before ``b``) but
-    ``fl(b - t) = 2 < duration`` (it reaches past ``b``)."""
+    give ``fl(b - t) = 2 < duration``: the window reaches past ``b``, for
+    k of n and for the whole set alike, although ``fl(b - duration) = t``
+    (the retired interval sweep's form would end it before ``b``)."""
     t = 2.0 ** 53
     profile = ResourceProfile(3)
     profile.set_busy(0b100, float("-inf"), t + 100.0)  # node 2: never free
     profile.set_busy(0b011, t - 10.0, t)
     profile.set_busy(0b001, t + 2.0, t + 10.0)
-    # k of n (node 2 in the mask, never free): the event form admits t.
-    assert profile.earliest(0b111, t - 4.0, 2.5, 2) == t
-    assert bisect_earliest(profile, 0b111, t - 4.0, 2.5, 2) == t
-    # The whole set: the window-end form must wait for node 0.
+    # k of n (node 2 in the mask, never free): wait for node 0.
+    assert profile.earliest(0b111, t - 4.0, 2.5, 2) == t + 10.0
+    assert bisect_earliest(profile, 0b111, t - 4.0, 2.5, 2) == t + 10.0
+    # The whole set: the same rule, the same answer.
     assert profile.earliest(0b011, t - 4.0, 2.5, 2) == t + 10.0
     assert bisect_earliest(profile, 0b011, t - 4.0, 2.5, 2) == t + 10.0

@@ -143,11 +143,6 @@ def test_gantt_candidate_starts():
     ref.reserve(["a"], 0.0, 10.0, job_id=1)
     ref.reserve(["b"], 5.0, 12.0, job_id=2)
     assert ref.candidate_starts(["a", "b"], after=0.0) == [0.0, 10.0, 12.0]
-    # The profile's start walk covers every release point (and more).
-    g = Gantt(["a", "b"])
-    g.reserve(g.mask_for(["a"]), 0.0, 10.0, job_id=1)
-    g.reserve(g.mask_for(["b"]), 5.0, 12.0, job_id=2)
-    assert g.profile.starts_from(0.0) == [0.0, 5.0, 10.0, 12.0]
 
 
 # -- property-based invariants -------------------------------------------------

@@ -165,7 +165,7 @@ def test_node_death_in_grown_allocation_shrinks_past_it(world):
     park[grown[0]].crash()
     assert oar.evict_dead_nodes(job)
     assert job.state == JobState.RUNNING
-    assert grown[0] not in job.assigned_nodes
+    assert grown[0] not in job.assignment
     assert job.width == 3
     sim.run()
     assert job.state == JobState.TERMINATED
@@ -189,7 +189,7 @@ def test_node_death_below_min_requeues_at_fcfs_rank(world):
     sim.run(until=HOUR)
     assert [j.job_id for j in oar._waiting] == [2, 3]
     # Kill the victim's whole allocation: below min_nodes=4, torn down.
-    for uid in list(victim.assigned_nodes):
+    for uid in list(victim.assignment):
         park[uid].crash()
     assert oar.evict_dead_nodes(victim)
     assert victim.state == JobState.WAITING
@@ -215,7 +215,7 @@ def test_shrink_truncates_reservation_so_node_is_reusable_now(world):
     assert freed.bit_count() == 1
     gantt = oar.gantt
     assert gantt.profile_free_mask(freed, now, deadline) == freed
-    assert gantt.profile_free_mask(gantt.mask_for(job.assigned_nodes), now,
+    assert gantt.profile_free_mask(gantt.mask_for(job.assignment), now,
                                    now + 1.0) == 0
     # A new rigid job lands on the freed node right away.
     filler = oar.submit("cluster='grisou'/nodes=1,walltime=1",
@@ -267,7 +267,7 @@ def test_grow_onto_own_node_is_rejected_and_changes_nothing(world):
     job = _start_malleable(sim, oar, lo=2, pref=2, hi=6)
     sim.run(until=HOUR)
     gantt = oar.gantt
-    own = gantt.mask_for(job.assigned_nodes)
+    own = gantt.mask_for(job.assignment)
     fresh = _first(oar.grow_candidates(job), 1)
 
     def state():

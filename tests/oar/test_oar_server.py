@@ -30,8 +30,8 @@ def test_job_starts_immediately_on_idle_testbed(world):
     sim.run(until=1.0)
     assert job.state == JobState.RUNNING
     assert job.started_at == 0.0
-    assert len(job.assigned_nodes) == 2
-    assert all(u.startswith("grisou-") for u in job.assigned_nodes)
+    assert len(job.assignment) == 2
+    assert all(u.startswith("grisou-") for u in job.assignment)
 
 
 def test_bad_walltime_is_refused_and_later_submits_still_run(world):
@@ -131,7 +131,7 @@ def test_requeue_after_node_death_preserves_fcfs_order(world):
     assert victim.state == JobState.SCHEDULED
     assert [j.job_id for j in oar._waiting] == [3, 4]
     # One of the victim's reserved nodes dies an hour before its start.
-    sim.call_at(9 * HOUR, park[victim.assigned_nodes[0]].crash)
+    sim.call_at(9 * HOUR, park[victim.assignment[0]].crash)
     sim.run(until=10 * HOUR + 60.0)
     # The victim is back to WAITING (7 alive nodes < the 8 it needs) and
     # slotted *ahead* of the later-submitted waiters, not appended.
@@ -146,7 +146,7 @@ def test_nodes_all_takes_whole_cluster(world):
     job = oar.submit("cluster='graoully'/nodes=ALL,walltime=1", auto_duration=600.0)
     sim.run(until=1.0)
     assert job.state == JobState.RUNNING
-    assert len(job.assigned_nodes) == testbed.cluster("graoully").node_count
+    assert len(job.assignment) == testbed.cluster("graoully").node_count
 
 
 def test_nodes_all_waits_for_last_node(world):
@@ -177,17 +177,19 @@ def test_immediate_job_on_busy_cluster_cancelled(world):
     assert job.done_event.triggered
 
 
-def test_multipart_request_starts_simultaneously(world):
+def test_multipart_request_is_refused_without_a_job_id(world):
+    """A request takes one node set: ``+`` text is refused at submit and
+    the next job gets the first id."""
     sim, oar, _, _ = world
-    job = oar.submit(
-        "cluster='grisou'/nodes=2+cluster='graoully'/nodes=3,walltime=1",
-        auto_duration=600.0,
-    )
+    with pytest.raises(ParseError):
+        oar.submit(
+            "cluster='grisou'/nodes=2+cluster='graoully'/nodes=3,walltime=1",
+            auto_duration=600.0,
+        )
+    job = oar.submit("cluster='grisou'/nodes=2,walltime=1", auto_duration=600.0)
+    assert job.job_id == 1 and list(oar.jobs) == [1]
     sim.run(until=1.0)
     assert job.state == JobState.RUNNING
-    part1, part2 = job.assignment
-    assert len(part1) == 2 and all(u.startswith("grisou-") for u in part1)
-    assert len(part2) == 3 and all(u.startswith("graoully-") for u in part2)
 
 
 def test_no_matching_resources_waits_forever(world):
@@ -213,8 +215,8 @@ def test_nodes_all_adapts_to_alive_set(world):
     job = oar.submit("cluster='graoully'/nodes=ALL,walltime=1", auto_duration=60.0)
     sim.run(until=1.0)
     assert job.state == JobState.RUNNING
-    assert len(job.assigned_nodes) == testbed.cluster("graoully").node_count - 1
-    assert "graoully-1" not in job.assigned_nodes
+    assert len(job.assignment) == testbed.cluster("graoully").node_count - 1
+    assert "graoully-1" not in job.assignment
 
 
 def test_node_crash_before_start_requeues_job(world):
@@ -224,7 +226,7 @@ def test_node_crash_before_start_requeues_job(world):
     queued = oar.submit(f"cluster='grimoire'/nodes={n},walltime=1", auto_duration=60.0)
     sim.run(until=1.0)
     assert queued.state == JobState.SCHEDULED
-    victim = queued.assigned_nodes[0]
+    victim = queued.assignment[0]
     sim.call_in(30 * 60, park[victim].crash)
     sim.run(until=HOUR + 10)
     # reservation was invalidated; job went back to waiting (n > alive)
@@ -260,7 +262,7 @@ def test_allocated_nodes_report_load(world):
     sim, oar, park, _ = world
     job = oar.submit("cluster='grisou'/nodes=1,walltime=1", auto_duration=1800.0)
     sim.run(until=1.0)
-    uid = job.assigned_nodes[0]
+    uid = job.assignment[0]
     assert park[uid].cpu_load > 0.5
     sim.run(until=HOUR)
     assert park[uid].cpu_load < 0.1
@@ -279,7 +281,7 @@ def test_no_double_allocation_under_load(world):
     for job in jobs:
         if job.started_at is None:
             continue
-        for uid in job.assigned_nodes:
+        for uid in job.assignment:
             intervals.setdefault(uid, []).append((job.started_at, job.finished_at or 1e18))
     for uid, spans in intervals.items():
         spans.sort()
@@ -321,7 +323,7 @@ def test_matching_cache_follows_property_drift(world, seed):
     assert oar.gantt.uids_from_mask(
         oar.matching_mask(parse_expression(expr))) == want
     job = oar.submit(f"{expr}/nodes=ALL,walltime=1", auto_duration=60.0)
-    assert list(job.assigned_nodes) == want
+    assert list(job.assignment) == want
     sim.run(until=HOUR)
     revert_fault(fault, ctx)
     assert oar.gantt.uids_from_mask(

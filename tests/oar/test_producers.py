@@ -36,7 +36,7 @@ def test_simulator_builds_canonical_requests_without_parsing(
     if pernode:
         assert any(str(job.request).startswith("network_address=") for job in jobs)
     if name == "elastic-burst":
-        assert any(part.malleable for job in jobs for part in job.request.parts)
+        assert any(job.request.malleable for job in jobs)
     for job in jobs:
         request = job.request
         assert parse_request(str(request)) == request

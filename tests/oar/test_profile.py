@@ -5,8 +5,8 @@ answer it gives must be *byte-identical* (same floats, same node choices)
 to the per-node timelines kept as the reference model in
 ``oar_reference.py``.  One random reserve/release/truncate/purge history
 is replayed on both, then every query is cross-checked: earliest start
-for k < n and for the whole set, free-set probes, per-node free windows
-and multi-part placement.
+for k < n and for the whole set, free-set probes and per-node free
+windows.
 """
 
 import math
@@ -15,16 +15,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.oar.gantt import Gantt, ResourceProfile
-from repro.oar.request import ALL_NODES
-from repro.oar.server import _multi_part_assignment
 from repro.util.errors import SchedulingError
 
 from oar_reference import TimelineGantt, free_intervals, profile_steps
 
 NODES = ["n0", "n1", "n2", "n3", "n4"]
 
-# Awkward floats on purpose: the profile's eligibility bisect must
-# reproduce the sweep's `end - duration >= t` IEEE arithmetic exactly.
+# Awkward floats on purpose.  The profile ends each window at the first
+# boundary with `end - t >= duration`, the sweep tests `end - duration >=
+# t`; over these floats the two forms disagree only at boundaries that
+# are pure release points, and a window crossing one gains a step at
+# least as free, so the answers must still agree.
 TIMES = st.sampled_from(
     [0.0, 0.1, 0.3, 1.0, 2.5, 3.0, 7.7, 10.0, 16.1, 30.0, 100.0 / 3.0, 59.9]
 )
@@ -43,13 +44,6 @@ _OPS = st.lists(
     ),
     max_size=14,
 )
-
-_PARTS = st.lists(
-    st.tuples(st.sets(st.sampled_from(NODES), min_size=1),
-              st.one_of(st.integers(1, 3), st.just(ALL_NODES))),
-    min_size=2, max_size=3,
-)
-
 
 def _replay(ops):
     """Drive a Gantt and the reference through the same history."""
@@ -147,21 +141,6 @@ def test_profile_matches_linear_oracles(ops, after, duration, k, subset):
     for uid in uids:
         assert _profile_free_intervals(g.profile, g.bit(uid), after) == \
             free_intervals(ref.timelines[uid], after)
-
-
-@settings(max_examples=200, deadline=None)
-@given(ops=_OPS, parts=_PARTS, after=TIMES, duration=DURATIONS)
-def test_multi_part_matches_reference(ops, parts, after, duration):
-    """Mask walk over every profile boundary vs the reference scan over
-    the candidates' release points: same start, same nodes per part."""
-    g, ref = _replay(ops)
-    mask_parts = [(g.mask_for(c), count) for c, count in parts]
-    uid_parts = [(sorted(c), count) for c, count in parts]
-    got = _multi_part_assignment(g, mask_parts, after, duration)
-    if got is not None:
-        start, masks = got
-        got = start, tuple(tuple(g.uids_from_mask(m)) for m in masks)
-    assert got == ref.multi_part(uid_parts, after, duration)
 
 
 @settings(max_examples=200, deadline=None)

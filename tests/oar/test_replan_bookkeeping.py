@@ -2,7 +2,7 @@
 
 ``_replan_future_jobs`` frees each torn-down job's Gantt intervals but
 keeps its assignment, start and generation; ``_reserve`` keeps them, and
-the pending start timer, when the new start and masks equal the old
+the pending start timer, when the new start and mask equal the old
 ones, and arms a fresh timer (turning the old one stale) otherwise.  A
 job's candidate mask is one cached int per drift epoch.  And
 ``ResourceProfile.earliest`` skips every candidate a blocking step
@@ -87,7 +87,7 @@ def test_job_left_waiting_is_cleared_and_its_timer_stale(world):
     oar.replan_now()
     assert queued.state == JobState.WAITING
     assert queued.generation > old
-    assert queued.assignment == () and queued.reserved_masks == ()
+    assert queued.assignment == () and queued.reserved_mask == 0
     assert queued.scheduled_start is None
     started = []
     oar.on_job_start.append(started.append)
@@ -103,14 +103,14 @@ def test_drift_between_replans_changes_the_cached_mask(world):
     grisou = gantt.mask_for(oar.db.matching(expr))
     oar.replan_now()
     assert oar._job_masks[queued.job_id] == grisou
-    drifted = list(queued.assigned_nodes)
+    drifted = list(queued.assignment)
     oar.db.services.drift_oar_property(drifted, "cluster")
     oar.replan_now()
     want = grisou & ~gantt.mask_for(drifted)
     assert want == gantt.mask_for(oar.db.matching(expr))
     assert oar._job_masks[queued.job_id] == want
     assert queued.scheduled_start == 2 * HOUR
-    assert not set(queued.assigned_nodes) & set(drifted)
+    assert not set(queued.assignment) & set(drifted)
 
 
 def test_finished_job_leaves_the_mask_cache(world):

@@ -89,30 +89,39 @@ def test_parse_error_reports_position():
 # -- unit: full requests ------------------------------------------------------
 
 
+_SLIDE_7_FIRST = "cluster='a' and gpu='YES'/nodes=1"
+_SLIDE_7_SECOND = "cluster='b' and eth10g='Y'/nodes=2,walltime=2"
+
+
 def test_paper_example_request():
-    """The exact oarsub line from slide 7."""
-    req = parse_request(
-        "cluster='a' and gpu='YES'/nodes=1"
-        "+cluster='b' and eth10g='Y'/nodes=2,walltime=2"
-    )
-    assert len(req.parts) == 2
-    assert req.parts[0].count == 1
-    assert req.parts[1].count == 2
-    assert req.walltime_s == 2 * HOUR
-    assert req.parts[0].expr.evaluate({"cluster": "a", "gpu": "YES"})
-    assert not req.parts[0].expr.evaluate({"cluster": "a", "gpu": "NO"})
+    """The oarsub line from slide 7 joins two node sets with ``+``: a
+    request takes one, so the parser refuses it at the ``+``, and each
+    half parses alone."""
+    text = f"{_SLIDE_7_FIRST}+{_SLIDE_7_SECOND}"
+    with pytest.raises(ParseError) as info:
+        parse_request(text)
+    assert info.value.position == text.index("+")
+    first = parse_request(_SLIDE_7_FIRST)
+    assert first.count == 1
+    assert first.walltime_s == HOUR
+    assert first.expr.evaluate({"cluster": "a", "gpu": "YES"})
+    assert not first.expr.evaluate({"cluster": "a", "gpu": "NO"})
+    second = parse_request(_SLIDE_7_SECOND)
+    assert second.count == 2
+    assert second.walltime_s == 2 * HOUR
+    assert second.expr.evaluate({"cluster": "b", "eth10g": "Y"})
 
 
 def test_bare_nodes_request():
     req = parse_request("nodes=4")
-    assert req.parts[0].expr is None
-    assert req.parts[0].count == 4
+    assert req.expr is None
+    assert req.count == 4
     assert req.walltime_s == HOUR  # default
 
 
 def test_nodes_all():
     req = parse_request("cluster='grisou'/nodes=ALL,walltime=1:30")
-    assert req.parts[0].count == ALL_NODES
+    assert req.count == ALL_NODES
     assert req.walltime_s == HOUR + 30 * MINUTE
 
 
@@ -147,10 +156,9 @@ def test_trailing_garbage_rejected():
 
 
 def test_request_round_trip_paper_example():
-    text = ("cluster='a' and gpu='YES'/nodes=1"
-            "+cluster='b' and eth10g='Y'/nodes=2,walltime=2")
-    req = parse_request(text)
-    assert parse_request(str(req)) == req
+    for text in (_SLIDE_7_FIRST, _SLIDE_7_SECOND):
+        req = parse_request(text)
+        assert parse_request(str(req)) == req
 
 
 # -- property-based: render/parse round-trip ------------------------------------
@@ -185,18 +193,12 @@ def test_evaluation_matches_after_round_trip(expr, props):
 
 
 @given(
-    st.lists(
-        st.tuples(expressions(), st.one_of(st.integers(1, 500), st.just(ALL_NODES))),
-        min_size=1, max_size=4,
-    ),
+    st.one_of(st.none(), expressions()),
+    st.one_of(st.integers(1, 500), st.just(ALL_NODES)),
     st.integers(min_value=60, max_value=48 * 3600),
 )
-def test_request_str_round_trips(parts, walltime):
-    from repro.oar import JobRequest, RequestPart
-
-    req = JobRequest(
-        tuple(RequestPart(e, c) for e, c in parts), float(walltime)
-    )
+def test_request_str_round_trips(expr, count, walltime):
+    req = JobRequest(expr, count, walltime_s=float(walltime))
     assert parse_request(str(req)) == req
 
 
@@ -206,22 +208,20 @@ def test_request_str_round_trips(parts, walltime):
 def test_elastic_range_two_values():
     """``lo..hi`` anchors the preferred width at the minimum."""
     req = parse_request("nodes=2..8")
-    part = req.parts[0]
-    assert (part.min_nodes, part.count, part.max_nodes) == (2, 2, 8)
-    assert part.malleable
+    assert (req.min_nodes, req.count, req.max_nodes) == (2, 2, 8)
+    assert req.malleable
 
 
 def test_elastic_range_three_values():
     req = parse_request("cluster='grisou'/nodes=2..4..8,walltime=2")
-    part = req.parts[0]
-    assert (part.min_nodes, part.count, part.max_nodes) == (2, 4, 8)
-    assert part.malleable
+    assert (req.min_nodes, req.count, req.max_nodes) == (2, 4, 8)
+    assert req.malleable
 
 
 def test_rigid_part_degenerate_bounds():
-    part = parse_request("nodes=4").parts[0]
-    assert (part.min_nodes, part.count, part.max_nodes) == (4, 4, 4)
-    assert not part.malleable
+    req = parse_request("nodes=4")
+    assert (req.min_nodes, req.count, req.max_nodes) == (4, 4, 4)
+    assert not req.malleable
 
 
 def test_degenerate_range_normalizes_to_rigid():
@@ -251,14 +251,13 @@ def test_all_cannot_appear_in_a_range():
 
 
 def test_request_part_validates_bounds():
-    from repro.oar import RequestPart
-
+    """``JobRequest`` checks its width range when it is built."""
     with pytest.raises(ValueError):
-        RequestPart(None, 4, min_count=5, max_count=8)  # count < min
+        JobRequest(None, 4, min_count=5, max_count=8)  # count < min
     with pytest.raises(ValueError):
-        RequestPart(None, 4, min_count=2, max_count=3)  # count > max
+        JobRequest(None, 4, min_count=2, max_count=3)  # count > max
     with pytest.raises(ValueError):
-        RequestPart(None, ALL_NODES, min_count=1, max_count=2)  # ALL range
+        JobRequest(None, ALL_NODES, min_count=1, max_count=2)  # ALL range
 
 
 @given(
@@ -269,8 +268,7 @@ def test_request_part_validates_bounds():
 def test_elastic_range_str_round_trips(pref, below, above):
     lo, hi = max(1, pref - below), pref + above
     req = parse_request(f"nodes={lo}..{pref}..{hi}")
-    part = req.parts[0]
-    assert (part.min_nodes, part.count, part.max_nodes) == (lo, pref, hi)
+    assert (req.min_nodes, req.count, req.max_nodes) == (lo, pref, hi)
     assert parse_request(str(req)) == req
 
 
@@ -336,20 +334,27 @@ def _walltime(draw):
 
 @st.composite
 def _request_text(draw):
-    parts = "+".join(draw(st.lists(_part(), min_size=1, max_size=3)))
+    """``(text, number of parts joined with '+')``."""
+    parts = draw(st.lists(_part(), min_size=1, max_size=3))
+    text = "+".join(parts)
     tail = draw(st.one_of(st.none(), _walltime(), _MALFORMED_TAIL))
-    if tail is None:
-        return parts
-    return f"{parts}{draw(_CLAUSE)}{tail}"
+    if tail is not None:
+        text = f"{text}{draw(_CLAUSE)}{tail}"
+    return text, len(parts)
 
 
 @settings(max_examples=400)
 @given(st.one_of(_request_text(),
-                 st.text(alphabet="nodes=1,walltime:'/+ ().ALc-", max_size=30)))
-def test_any_text_parses_to_a_request_or_raises_parse_error(text):
+                 st.text(alphabet="nodes=1,walltime:'/+ ().ALc-",
+                         max_size=30).map(lambda text: (text, None))))
+def test_any_text_parses_to_a_request_or_raises_parse_error(case):
+    """Any text gives a request or a ParseError; a generated text that
+    joins several parts with ``+`` always gives the error."""
+    text, parts = case
     try:
         req = parse_request(text)
     except ParseError:
         return
+    assert parts in (1, None)
     assert isinstance(req, JobRequest)
     assert req.walltime_s > 0

@@ -59,7 +59,7 @@ def _check_gantt(oar):
     gantt = oar.gantt
     now = oar.sim.now
     for job in oar.jobs.values():
-        mask = gantt.mask_for(job.assigned_nodes)
+        mask = gantt.mask_for(job.assignment)
         if job.state is JobState.SCHEDULED:
             start = job.scheduled_start
             assert gantt._ledger[job.job_id] == \
@@ -120,7 +120,7 @@ def test_running_index_equals_fresh_scan(ops, seed):
         elif kind == "crash_job":
             job = _pick(running, op[1])
             if job is not None:
-                for uid in job.assigned_nodes[:op[2]]:
+                for uid in job.assignment[:op[2]]:
                     park[uid].crash()
         elif kind == "boot":
             sim.process(park[uids[op[1]]].boot())

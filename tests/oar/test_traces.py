@@ -217,7 +217,7 @@ def test_replay_submits_at_recorded_timestamps():
     # sorted + rebased: submissions at 0, 60, 210
     assert [j.submitted_at for j in jobs] == [0.0, 60.0, 210.0]
     assert [j.user for j in jobs] == ["bob", "alice", "carol"]
-    assert [len(j.assigned_nodes) for j in jobs] == [1, 2, 4]
+    assert [len(j.assignment) for j in jobs] == [1, 2, 4]
     assert all(j.state == JobState.TERMINATED for j in jobs)
 
 
@@ -233,9 +233,9 @@ def test_replay_clamps_unknown_cluster_and_oversize():
     replay.start()
     sim.run(until=3 * HOUR)
     jobs = [oar.jobs[i] for i in sorted(oar.jobs)]
-    assert jobs[0].request.parts[0].expr is None  # cluster pin dropped
+    assert jobs[0].request.expr is None  # cluster pin dropped
     assert jobs[0].state == JobState.TERMINATED
-    assert jobs[1].request.parts[0].count == 8    # clamped to cluster size
+    assert jobs[1].request.count == 8    # clamped to cluster size
     assert jobs[1].state == JobState.TERMINATED
 
 
@@ -369,12 +369,12 @@ def test_elastic_replay_widens_requests_into_ranges():
     replay.start()
     sim.run(until=DAY)
     jobs = [oar.jobs[i] for i in sorted(oar.jobs)]
-    parts = [j.request.parts[0] for j in jobs]  # bob(1), alice(2), carol(4)
-    assert [(p.min_nodes, p.count, p.max_nodes) for p in parts] == \
+    requests = [j.request for j in jobs]  # bob(1), alice(2), carol(4)
+    assert [(r.min_nodes, r.count, r.max_nodes) for r in requests] == \
         [(1, 1, 2), (1, 2, 4), (2, 4, 8)]
-    assert all(p.malleable for p in parts)
+    assert all(r.malleable for r in requests)
     # Placement stays at the preferred width.
-    assert [len(j.assigned_nodes) for j in jobs] == [1, 2, 4]
+    assert [len(j.assignment) for j in jobs] == [1, 2, 4]
 
 
 def test_elastic_replay_clamps_range_to_cluster_size():
@@ -389,8 +389,8 @@ def test_elastic_replay_clamps_range_to_cluster_size():
     replay.start()
     sim.run(until=HOUR)
     (job,) = oar.jobs.values()
-    part = job.request.parts[0]
-    assert (part.min_nodes, part.count, part.max_nodes) == (3, 6, 8)
+    req = job.request
+    assert (req.min_nodes, req.count, req.max_nodes) == (3, 6, 8)
 
 
 def test_default_scales_replay_rigid_requests():
@@ -398,7 +398,7 @@ def test_default_scales_replay_rigid_requests():
     replay = TraceReplayGenerator(sim, oar, simple_trace(), testbed=testbed)
     replay.start()
     sim.run(until=DAY)
-    assert not any(j.request.parts[0].malleable for j in oar.jobs.values())
+    assert not any(j.request.malleable for j in oar.jobs.values())
 
 
 def test_trace_replay_config_validates_elastic_scales():

@@ -22,7 +22,7 @@ def test_submit_one_produces_valid_job():
     sim, oar, gen, testbed = make_world()
     job = gen.submit_one()
     assert job.job_id in oar.jobs
-    cluster = job.request.parts[0].expr
+    cluster = job.request.expr
     assert cluster is not None
     assert 0.25 * HOUR <= job.request.walltime_s <= 24 * HOUR
     assert job.auto_duration <= job.request.walltime_s
@@ -32,7 +32,7 @@ def test_job_size_never_exceeds_cluster():
     sim, oar, gen, testbed = make_world(clusters=("grimoire",))  # 8 nodes
     for _ in range(50):
         job = gen.submit_one()
-        assert job.request.parts[0].count <= 8
+        assert job.request.count <= 8
 
 
 def test_generator_sustains_target_utilization():
@@ -101,7 +101,7 @@ def test_most_small_jobs_start_quickly():
     gen.start()
     sim.run(until=2 * DAY)
     waits = [j.wait_time_s for j in oar.jobs.values()
-             if j.started_at is not None and len(j.assigned_nodes) == 1]
+             if j.started_at is not None and len(j.assignment) == 1]
     assert waits, "no single-node jobs completed"
     quick = sum(1 for w in waits if w < 60.0)
     assert quick / len(waits) > 0.6

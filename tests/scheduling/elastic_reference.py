@@ -48,21 +48,19 @@ def negotiate(strategy, oar, queued):
     claimed = set()  # node bits promised to an earlier queued job
     freed = 0
     for job in queued:
-        if len(job.request.parts) != 1:
+        count = job.request.count
+        if not isinstance(count, int):
             continue
-        part = job.request.parts[0]
-        if not isinstance(part.count, int):
-            continue
-        usable = oar.matching_mask(part.expr) & oar.machines.alive_mask
+        usable = oar.matching_mask(job.request.expr) & oar.machines.alive_mask
         if not usable:
             continue
         window = max(job.walltime_s, 1.0)
         free_mask = gantt.profile_free_mask(usable, now, now + window)
         free = [b for b in range(free_mask.bit_length())
                 if free_mask >> b & 1 and b not in claimed]
-        deficit = part.count - len(free)
+        deficit = count - len(free)
         if deficit <= 0:
-            claimed.update(free[:part.count])  # its lowest free nodes
+            claimed.update(free[:count])  # its lowest free nodes
             continue
         offers = []
         offered = 0
@@ -71,7 +69,7 @@ def negotiate(strategy, oar, queued):
             room = donor.width - floor
             if room <= 0:
                 continue
-            givable = [u for u in reversed(donor.assignment[0])
+            givable = [u for u in reversed(donor.assignment)
                        if usable >> bit(u) & 1][:room]
             if not givable:
                 continue

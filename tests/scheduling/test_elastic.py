@@ -111,11 +111,11 @@ def test_steal_round_settles_later_jobs_against_earlier_agreements():
     sim.run(until=1.0)
     assert donor.state == JobState.RUNNING
     grisou = oar.matching_mask(oar.submit(
-        "cluster='grisou'/nodes=2,walltime=1").request.parts[0].expr)
+        "cluster='grisou'/nodes=2,walltime=1").request.expr)
     oar.submit("cluster='grisou'/nodes=3,walltime=1")
-    assert (oar.gantt.mask_for(donor.assigned_nodes) & grisou).bit_count() == 4
+    assert (oar.gantt.mask_for(donor.assignment) & grisou).bit_count() == 4
     queued = oar.queued_jobs(StealAgreementStrategy.queue_slack_s)
-    assert [j.request.parts[0].count for j in queued] == [2, 3]
+    assert [j.request.count for j in queued] == [2, 3]
 
     freed = StealAgreementStrategy(SchedulerPolicy())._negotiate(oar, queued)
     assert freed.bit_count() == 2 and freed & ~grisou == 0

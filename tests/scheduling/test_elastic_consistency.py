@@ -36,7 +36,7 @@ def _check_consistent(oar):
     now = oar.sim.now
     taken = 0
     for job in oar.running_jobs():
-        mask = gantt.mask_for(job.assigned_nodes)
+        mask = gantt.mask_for(job.assignment)
         assert mask & taken == 0, f"job {job.job_id} shares a node"
         taken |= mask
         assert job.width == mask.bit_count(), job.job_id

@@ -60,8 +60,8 @@ ALLOWED: dict[str, str] = {
         "the per-row definition of a request's rows that the tests "
         "compare matching_mask against",
     "parse_expression":
-        "the property-filter grammar on its own (a request part's text "
-        "before '/'), the input of evaluate and matching above",
+        "the property-filter grammar on its own (a request's text before "
+        "'/'), the input of evaluate and matching above",
     "MatrixProject": "bench_e3 builds its matrix project",
     "Resource.queue_length": "the only public view of a resource's wait queue",
     "_Handler.handle": "socketserver calls it once per connection",
