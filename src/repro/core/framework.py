@@ -42,8 +42,6 @@ __all__ = ["TestingFramework"]
 _JANITOR_PERIOD_S = 1200.0
 #: Gremlin sweep period (spontaneous crashes for faulty machines).
 _GREMLIN_PERIOD_S = 1800.0
-#: Daily housekeeping (Gantt purge).
-_HOUSEKEEPING_PERIOD_S = 86_400.0
 
 
 @dataclass
@@ -98,7 +96,6 @@ class TestingFramework:
             self.scheduler.start()
         self.sim.process(self._janitor(), name="janitor")
         self.sim.process(self._gremlin(), name="gremlin")
-        self.sim.process(self._housekeeping(), name="housekeeping")
 
     def run_until(self, t: float) -> None:
         self.sim.run(until=t)
@@ -139,11 +136,6 @@ class TestingFramework:
                                          / machine.crash_mtbf_s)
                 if float(rng.random()) < p_crash:
                     machine.crash()
-
-    def _housekeeping(self):
-        while True:
-            yield self.sim.timeout(_HOUSEKEEPING_PERIOD_S)
-            self.oar.housekeeping()
 
     # -- Jenkins wiring ------------------------------------------------------------
 

@@ -12,10 +12,13 @@ the earliest window that fits around them.
 The :class:`ResourceProfile` — a step function from time to the *bitmask
 of free nodes* — is the only record of busy time.  :class:`Gantt` pairs it
 with a small per-job ledger of the ``(start, end, mask)`` intervals each
-job holds, which tells :meth:`Gantt.release`, :meth:`Gantt.truncate` and
-:meth:`Gantt.purge_before` which bits to free.  Placement queries bisect
-the profile, so the per-job placement cost is O(log steps +
-steps-in-window) instead of O(nodes x reservations).
+scheduled or running job holds, which tells :meth:`Gantt.release` and
+:meth:`Gantt.release_nodes` which bits to free.  A job leaves the ledger
+whole when it ends, and a node it gives up leaves whole too: every query
+asks from the current time on, so the past of a live job is never read
+and the Gantt keeps no history.  Placement queries bisect the profile, so
+the per-job placement cost is O(log steps + steps-in-window) instead of
+O(nodes x reservations).
 """
 
 from __future__ import annotations
@@ -283,50 +286,20 @@ class Gantt:
         for start, end, mask in self._ledger.pop(job_id, ()):
             self.profile.set_free(mask, start, end)
 
-    def truncate(self, cut: int, job_id: int, end: float) -> None:
-        """End the job's intervals on the nodes of ``cut`` at ``end``
-        (early release).
-
-        An interval that starts at or after ``end`` is dropped whole, so
-        no zero-length residue stays in the ledger.
-        """
+    def release_nodes(self, cut: int, job_id: int) -> None:
+        """Free the nodes of ``cut`` from each of the job's intervals
+        whole, from the interval's own start (a running job gives nodes
+        up), and drop the intervals left empty."""
         held = self._ledger.get(job_id)
         if not held:
             return
         prof = self.profile
         kept: List[Tuple[float, float, int]] = []
         for start, stop, mask in held:
-            hit = mask & cut
-            if not hit or stop <= end:
-                kept.append((start, stop, mask))
-                continue
-            prof.set_free(hit, max(start, end), stop)
-            if mask != hit:
-                kept.append((start, stop, mask & ~hit))
-            if start < end:
-                kept.append((start, end, hit))
+            prof.set_free(mask & cut, start, stop)
+            if mask & ~cut:
+                kept.append((start, stop, mask & ~cut))
         if kept:
             self._ledger[job_id] = kept
         else:
             del self._ledger[job_id]
-
-    def purge_before(self, t: float) -> None:
-        """Forget intervals that ended before ``t`` (memory hygiene on
-        long campaigns).
-
-        Each forgotten interval is freed in the profile, so the steps
-        before ``t`` collapse to those of the surviving intervals; every
-        answer about ``t`` and later is unchanged.
-        """
-        prof = self.profile
-        for job_id, held in list(self._ledger.items()):
-            kept = [iv for iv in held if iv[1] >= t]
-            if len(kept) == len(held):
-                continue
-            for start, end, mask in held:
-                if end < t:
-                    prof.set_free(mask, start, end)
-            if kept:
-                self._ledger[job_id] = kept
-            else:
-                del self._ledger[job_id]

@@ -386,11 +386,11 @@ class OarServer:
         self._account_alloc(-len(job.assignment))
         for uid in job.assignment:
             self.machines[uid].cpu_load = _IDLE_LOAD
-        # The job's whole node set turns dirty, even where the truncate
-        # frees nothing (a walltime kill exactly at the deadline).
-        held = self.gantt.mask_for(job.assignment)
-        self.gantt.truncate(held, job.job_id, self.sim.now)
-        self._dirty_nodes |= held
+        # The job leaves the Gantt whole; its node set turns dirty even
+        # when it held nothing after now (a walltime kill exactly at the
+        # deadline).
+        self.gantt.release(job.job_id)
+        self._dirty_nodes |= self.gantt.mask_for(job.assignment)
         self._end(job, state)
         for hook in self.on_job_complete:
             hook(job)
@@ -530,9 +530,9 @@ class OarServer:
         the allocation tail first (grown nodes before original ones),
         those in the ``prefer`` mask before any other (the
         steal-agreement policy frees nodes a queued job can actually
-        use).  Freed reservations are truncated at now.  Returns the
-        freed mask; nothing is re-placed here, so the caller passes it to
-        :meth:`replan_now` for queued work to pull forward.
+        use).  The freed nodes leave the job's Gantt intervals whole.
+        Returns the freed mask; nothing is re-placed here, so the caller
+        passes it to :meth:`replan_now` for queued work to pull forward.
         """
         self._check_resizable(job, "shrink")
         if k <= 0:
@@ -555,7 +555,7 @@ class OarServer:
             else:
                 kept.append(uid)
         job.assignment = tuple(kept)
-        self.gantt.truncate(freed, job.job_id, self.sim.now)
+        self.gantt.release_nodes(freed, job.job_id)
         self._account_alloc(-k)
         job.shrink_count += 1
         self.shrink_events += 1
@@ -587,7 +587,7 @@ class OarServer:
             # to now) — checkpoint-and-continue semantics.
             self._accrue_mass(job)
             job.assignment = alive
-            gantt.truncate(dead, job.job_id, self.sim.now)
+            gantt.release_nodes(dead, job.job_id)
             self._account_alloc(-dead.bit_count())
             job.shrink_count += 1
             self.shrink_events += 1
@@ -610,14 +610,13 @@ class OarServer:
         self._requeue(job)
         return True
 
-    def replan_now(self, touching: Optional[int] = None) -> None:
-        """Synchronously re-place future reservations (the immediate
-        counterpart of the batched replan; malleable policies call this
-        right after freeing capacity so queued work pulls forward within
-        the same tick).  ``touching`` is the freed node mask: ``None``
-        replans every reservation, ``0`` none."""
-        if touching is None or touching:
-            self._replan_future_jobs(touching)
+    def replan_now(self, touching: int) -> None:
+        """Synchronously re-place the future reservations that may use a
+        node of the freed mask ``touching`` (the immediate counterpart of
+        the batched replan; malleable policies call this right after
+        freeing capacity so queued work pulls forward within the same
+        tick)."""
+        self._replan_future_jobs(touching)
 
     def grow_candidates(self, job: Job) -> int:
         """Mask of the alive matching nodes free from now through the
@@ -692,7 +691,3 @@ class OarServer:
         busy = self.gantt.mask_for(
             u for j in self._running for u in j.assignment)
         return (busy & alive).bit_count() / alive.bit_count()
-
-    def housekeeping(self, keep_horizon_s: float = 86_400.0) -> None:
-        """Purge ancient Gantt entries (call periodically on long campaigns)."""
-        self.gantt.purge_before(self.sim.now - keep_horizon_s)

@@ -175,7 +175,7 @@ class ReplanPerAgreementScheduler:
     def elastic_tick(self, oar):
         while self.pressure(oar):
             self.settle(oar)
-            oar.replan_now()  # EXPECT(PRF401)
+            oar.replan_now(self.freed)  # EXPECT(PRF401)
 
 
 class ReplanOncePerTickScheduler:

@@ -2,6 +2,7 @@
 the src/repro self-check, and the CI-gate contract."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -250,7 +251,7 @@ def test_ci_gate_fails_on_deliberate_det002(tmp_path):
         [sys.executable, "-m", "repro.analysis.static", str(bad),
          "--no-baseline", "--json"],
         capture_output=True, text=True, cwd=REPO_ROOT,
-        env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
+        env={**os.environ, "PYTHONPATH": "src"},
     )
     assert proc.returncode == 1, proc.stderr
     report = json.loads(proc.stdout)
@@ -264,6 +265,6 @@ def test_ci_gate_passes_on_clean_tree(tmp_path):
         [sys.executable, "-m", "repro.analysis.static", str(good),
          "--no-baseline"],
         capture_output=True, text=True, cwd=REPO_ROOT,
-        env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
+        env={**os.environ, "PYTHONPATH": "src"},
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr

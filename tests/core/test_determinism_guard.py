@@ -56,7 +56,10 @@ The ``paper-baseline`` row runs the full 894-node testbed for three
 simulated days: the only row whose Gantt profile grows deep (a median of
 thousands of steps), the regime where placement search dominates.  It
 was recorded before re-placements that land where they were began
-keeping their assignment and start timer.
+keeping their assignment and start timer.  The second ``paper-baseline``
+row (seed 8, nine simulated days, the deep regime the placement work
+measures) was recorded while the Gantt still kept each ended job's past
+until a daily purge, and passed unchanged once a job left it whole.
 
 If this test fails, a change altered simulation *behaviour*, not just
 performance.  That can be a legitimate semantic change — in which case
@@ -88,6 +91,8 @@ GOLDEN_REPORT_HASHES = {
         "f436d6e65a1b25de70d4a9d19486bc3d8729ee381c957c10784abfcfcba1d340",
     ("paper-baseline", "default", False, 0, 0.1):
         "56b4f55e00c6a656c50a2ddaa2cffaf270865e779ba41b5eafecc60ae0fb4266",
+    ("paper-baseline", "default", False, 8, 0.3):
+        "a7a8160c59a03faeccd86c3aa3bd5409066ef13197068e3c7200a628e2877ad3",
 }
 
 

@@ -76,18 +76,6 @@ class NodeTimeline:
         self._reservations = [r for _, r in keep]
         return removed
 
-    def truncate_job(self, job_id: int, end: float) -> None:
-        """Shorten the job's reservation covering or following ``end``;
-        truncating at/before its start drops it entirely."""
-        for i, r in enumerate(self._reservations):
-            if r.job_id == job_id and r.end > end:
-                if end <= r.start:
-                    del self._starts[i]
-                    del self._reservations[i]
-                else:
-                    self._reservations[i] = Reservation(r.start, end, job_id)
-                return
-
     def busy_until(self, t: float) -> float:
         """End of the reservation covering ``t`` (or ``t`` if free)."""
         idx = bisect.bisect_right(self._starts, t)
@@ -115,13 +103,6 @@ class NodeTimeline:
     def release_points(self, after: float) -> list[float]:
         """Reservation end times > ``after`` (candidate start times)."""
         return sorted({r.end for r in self._reservations if r.end > after})
-
-    def purge_before(self, t: float) -> None:
-        """Forget reservations that ended before ``t``."""
-        keep = [(s, r) for s, r in zip(self._starts, self._reservations)
-                if r.end >= t]
-        self._starts = [s for s, _ in keep]
-        self._reservations = [r for _, r in keep]
 
 
 def free_intervals(timeline: NodeTimeline,
@@ -169,13 +150,10 @@ class TimelineGantt:
         for timeline in self.timelines.values():
             timeline.remove_job(job_id)
 
-    def truncate(self, uids: Iterable[str], job_id: int, end: float) -> None:
+    def release_nodes(self, uids: Iterable[str], job_id: int) -> None:
+        """Drop the job's reservation on each of ``uids`` whole."""
         for uid in uids:
-            self.timelines[uid].truncate_job(job_id, end)
-
-    def purge_before(self, t: float) -> None:
-        for timeline in self.timelines.values():
-            timeline.purge_before(t)
+            self.timelines[uid].remove_job(job_id)
 
     def busy(self, bit_of) -> Iterator[tuple[float, float, int]]:
         """Every reservation as a ``(start, end, one-bit mask)`` interval."""

@@ -55,38 +55,39 @@ def test_remove_job():
 
 
 def test_truncate_job_frees_tail():
-    tl = NodeTimeline()
-    tl.add(Reservation(0.0, 100.0, 1))
-    tl.truncate_job(1, 30.0)
-    assert tl.is_free(30.0, 100.0)
-    assert not tl.is_free(0.0, 30.0)
+    """Giving a node up drops the job's reservation on it whole, past
+    included, and keeps the job on its other nodes."""
+    ref = TimelineGantt(["a", "b"])
+    ref.reserve(["a", "b"], 0.0, 100.0, 1)
+    ref.release_nodes(["a"], 1)
+    assert ref.is_free("a", 0.0, 100.0)
+    assert not ref.is_free("b", 0.0, 30.0)
+    assert not ref.is_free("b", 30.0, 100.0)
 
 
 def test_truncate_at_or_before_start_drops_reservation():
     # Regression: a job released at/before its scheduled start used to
     # leave a zero-length [start, start) residue whose stale entry in
-    # _starts distorted release_points/candidate_starts until purge.
-    tl = NodeTimeline()
-    tl.add(Reservation(50.0, 100.0, 7))
-    tl.truncate_job(7, 50.0)  # released exactly at start
+    # _starts distorted release_points/candidate_starts.  Giving a node
+    # up leaves no residue at all.
+    ref = TimelineGantt(["a"])
+    tl = ref.timelines["a"]
+    ref.reserve(["a"], 50.0, 100.0, 7)
+    ref.release_nodes(["a"], 7)
     assert len(tl) == 0
     assert tl.is_free(0.0, 200.0)
     assert tl.release_points(0.0) == []
-
-    tl.add(Reservation(50.0, 100.0, 8))
-    tl.truncate_job(8, 10.0)  # released before start
-    assert len(tl) == 0
-    assert tl.release_points(0.0) == []
     # the slot is genuinely reusable
-    tl.add(Reservation(50.0, 100.0, 9))
+    ref.reserve(["a"], 50.0, 100.0, 9)
     assert not tl.is_free(50.0, 100.0)
 
 
 def test_truncate_keeps_other_jobs_intact():
-    tl = NodeTimeline()
-    tl.add(Reservation(0.0, 10.0, 1))
-    tl.add(Reservation(10.0, 20.0, 2))
-    tl.truncate_job(1, 0.0)  # drops job 1 entirely
+    ref = TimelineGantt(["a"])
+    tl = ref.timelines["a"]
+    ref.reserve(["a"], 0.0, 10.0, 1)
+    ref.reserve(["a"], 10.0, 20.0, 2)
+    ref.release_nodes(["a"], 1)  # drops job 1 entirely
     assert tl.release_points(0.0) == [20.0]
     assert [r.job_id for r in tl] == [2]
 
@@ -105,15 +106,6 @@ def test_release_points():
     tl.add(Reservation(10.0, 25.0, 2))
     assert tl.release_points(after=0.0) == [10.0, 25.0]
     assert tl.release_points(after=10.0) == [25.0]
-
-
-def test_purge_before():
-    tl = NodeTimeline()
-    tl.add(Reservation(0.0, 10.0, 1))
-    tl.add(Reservation(50.0, 60.0, 2))
-    tl.purge_before(20.0)
-    assert len(tl) == 1
-    assert tl.is_free(0.0, 10.0)
 
 
 def _free(g, uids, start, end):
@@ -238,7 +230,7 @@ def test_free_intervals_ignores_ancient_history():
     assert free_intervals(tl, 91.0) == [(95.0, float("inf"))]
 
 
-# -- release and truncate read the ledger ------------------------------------
+# -- release and release_nodes read the ledger ------------------------------
 #
 # Regression: Gantt.release once freed profile bits from the caller's
 # ``start`` hint, and a stale hint freed the wrong window.  Release now
@@ -281,12 +273,14 @@ def test_gantt_release_with_stale_hint_frees_actual_interval():
 
 
 def test_gantt_truncate_then_hinted_release_keeps_profile_consistent():
-    """An early release shortens the job to [10, 15); the later release
-    (which once carried the original start as a hint) frees only that."""
+    """Giving up node a frees its whole [10, 30); the later release
+    (which once carried the original start as a hint) frees only b."""
     g, ref = _both(["a", "b"])
     for x in (g, ref):
         x.reserve(_nodes(x, ["a", "b"]), 10.0, 30.0, 1)
-        x.truncate(_nodes(x, ["a", "b"]), 1, end=15.0)
+        x.release_nodes(_nodes(x, ["a"]), 1)
+    _profile_agrees_with_reference(g, ref, _PROBES)
+    for x in (g, ref):
         x.release(1)
     _profile_agrees_with_reference(g, ref, _PROBES)
     for x in (g, ref):
@@ -298,7 +292,7 @@ def test_gantt_truncate_at_start_drops_reservation_in_profile():
     g, ref = _both(["a"])
     for x in (g, ref):
         x.reserve(_nodes(x, ["a"]), 50.0, 100.0, 7)
-        x.truncate(_nodes(x, ["a"]), 7, end=50.0)  # released at its scheduled start
+        x.release_nodes(_nodes(x, ["a"]), 7)  # its only node given up
     assert 7 not in g._ledger
     assert _free(g, ["a"], 0.0, 200.0) == ["a"]
     # A release of the already-dropped job must be a no-op.

@@ -290,13 +290,14 @@ def test_no_double_allocation_under_load(world):
 
 
 def test_housekeeping_purges_gantt(world):
+    """A job leaves the Gantt whole the moment it ends: once every job
+    has ended, the ledger is empty and the profile is its single
+    all-free step."""
     sim, oar, _, _ = world
-    for _ in range(5):
-        oar.submit("nodes=1,walltime=0:10", auto_duration=300.0)
+    jobs = [oar.submit("nodes=1,walltime=0:10", auto_duration=300.0)
+            for _ in range(5)]
     sim.run(until=HOUR)
-    oar.housekeeping(keep_horizon_s=60.0)
-    # Every job ended long before the horizon: the ledger forgets them
-    # and the profile collapses to its single all-free step.
+    assert all(j.state == JobState.TERMINATED for j in jobs)
     assert oar.gantt._ledger == {}
     assert len(oar.gantt.profile) == 1
 

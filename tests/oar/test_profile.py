@@ -3,7 +3,7 @@
 The availability profile is the Gantt's only record of busy time; every
 answer it gives must be *byte-identical* (same floats, same node choices)
 to the per-node timelines kept as the reference model in
-``oar_reference.py``.  One random reserve/release/truncate/purge history
+``oar_reference.py``.  One random reserve/release/release_nodes history
 is replayed on both, then every query is cross-checked: earliest start
 for k < n and for the whole set, free-set probes and per-node free
 windows.
@@ -37,10 +37,9 @@ _OPS = st.lists(
                   st.sets(st.sampled_from(NODES), min_size=1),
                   TIMES, DURATIONS, st.integers(1, 6)),
         st.tuples(st.just("release"), st.integers(1, 6)),
-        st.tuples(st.just("truncate"),
+        st.tuples(st.just("release_nodes"),
                   st.sets(st.sampled_from(NODES), min_size=1),
-                  st.integers(1, 6), TIMES),
-        st.tuples(st.just("purge"), TIMES),
+                  st.integers(1, 6)),
     ),
     max_size=14,
 )
@@ -67,13 +66,10 @@ def _replay(ops):
             g.release(op[1])
             ref.release(op[1])
             reserved.discard(op[1])
-        elif op[0] == "truncate":
-            _, uids, job_id, t = op
-            g.truncate(g.mask_for(uids), job_id, t)
-            ref.truncate(sorted(uids), job_id, t)
         else:
-            g.purge_before(op[1])
-            ref.purge_before(op[1])
+            _, uids, job_id = op
+            g.release_nodes(g.mask_for(uids), job_id)
+            ref.release_nodes(sorted(uids), job_id)
     return g, ref
 
 
@@ -185,13 +181,15 @@ def test_release_frees_exactly_the_ledger_once():
 
 
 def test_truncate_then_hinted_release_frees_exactly_once():
-    """A truncated job released later (the release once carried the
-    original start as a hint) must not free the cut tail a second time."""
+    """Nodes a job gave up (``release_nodes``) are freed from the
+    interval's own start, and a later release of the job must not free
+    them a second time: their next holder keeps them."""
     g = Gantt(NODES)
     g.reserve(g.mask_for(["n2"]), 30.0, 50.0, 2)
-    g.reserve(g.mask_for(["n0", "n1"]), 10.0, 50.0, 1)
-    g.truncate(g.mask_for(["n0", "n1"]), 1, 30.0)   # early completion at t=30
-    g.reserve(g.mask_for(["n0"]), 30.0, 40.0, 3)    # the cut tail is reused at once
+    g.reserve(g.mask_for(["n0", "n1", "n3"]), 10.0, 50.0, 1)
+    g.release_nodes(g.mask_for(["n0", "n1"]), 1)    # a shrink at t=30
+    assert g.free_uids(g.full_mask, 10.0, 50.0) == ["n0", "n1", "n4"]
+    g.reserve(g.mask_for(["n0"]), 30.0, 40.0, 3)    # n0 is reused at once
     g.release(1)                        # then teardown
     assert _steps(g) == _ledger_steps(g)
     assert g.free_uids(g.full_mask, 30.0, 40.0) == ["n1", "n3", "n4"]
@@ -199,42 +197,30 @@ def test_truncate_then_hinted_release_frees_exactly_once():
 
 
 def test_truncate_at_start_then_hinted_release_is_noop():
-    """Truncating at/before the start drops the interval from the
-    ledger; a later release then has nothing to free."""
+    """Giving up every node drops the job from the ledger; a later
+    release then has nothing to free, and a cut that misses the job's
+    nodes, or names an unknown job, changes nothing."""
     g = Gantt(NODES)
     g.reserve(g.mask_for(["n3"]), 10.0, 50.0, 7)
-    g.truncate(g.mask_for(["n3"]), 7, 10.0)         # dropped entirely
+    g.release_nodes(g.mask_for(["n3"]), 7)          # dropped entirely
     assert 7 not in g._ledger
     g.reserve(g.mask_for(["n4"]), 10.0, 50.0, 8)
-    g.truncate(g.mask_for(["n4"]), 8, 5.0)          # before the start: dropped too
+    g.release_nodes(g.mask_for(["n3"]), 8)          # misses job 8's node
+    assert g._ledger[8] == [(10.0, 50.0, g.mask_for(["n4"]))]
+    g.release_nodes(g.full_mask, 8)
     assert 8 not in g._ledger
     g.release(7)
+    g.release_nodes(g.full_mask, 9)                 # never reserved
     assert len(g.profile) == 1
     assert g.free_uids(g.full_mask, 0.0, 100.0) == NODES
 
 
 def test_truncate_splits_the_cut_nodes_off():
-    """Truncating part of a job's nodes shortens only their interval."""
+    """Giving up part of a job's nodes frees them from every interval
+    whole and drops the intervals left empty; the rest is kept as is."""
     g = Gantt(NODES)
     g.reserve(g.mask_for(["n0", "n1", "n2"]), 10.0, 50.0, 1)
-    g.truncate(g.mask_for(["n1"]), 1, 20.0)
-    assert sorted(g._ledger[1]) == [(10.0, 20.0, g.mask_for(["n1"])),
-                                    (10.0, 50.0, g.mask_for(["n0", "n2"]))]
+    g.reserve(g.mask_for(["n3"]), 30.0, 50.0, 1)   # a grown interval
+    g.release_nodes(g.mask_for(["n1", "n3"]), 1)
+    assert g._ledger[1] == [(10.0, 50.0, g.mask_for(["n0", "n2"]))]
     assert _steps(g) == _ledger_steps(g)
-
-
-def test_purge_before_collapses_past_steps_and_forgets_ended_intervals():
-    g = Gantt(NODES)
-    g.reserve(g.mask_for(["n0"]), 0.0, 10.0, 1)
-    g.reserve(g.mask_for(["n1"]), 5.0, 20.0, 2)
-    g.reserve(g.mask_for(["n2"]), 15.0, 30.0, 3)
-    g.reserve(g.mask_for(["n3"]), 40.0, 50.0, 4)
-    g.purge_before(20.0)
-    # Job 1 ended before t and is forgotten; job 2 ends exactly at t and
-    # stays, like the jobs still running or yet to start.
-    assert sorted(g._ledger) == [2, 3, 4]
-    assert _steps(g) == _ledger_steps(g)
-    before_t = [t for t in g.profile._times if t < 20.0]
-    assert before_t == [float("-inf"), 5.0, 15.0]
-    g.purge_before(100.0)
-    assert g._ledger == {} and len(g.profile) == 1

@@ -49,7 +49,7 @@ def test_same_spot_replacement_keeps_assignment_and_timer(world):
     _, queued = _queued_behind_a_full_cluster(sim, oar)
     assignment, generation = queued.assignment, queued.generation
     seq = sim._seq
-    oar.replan_now()
+    oar._replan_future_jobs()
     assert queued.state == JobState.SCHEDULED
     assert queued.scheduled_start == 2 * HOUR
     assert queued.assignment is assignment
@@ -66,7 +66,7 @@ def test_moved_job_old_timer_is_a_no_op(world):
     blocker, queued = _queued_behind_a_full_cluster(sim, oar)
     old = queued.generation
     oar.release(blocker)  # frees grisou at t=1
-    oar.replan_now()
+    oar._replan_future_jobs()
     assert queued.scheduled_start == 1.0
     assert queued.generation != old
     oar._try_start(queued, old)  # the timer armed for t=2h
@@ -84,7 +84,7 @@ def test_job_left_waiting_is_cleared_and_its_timer_stale(world):
     old = queued.generation
     grisou = oar.db.matching(parse_expression("cluster='grisou'"))
     oar.db.services.drift_oar_property(grisou, "cluster")  # matches none
-    oar.replan_now()
+    oar._replan_future_jobs()
     assert queued.state == JobState.WAITING
     assert queued.generation > old
     assert queued.assignment == () and queued.reserved_mask == 0
@@ -101,11 +101,11 @@ def test_drift_between_replans_changes_the_cached_mask(world):
     expr = parse_expression("cluster='grisou'")
     gantt = oar.gantt
     grisou = gantt.mask_for(oar.db.matching(expr))
-    oar.replan_now()
+    oar._replan_future_jobs()
     assert oar._job_masks[queued.job_id] == grisou
     drifted = list(queued.assignment)
     oar.db.services.drift_oar_property(drifted, "cluster")
-    oar.replan_now()
+    oar._replan_future_jobs()
     want = grisou & ~gantt.mask_for(drifted)
     assert want == gantt.mask_for(oar.db.matching(expr))
     assert oar._job_masks[queued.job_id] == want
